@@ -12,6 +12,7 @@ from .expr import (
     Product,
     Rational,
     Sum,
+    SymredError,
     Variable,
     differentiate,
     free_variables,

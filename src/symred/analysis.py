@@ -14,25 +14,28 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import MINUS_ONE, ZERO, Expression, Product, Sum, free_variables, normalize
+from .expr import (
+    MINUS_ONE,
+    ZERO,
+    Expression,
+    Product,
+    Sum,
+    SymredError,
+    free_variables,
+    normalize,
+)
 from .fields import Algebra, ExpressionMatrix, characteristic_matrix, xi_matrices
 from .jets import CandidateSolution, JetPoint, sample_points, substitute_candidate
-from .numeric import Binding, PointRejected, evaluate, substitute_functions
-from .sampling import (
-    SamplePlan,
-    SamplingError,
-    draw_values,
-    numeric_equiv,
-    shared_instantiation,
-)
+from .sampling import SamplePlan, numeric_equiv, sampled
 
 RANK_PIVOT_REL_TOL = 1e-9
 KERNEL_SVD_REL_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 SYMMETRY_TOL = 1e-7
+FINGERPRINT_POINTS = 8
 
 
-class AnalysisError(RuntimeError):
+class AnalysisError(SymredError, RuntimeError):
     pass
 
 
@@ -93,7 +96,7 @@ class RankReport:
         }
 
 
-def _value_and_mass(e: Expression, b: Binding, plan: SamplePlan) -> tuple[complex, float]:
+def _value_and_mass(e: Expression, at) -> tuple[complex, float]:
     """Value plus the entry's pre-cancellation magnitude.
 
     For a Sum the mass is the sum of the term magnitudes: the scale the
@@ -102,12 +105,14 @@ def _value_and_mass(e: Expression, b: Binding, plan: SamplePlan) -> tuple[comple
     or a genuinely small entry.
     """
     if isinstance(e, Sum):
-        vals = [evaluate(t, b, eps_sing=plan.eps_sing,
-                         real_domain=not plan.allow_complex) for t in e.terms]
+        vals = [at(t) for t in e.terms]
         return sum(vals), float(sum(abs(v) for v in vals))
-    val = evaluate(e, b, eps_sing=plan.eps_sing,
-                   real_domain=not plan.allow_complex)
+    val = at(e)
     return val, abs(val)
+
+
+def _masses(ready: Sequence[Expression]):
+    return lambda at: [_value_and_mass(e, at) for e in ready]
 
 
 def _matrix_values(m: ExpressionMatrix, plan: SamplePlan,
@@ -117,31 +122,10 @@ def _matrix_values(m: ExpressionMatrix, plan: SamplePlan,
     Free slots (anything not fixed by a supplied jet point) are drawn
     from the plan box; opaque symbols get per-seed instantiations.
     """
-    exprs = m.all_entries()
-    if points is not None:
-        for pt in points:
-            b = Binding(pt.binding_values())
-            try:
-                pairs = [_value_and_mass(e, b, plan) for e in exprs]
-            except PointRejected:
-                continue
-            vals = np.array([p[0] for p in pairs], dtype=complex).reshape(m.shape)
-            yield pt.seed, vals, max(p[1] for p in pairs)
-        return
-    names = sorted(set().union(*[free_variables(e) for e in exprs])
-                   if exprs else set())
-    for seed in plan.seeds:
-        inst = shared_instantiation(exprs, seed)
-        ready = [substitute_functions(e, inst) for e in exprs]
-        for index in range(plan.count):
-            values = draw_values(names, plan, seed, index)
-            b = Binding(values)
-            try:
-                pairs = [_value_and_mass(e, b, plan) for e in ready]
-            except PointRejected:
-                continue
-            vals = np.array([p[0] for p in pairs], dtype=complex).reshape(m.shape)
-            yield seed, vals, max(p[1] for p in pairs)
+    for s in sampled(m.all_entries(), plan, points=points, reader=_masses,
+                     label="matrix %s" % m.name):
+        vals = np.array([v for v, _ in s.values], dtype=complex).reshape(m.shape)
+        yield s.seed, vals, max(mass for _, mass in s.values)
 
 
 def generic_rank(m: ExpressionMatrix, plan: SamplePlan | None = None,
@@ -152,15 +136,9 @@ def generic_rank(m: ExpressionMatrix, plan: SamplePlan | None = None,
     otherwise every free variable (including jet slots) is drawn from
     the plan box.
     """
-    plan = plan or SamplePlan()
-    ranks: dict[int, list[int]] = {seed: [] for seed in plan.seeds}
-    for seed, numeric, mass in _matrix_values(m, plan, points):
+    ranks: dict[int, list[int]] = {}
+    for seed, numeric, mass in _matrix_values(m, plan or SamplePlan(), points):
         ranks.setdefault(seed, []).append(pivot_rank(numeric, scale=mass))
-    for seed, seen in ranks.items():
-        if len(seen) < plan.min_accepted:
-            raise SamplingError(
-                "seed %d: matrix %s evaluated at %d points (need %d)"
-                % (seed, m.name, len(seen), plan.min_accepted))
     observed = [r for seen in ranks.values() for r in seen]
     top = max(observed)
     return RankReport(m.name, ranks, top, RANK_PIVOT_REL_TOL,
@@ -244,31 +222,14 @@ def _symbolic_minor(m: ExpressionMatrix, rows: Sequence[int],
     return normalize(Sum(tuple(terms)))
 
 
-def _fingerprints(exprs: Sequence[Expression], plan: SamplePlan,
-                  n_points: int = 8) -> list[tuple]:
-    """Shared-point value vectors used to pre-bucket duplicate minors."""
-    names = sorted(set().union(*[free_variables(e) for e in exprs]))
-    seed = plan.seeds[0]
-    inst = shared_instantiation(exprs, seed)
-    ready = [substitute_functions(e, inst) for e in exprs]
-    prints: list[list[complex]] = [[] for _ in exprs]
-    got = 0
-    for index in range(plan.count * 4):
-        if got >= n_points:
-            break
-        values = draw_values(names, plan, seed, index)
-        b = Binding(values)
-        try:
-            col = [evaluate(e, b, eps_sing=plan.eps_sing,
-                            real_domain=not plan.allow_complex) for e in ready]
-        except PointRejected:
-            continue
-        got += 1
-        for p, v in zip(prints, col):
-            p.append(v)
-    if got < n_points:
-        raise SamplingError("fingerprinting starved for matrix minors")
-    return [tuple(p) for p in prints]
+def _fingerprints(exprs: Sequence[Expression], plan: SamplePlan) -> list[tuple]:
+    """Shared-point value vectors used to pre-bucket duplicate minors:
+    the first FINGERPRINT_POINTS accepted points of the first seed."""
+    one_seed = plan.with_(seeds=plan.seeds[:1], count=4 * plan.count,
+                          min_accepted=FINGERPRINT_POINTS)
+    rows = [s.values for s in itertools.islice(
+        sampled(exprs, one_seed, label="minor fingerprinting"), FINGERPRINT_POINTS)]
+    return list(zip(*rows))
 
 
 def _same_up_to_sign(fp1: tuple, fp2: tuple, scale: float) -> int | None:
@@ -336,11 +297,13 @@ def weak_check_candidate(a: Algebra, c: CandidateSolution,
         minors = weak_minors(a, plan)
     except AnalysisError:
         return True
-    for det in minors:
-        restricted = substitute_candidate(det, c)
-        if not numeric_equiv(restricted, ZERO, plan):
-            return False
-    return True
+    return minors_vanish(minors, c, plan)
+
+
+def minors_vanish(minors: Sequence[Expression], c: CandidateSolution,
+                  plan: SamplePlan) -> bool:
+    """True iff every given minor vanishes identically on the candidate."""
+    return all(numeric_equiv(substitute_candidate(det, c), ZERO, plan) for det in minors)
 
 
 @dataclass
@@ -463,8 +426,6 @@ def constant_kernel_generators(a: Algebra, c: CandidateSolution,
         blocks.append(numeric.T)
         point_ranks.append(pivot_rank(numeric, scale=mass))
         mass_scale = max(mass_scale, mass)
-    if len(blocks) < plan.min_accepted:
-        raise SamplingError("kernel sampling starved for %s" % q_matrix.name)
     stacked = np.vstack(blocks)
     if np.max(np.abs(stacked.imag)) < 1e-12 * max(1.0, np.max(np.abs(stacked.real))):
         stacked = stacked.real
@@ -505,22 +466,13 @@ def _match_span(kernel: list[tuple[float, ...]],
     return " , ".join(sorted(names))
 
 
-def max_abs_on_points(e: Expression, points: Sequence[JetPoint],
+def max_abs_on_points(e: Expression, points: Sequence[JetPoint] | None,
                       plan: SamplePlan) -> float:
-    """Largest |e| over jet points; rejected points are skipped."""
+    """Largest |e| over jet points, or over box draws of its free
+    variables when points is None; rejected points are skipped."""
     worst = 0.0
-    used = 0
-    for pt in points:
-        b = Binding(pt.binding_values())
-        try:
-            val = evaluate(e, b, eps_sing=plan.eps_sing,
-                           real_domain=not plan.allow_complex)
-        except PointRejected:
-            continue
-        used += 1
-        worst = max(worst, abs(val))
-    if used < plan.min_accepted:
-        raise SamplingError("expression evaluated at only %d jet points" % used)
+    for s in sampled((e,), plan, points=points, label="expression"):
+        worst = max(worst, abs(s.values[0]))
     return worst
 
 

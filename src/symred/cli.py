@@ -5,9 +5,11 @@ a human-readable report and, with --json PATH, a versioned machine
 report; identical invocations with the same --seed produce byte
 identical JSON.
 
-Exit codes: 0 clean, 1 usage or resolution errors, 2 when an analysis
-raised a flag (non-generic rank behaviour, residual over tolerance,
-failed symmetry).
+Exit codes: 0 clean; 1 usage or resolution errors (any SymredError or
+OSError, printed as one `symred:` line); 2 when an analysis raised a
+flag: non-generic rank behaviour (classify, defect, kernel), residual at
+or over tolerance (verify), failed weak transversality (minors), failed
+symmetry (symcheck).
 """
 
 from __future__ import annotations
@@ -23,22 +25,20 @@ from .analysis import (
     constant_kernel_generators,
     defect,
     max_abs_on_points,
+    minors_vanish,
     symmetry_check,
-    weak_check_candidate,
     weak_minors,
 )
-from .dsl import DslError, Workspace, load_workspace, workspace_from_entry, workspace_to_text
-from .expr import ExpressionError, free_variables, to_text
-from .jets import JetError, key_of_variable, sample_points
-from .models import MODEL_IDS, ModelError, builtin, residual, resolve_candidate
-from .numeric import EvaluationError
-from .parser import ParseError
-from .sampling import SamplePlan, SamplingError
+from .dsl import Workspace, load_workspace, workspace_from_entry, workspace_to_text
+from .expr import SymredError, free_variables, to_text
+from .jets import key_of_variable, sample_points
+from .models import MODEL_IDS, ModelError, builtin, resolve_candidate
+from .sampling import SamplePlan
 
 USAGE_ERROR, FLAGGED = 1, 2
 
 
-class _UsageError(Exception):
+class _UsageError(SymredError):
     pass
 
 
@@ -125,6 +125,8 @@ def _tuned(plan: SamplePlan, args) -> SamplePlan:
     if args.seed is not None:
         changes["seeds"] = (args.seed, args.seed + 1, args.seed + 2)
     if args.samples is not None:
+        if args.samples < 4:
+            raise _UsageError("--samples must be at least 4, got %d" % args.samples)
         changes["count"] = args.samples
         changes["min_accepted"] = max(4, int(0.6 * args.samples))
     return plan.with_(**changes) if changes else plan
@@ -155,8 +157,13 @@ def _candidate(ws: Workspace, entry, name: str, args):
 
 
 def _system(ws: Workspace, entry, args):
+    """(system name, equation names, equations, jet order) to check.
+
+    For a builtin pass the entry _candidate resolved, so a candidate
+    that rebuilds the model with its own parameters meets its system.
+    """
     if entry is not None:
-        return entry.id, entry.equations, entry.order
+        return entry.id, entry.equation_names, entry.equations, entry.order
     if not ws.systems:
         raise _UsageError("workspace declares no system")
     name = getattr(args, "system", None)
@@ -176,7 +183,7 @@ def _system(ws: Workspace, entry, args):
             key = key_of_variable(ws.space, varname)
             if key is not None:
                 order = max(order, key.order)
-    return name, eqs, order
+    return name, ["eq%d" % (i + 1) for i in range(len(eqs))], eqs, order
 
 
 def _emit(args, report: dict, flagged: bool) -> int:
@@ -233,16 +240,10 @@ def _cmd_defect(args) -> int:
 def _cmd_verify(args) -> int:
     ws, entry = _load(args)
     tol = args.tol if args.tol is not None else 1e-8
-    if entry is not None:
-        _, cand, plan = _candidate(ws, entry, args.candidate, args)
-        values = residual(entry, args.candidate, plan)
-        system_name = entry.id
-    else:
-        system_name, eqs, order = _system(ws, entry, args)
-        _, cand, plan = _candidate(ws, entry, args.candidate, args)
-        points = sample_points(cand, plan, order)
-        values = {"eq%d" % (i + 1): max_abs_on_points(e, points, plan)
-                  for i, e in enumerate(eqs)}
+    entry, cand, plan = _candidate(ws, entry, args.candidate, args)
+    system_name, names, eqs, order = _system(ws, entry, args)
+    points = sample_points(cand, plan, order)
+    values = {name: max_abs_on_points(e, points, plan) for name, e in zip(names, eqs)}
     worst = max(values.values())
     for name, value in values.items():
         print("%-12s %.6e" % (name, value))
@@ -270,20 +271,20 @@ def _cmd_minors(args) -> int:
     for det in minors:
         print("  %s" % to_text(det))
     report = {"minors": [to_text(d) for d in minors]}
-    flagged = False
+    holds = True
     if cand is not None:
         order = max((key_of_variable(ws.space, n).order
                      for det in minors for n in free_variables(det)
                      if key_of_variable(ws.space, n) is not None), default=1)
         points = sample_points(cand, plan, max(order, 1))
         worst = max(max_abs_on_points(det, points, plan) for det in minors)
-        holds = weak_check_candidate(alg, cand, plan)
+        holds = minors_vanish(minors, cand, plan)
         print("max |minor| on %s: %.6e -> weak transversality %s"
               % (cand.name, worst, "HOLDS" if holds else "FAILS"))
         report["candidate"] = cand.name
         report["max_on_candidate"] = worst
         report["weak_holds"] = holds
-    return _emit(args, report, flagged)
+    return _emit(args, report, not holds)
 
 
 def _cmd_kernel(args) -> int:
@@ -306,8 +307,8 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_symcheck(args) -> int:
     ws, entry = _load(args)
-    system_name, eqs, order = _system(ws, entry, args)
-    _, cand, plan = _candidate(ws, entry, args.candidate, args)
+    entry, cand, plan = _candidate(ws, entry, args.candidate, args)
+    system_name, _, eqs, order = _system(ws, entry, args)
     try:
         field = ws.fields[args.field]
     except KeyError:
@@ -354,17 +355,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as err:
-        print("symred: %s" % err, file=sys.stderr)
-        return USAGE_ERROR
-    try:
         return args.handler(args)
-    except _UsageError as err:
-        print("symred: %s" % err, file=sys.stderr)
-        return USAGE_ERROR
-    except (DslError, ModelError, ParseError, ExpressionError, JetError,
-            EvaluationError, AnalysisError, SamplingError,
-            FileNotFoundError) as err:
+    except (SymredError, OSError) as err:
         print("symred: %s" % err, file=sys.stderr)
         return USAGE_ERROR
 

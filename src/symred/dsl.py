@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .expr import Expression, FunctionSymbol, add, neg, normalize, to_text
+from .expr import Expression, FunctionSymbol, SymredError, add, neg, normalize, to_text
 from .fields import Algebra, VectorField
 from .jets import CandidateSolution, VariableSpace, make_space
 from .parser import ParseError, parse_expression
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-class DslError(ValueError):
+class DslError(SymredError, ValueError):
     """Malformed workspace text."""
 
 
@@ -199,7 +199,12 @@ def _parse_domain(stmt: str) -> tuple[str, tuple[tuple[float, float], ...]]:
             continue
         if not piece.startswith("("):
             raise DslError("domain %r wants (lo, hi) intervals" % stmt)
-        lo, hi = (float(Fraction(p.strip())) for p in piece[1:].split(","))
+        try:
+            lo, hi = (float(Fraction(p.strip())) for p in piece[1:].split(","))
+        except ValueError:
+            raise DslError("domain %r wants (lo, hi) number pairs" % stmt) from None
+        if not hi > lo:
+            raise DslError("domain %r has the empty interval (%g, %g)" % (stmt, lo, hi))
         spans.append((lo, hi))
     if not name or not spans:
         raise DslError("domain %r wants a variable and intervals" % stmt)

@@ -20,7 +20,11 @@ RationalLike = Union[Rational, int]
 BUILTIN_NAMES = ("exp", "ln", "sin", "cos", "besseli")
 
 
-class ExpressionError(ValueError):
+class SymredError(Exception):
+    """Base of every error symred reports; the CLI prints it as one line."""
+
+
+class ExpressionError(SymredError, ValueError):
     pass
 
 

@@ -4,7 +4,6 @@ brackets, closure checking and prolongation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -14,16 +13,16 @@ from .expr import (
     Expression,
     Product,
     Sum,
+    SymredError,
     differentiate,
     free_variables,
     normalize,
 )
 from .jets import JetError, JetKey, VariableSpace, key_of_variable, key_variable, total_derivative
-from .numeric import Binding, PointRejected, evaluate, substitute_functions
-from .sampling import SamplePlan, SamplingError, draw_values, shared_instantiation
+from .sampling import SamplePlan, sampled
 
 
-class FieldError(ValueError):
+class FieldError(SymredError, ValueError):
     pass
 
 
@@ -111,14 +110,6 @@ class ExpressionMatrix:
     def all_entries(self) -> list[Expression]:
         return [e for row in self.entries for e in row]
 
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "ExpressionMatrix":
-        return ExpressionMatrix(
-            tuple(tuple(self.entries[i][j] for j in cols) for i in rows),
-            tuple(self.row_labels[i] for i in rows),
-            tuple(self.col_labels[j] for j in cols),
-            name="%s[%s;%s]" % (self.name, ",".join(map(str, rows)),
-                                ",".join(map(str, cols))))
-
 
 def xi_matrices(a: Algebra) -> tuple[ExpressionMatrix, ExpressionMatrix]:
     """The coefficient matrices: Xi1 = {xi}, Xi2 = {xi, phi}.
@@ -160,11 +151,6 @@ def characteristic_matrix(a: Algebra) -> ExpressionMatrix:
         name="Q(%s)" % a.name)
 
 
-def evolutionary_form(v: VectorField) -> tuple[Expression, ...]:
-    """The characteristics of v: its row of the Q matrix."""
-    return characteristic_row(v)
-
-
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     """Commutator [v, w] as a vector field on (x, u)."""
     if v.space != w.space:
@@ -197,37 +183,20 @@ CLOSURE_TOL = 1e-8
 
 
 def _field_samples(fields_components: list[tuple[Expression, ...]],
-                   space: VariableSpace, plan: SamplePlan, n_points: int):
+                   space: VariableSpace, plan: SamplePlan) -> list[np.ndarray]:
     """Evaluate each component tuple at shared random (x, u) points.
 
-    Returns one matrix per input tuple: rows = stacked components over
-    points, i.e. a vector in R^{(p+q)*n_points}.
+    Returns one vector per input tuple: its components stacked over the
+    points, i.e. a vector in R^{(p+q)*points}.
     """
-    names = list(space.independents + space.dependents)
     width = space.p + space.q
-    all_exprs = [e for comps in fields_components for e in comps]
     columns = [[] for _ in fields_components]
-    for seed in plan.seeds:
-        inst = shared_instantiation(all_exprs, seed)
-        ready = [[substitute_functions(e, inst) for e in comps]
-                 for comps in fields_components]
-        got = 0
-        for index in range(plan.count):
-            if got >= n_points:
-                break
-            values = draw_values(names, plan, seed, index)
-            b = Binding(values)
-            try:
-                vals = [[evaluate(e, b, eps_sing=plan.eps_sing) for e in comps]
-                        for comps in ready]
-            except PointRejected:
-                continue
-            got += 1
-            for col, v in zip(columns, vals):
-                col.extend(v)
-        if got < min(plan.min_accepted, n_points):
-            raise SamplingError("seed %d: closure sampling starved" % seed)
-    return [np.array(col, dtype=complex) for col in columns], width
+    for s in sampled([e for comps in fields_components for e in comps], plan,
+                     names=space.independents + space.dependents,
+                     label="closure sampling"):
+        for k, col in enumerate(columns):
+            col.extend(s.values[k * width:(k + 1) * width])
+    return [np.array(col, dtype=complex) for col in columns]
 
 
 def _fit_in_span(target: np.ndarray, basis: list[np.ndarray]) -> tuple[np.ndarray, float, bool]:
@@ -246,8 +215,7 @@ def closure_check(a: Algebra, within: Algebra,
 
     Coefficients are fitted by least squares over sampled (x, u) points;
     a fit counts only if its relative residual is below 1e-8.  A
-    rank-deficient design matrix triggers one retry with more points and
-    is then reported via the flagged bit.
+    rank-deficient design matrix is reported via the flagged bit.
     """
     if a.space != within.space:
         raise FieldError("closure_check across different spaces")
@@ -257,35 +225,29 @@ def closure_check(a: Algebra, within: Algebra,
         for j in range(i + 1, a.r):
             brackets[(i, j)] = lie_bracket(a.fields[i], a.fields[j])
 
-    def run(n_points: int):
-        components = [f.components() for f in within.fields]
-        components += [f.components() for f in a.fields]
-        components += [brackets[key].components() for key in sorted(brackets)]
-        sampled, _ = _field_samples(components, a.space, plan, n_points)
-        basis = sampled[:within.r]
-        member_vecs = sampled[within.r:within.r + a.r]
-        bracket_vecs = sampled[within.r + a.r:]
-        membership = {}
-        structure = {}
-        worst = 0.0
-        deficient_any = False
-        for i, vec in enumerate(member_vecs):
-            coeff, resid, deficient = _fit_in_span(vec, basis)
-            membership[i] = tuple(float(c.real) for c in coeff)
-            worst = max(worst, resid)
-            deficient_any |= deficient
-        for key, vec in zip(sorted(brackets), bracket_vecs):
-            coeff, resid, deficient = _fit_in_span(vec, basis)
-            structure[key] = tuple(float(c.real) for c in coeff)
-            worst = max(worst, resid)
-            deficient_any |= deficient
-        return membership, structure, worst, deficient_any
-
-    membership, structure, worst, deficient = run(plan.count)
-    if deficient:
-        membership, structure, worst, deficient = run(plan.count * 3)
-    ok = worst < CLOSURE_TOL
-    return ClosureReport(ok, structure, membership, worst, flagged=deficient)
+    components = [f.components() for f in within.fields]
+    components += [f.components() for f in a.fields]
+    components += [brackets[key].components() for key in sorted(brackets)]
+    vectors = _field_samples(components, a.space, plan)
+    basis = vectors[:within.r]
+    member_vecs = vectors[within.r:within.r + a.r]
+    bracket_vecs = vectors[within.r + a.r:]
+    membership = {}
+    structure = {}
+    worst = 0.0
+    deficient_any = False
+    for i, vec in enumerate(member_vecs):
+        coeff, resid, deficient = _fit_in_span(vec, basis)
+        membership[i] = tuple(float(c.real) for c in coeff)
+        worst = max(worst, resid)
+        deficient_any |= deficient
+    for key, vec in zip(sorted(brackets), bracket_vecs):
+        coeff, resid, deficient = _fit_in_span(vec, basis)
+        structure[key] = tuple(float(c.real) for c in coeff)
+        worst = max(worst, resid)
+        deficient_any |= deficient
+    return ClosureReport(worst < CLOSURE_TOL, structure, membership, worst,
+                         flagged=deficient_any)
 
 
 def prolong(v: VectorField, order: int) -> dict[JetKey, Expression]:

@@ -7,7 +7,6 @@ derivative list stored sorted, so mixed partials have one spelling.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -20,17 +19,18 @@ from .expr import (
     Power,
     Product,
     Sum,
+    SymredError,
     Variable,
     differentiate,
     free_variables,
     normalize,
 )
-from .numeric import Binding, PointRejected, evaluate, substitute_functions
+from .numeric import PointRejected
 from .parser import jet_name, split_jet_name
-from .sampling import SamplePlan, SamplingError, draw_values, shared_instantiation
+from .sampling import SamplePlan, sampled, shared_instantiation
 
 
-class JetError(ValueError):
+class JetError(SymredError, ValueError):
     pass
 
 
@@ -94,13 +94,15 @@ def jet_keys(space: VariableSpace, order: int) -> list[JetKey]:
     return [JetKey(alpha, m) for alpha in range(space.q) for m in multi]
 
 
+def _key_dvars(space: VariableSpace, key: JetKey) -> tuple[str, ...]:
+    """The independents to differentiate by, with multiplicity, in space order."""
+    return tuple(name for name, k in zip(space.independents, key.orders) for _ in range(k))
+
+
 def key_variable(space: VariableSpace, key: JetKey) -> Variable:
     if key.order == 0:
         return Variable(space.dependents[key.alpha])
-    dvars = []
-    for name, k in zip(space.independents, key.orders):
-        dvars.extend([name] * k)
-    return Variable(jet_name(space.dependents[key.alpha], dvars))
+    return Variable(jet_name(space.dependents[key.alpha], _key_dvars(space, key)))
 
 
 def key_of_variable(space: VariableSpace, name: str) -> JetKey | None:
@@ -206,10 +208,7 @@ def _subst(e: Expression, c: CandidateSolution) -> Expression:
         rhs = c.assignments.get(dep)
         if rhs is None:
             raise JetError("candidate %s does not define %s" % (c.name, dep))
-        dvars = []
-        for name, k in zip(c.space.independents, key.orders):
-            dvars.extend([name] * k)
-        return _candidate_derivative(rhs, tuple(dvars))
+        return _candidate_derivative(rhs, _key_dvars(c.space, key))
     if isinstance(e, Sum):
         return Sum(tuple(_subst(t, c) for t in e.terms))
     if isinstance(e, Product):
@@ -244,24 +243,13 @@ class JetPoint:
         out.update(self.slots)
         return out
 
-    def to_json(self, space: VariableSpace) -> dict:
-        # field order: independents, then jet_keys order
-        return {
-            "base": [[name, self.base[name]] for name in space.independents],
-            "slots": [[name, val.real, val.imag]
-                      for name, val in sorted(self.slots.items())],
-            "order": self.order,
-            "candidate": self.candidate,
-            "seed": self.seed,
-            "index": self.index,
-        }
-
 
 def candidate_instantiation(c: CandidateSolution, seed: int):
     """Opaque-symbol instantiation used when sampling this candidate.
 
     Exposed so that diagnostics can reproduce exactly the fragments a
-    given seed saw.
+    given seed saw: stand-ins depend only on (symbol, seed), so this map
+    agrees with the one sample_points drew its jet points with.
     """
     return shared_instantiation(
         list(c.assignments.values()) + list(c.excluded_loci), seed)
@@ -282,42 +270,23 @@ def sample_points(c: CandidateSolution, plan: SamplePlan, order: int) -> list[Je
     if missing:
         raise JetError("candidate %s does not define %s" % (c.name, missing))
 
-    points: list[JetPoint] = []
-    for seed in plan.seeds:
-        inst = candidate_instantiation(c, seed)
-        derivs: dict[str, Expression] = {}
-        for key in keys:
-            dep = space.dependents[key.alpha]
-            dvars = []
-            for name, k in zip(space.independents, key.orders):
-                dvars.extend([name] * k)
-            rhs = substitute_functions(c.assignments[dep], inst)
-            derivs[key_variable(space, key).name] = _candidate_derivative(
-                rhs, tuple(dvars))
-        loci = [substitute_functions(L, inst) for L in c.excluded_loci]
+    n_loci = len(c.excluded_loci)
+    slots = [(key_variable(space, key).name,
+              n_loci + needed.index(space.dependents[key.alpha]), _key_dvars(space, key))
+             for key in keys]
 
-        accepted = 0
-        for index in range(plan.count):
-            base = draw_values(space.independents, plan, seed, index)
-            b = Binding(base)
-            try:
-                if any(abs(evaluate(L, b, eps_sing=plan.eps_sing,
-                                    real_domain=not plan.allow_complex)) <= plan.eps_sing
-                       for L in loci):
-                    continue
-                slots = {name: evaluate(d, b, eps_sing=plan.eps_sing,
-                                        real_domain=not plan.allow_complex)
-                         for name, d in derivs.items()}
-            except PointRejected:
-                continue
-            accepted += 1
-            points.append(JetPoint(base, slots, order, c.name, seed, index))
-        if accepted < plan.min_accepted:
-            raise SamplingError(
-                "seed %d: candidate %s kept %d of %d points (need %d)"
-                % (seed, c.name, accepted, plan.count, plan.min_accepted))
-    return points
+    def reader(ready):
+        # once per seed: differentiate the instantiated right-hand sides
+        loci = ready[:n_loci]
+        derivs = {name: _candidate_derivative(ready[i], dvars) for name, i, dvars in slots}
 
+        def read(at):
+            if any(abs(at(L)) <= plan.eps_sing for L in loci):
+                raise PointRejected("excluded locus")
+            return {name: at(d) for name, d in derivs.items()}
+        return read
 
-def point_json_lines(points: list[JetPoint], space: VariableSpace) -> str:
-    return "\n".join(json.dumps(p.to_json(space), sort_keys=True) for p in points)
+    exprs = list(c.excluded_loci) + [c.assignments[dep] for dep in needed]
+    return [JetPoint(s.where, s.values, order, c.name, s.seed, s.index)
+            for s in sampled(exprs, plan, names=space.independents, reader=reader,
+                             label="candidate %s" % c.name)]

@@ -21,6 +21,7 @@ from .expr import (
     FunctionSymbol,
     I,
     Sum,
+    SymredError,
     apply_symbol,
     con,
     differentiate,
@@ -45,7 +46,7 @@ from .jets import (
 )
 from .numeric import Binding, PointRejected, evaluate, substitute_functions
 from .parser import parse_expression
-from .sampling import SamplePlan, SamplingError, draw_values
+from .sampling import SamplePlan, sampled
 
 __all__ = [
     "MODEL_IDS",
@@ -62,7 +63,7 @@ __all__ = [
 ]
 
 
-class ModelError(ValueError):
+class ModelError(SymredError, ValueError):
     """Unknown model id, parameter, or candidate."""
 
 
@@ -673,30 +674,6 @@ def vnls_residual(candidate=None, plan: SamplePlan | None = None) -> dict:
     return residual(builtin("vnls3"), candidate or "printed", plan)
 
 
-def _max_abs(e: Expression, plan: SamplePlan) -> float:
-    """Largest |e| over box samples of its free variables, per plan."""
-    names = sorted(free_variables(e))
-    worst = 0.0
-    for seed in plan.seeds:
-        from .sampling import shared_instantiation
-        functions = shared_instantiation((e,), seed)
-        accepted = 0
-        for index in range(plan.count):
-            values = draw_values(names, plan, seed, index)
-            try:
-                value = evaluate(e, Binding(values, functions),
-                                 eps_sing=plan.eps_sing,
-                                 real_domain=not plan.allow_complex)
-            except PointRejected:
-                continue
-            accepted += 1
-            worst = max(worst, abs(value))
-        if accepted < plan.min_accepted:
-            raise SamplingError("seed %d accepted %d points; need %d"
-                                % (seed, accepted, plan.min_accepted))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # reduced ODE certification (the example3_* closed forms)
 
@@ -728,8 +705,9 @@ def _check_k2(params: Mapping, plan: SamplePlan | None) -> dict:
     amp = parse("6^(1/2)*(t^2/(t^4 + {c1}*t + {c2}))^(1/2)")
     wt = differentiate(w, "t")
     out = {
-        "ode": _max_abs(_if7_residual(w, wt, k), plan),
-        "amplitude": _max_abs(normalize(amp - _if6_amplitude(w, wt, k)), plan),
+        "ode": max_abs_on_points(_if7_residual(w, wt, k), None, plan),
+        "amplitude": max_abs_on_points(normalize(amp - _if6_amplitude(w, wt, k)),
+                                       None, plan),
     }
     entry = builtin("isentropic", {"k": k, "c1": p["c1"], "c2": p["c2"]})
     out["system"] = max(residual(entry, "example3_k_minus2").values())
@@ -752,9 +730,9 @@ def _check_k1(params: Mapping, plan: SamplePlan | None) -> dict:
     ode = normalize(differentiate(wt, "t") + con(2) * w * wt
                     - con(4) * (wt + w * w) / t)
     out = {
-        "ode": _max_abs(ode, plan),
-        "amplitude": _max_abs(normalize(parse("{c1}*t^2")
-                                        - _if6_amplitude(w, wt, k)), plan),
+        "ode": max_abs_on_points(ode, None, plan),
+        "amplitude": max_abs_on_points(normalize(parse("{c1}*t^2") - _if6_amplitude(w, wt, k)),
+                                       None, plan),
     }
     entry = builtin("isentropic", {"k": k, "c1": p["c1"], "c2": p["c2"]})
     out["system"] = max(residual(entry, "example3_k_minus1").values())
@@ -780,8 +758,9 @@ def _check_general(params: Mapping, plan: SamplePlan | None) -> dict:
                          * (amp_t + w * amp + (amp / con(k)) * (con(2) / t + w))
                          - _if7_residual(w, wt, k))
     out = {
-        "IF1_z": _max_abs(normalize(wt + w * w + con(k) * amp * amp), plan),
-        "reduction_identity": _max_abs(identity, plan),
+        "IF1_z": max_abs_on_points(normalize(wt + w * w + con(k) * amp * amp),
+                                   None, plan),
+        "reduction_identity": max_abs_on_points(identity, None, plan),
     }
     # the assembled class satisfies the momentum equations identically;
     # its sound equation IS the ODE, which reduction_identity covers
@@ -905,7 +884,7 @@ def _check_lns(candidate, plan) -> dict:
                     - con(entry.params["nu"])
                     * (differentiate(differentiate(alpha, "x"), "x")
                        + differentiate(differentiate(alpha, "y"), "y")))
-    out = {"LNS": _max_abs(lns, plan or entry.default_plan)}
+    out = {"LNS": max_abs_on_points(lns, None, plan or entry.default_plan)}
     out["system"] = max(residual(entry, cand, plan).values())
     return out
 
@@ -980,15 +959,10 @@ def discrepancy_report(entry: ModelEntry, candidate=None,
     worst_point = None
     for name, eq in zip(entry.equation_names, entry.equations):
         peak, peak_pt = 0.0, None
-        for pt in points:
-            b = Binding(pt.binding_values())
-            try:
-                value = abs(evaluate(eq, b, eps_sing=plan.eps_sing,
-                                     real_domain=not plan.allow_complex))
-            except PointRejected:
-                continue
+        for s in sampled((eq,), plan, points=points, label="equation %s" % name):
+            value = abs(s.values[0])
             if value > peak:
-                peak, peak_pt = value, pt
+                peak, peak_pt = value, s.where
         residuals[name] = peak
         if failing is None and peak > tol:
             failing, worst_point = name, peak_pt

@@ -29,6 +29,7 @@ from .expr import (
     Power,
     Product,
     Sum,
+    SymredError,
     Variable,
     differentiate,
     function_symbols,
@@ -44,7 +45,7 @@ BESSEL_ARG_BOUND = 30.0
 POLE_EPS = 1e-300
 
 
-class EvaluationError(ValueError):
+class EvaluationError(SymredError, ValueError):
     pass
 
 

@@ -1,19 +1,29 @@
 """Seeded point sampling with singularity rejection, and the numeric
 equality oracle built on it.
 
+Every sampled verdict in symred (ranks, defect, kernel, closure fits,
+residuals, equality) reads its numbers through the one loop in
+`sampled`: per seed it instantiates the opaque symbols once, walks the
+points (drawn from the plan box, or given jet points), evaluates with
+the plan's pole and real-domain guards, skips rejected points and
+raises SamplingError when a seed keeps fewer than plan.min_accepted.
+
 Determinism contract: the value drawn for a variable depends only on
-(seed, point index, position in the requested name list), so any two
-runs with the same plan produce identical samples.
+(seed, point index, position in the requested name list), and opaque
+symbols get stand-ins that depend only on (symbol, seed), so any two
+runs with the same plan produce identical samples and readings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .expr import Expression, free_variables, function_symbols
+from .expr import Expression, SymredError, free_variables, function_symbols
 from .numeric import (
     Binding,
     PointRejected,
@@ -30,7 +40,7 @@ DEFAULT_INTERVALS = ((-2.0, -0.5), (0.5, 2.0))
 DEFAULT_SEEDS = (101, 211, 331)
 
 
-class SamplingError(RuntimeError):
+class SamplingError(SymredError, RuntimeError):
     """Rejection starvation: too few points survived the guards."""
 
 
@@ -106,6 +116,70 @@ def shared_instantiation(exprs: Iterable[Expression], seed: int):
     return {s: random_polynomial(s, seed) for s in sorted(symbols, key=lambda s: s.name)}
 
 
+class Sample(NamedTuple):
+    """One accepted point: its seed and index, where it lies (the drawn
+    coordinates, or the given jet point) and the readings taken there."""
+
+    seed: int
+    index: int
+    where: object
+    values: object
+
+
+def _read_all(ready: Sequence[Expression]):
+    return lambda at: [at(e) for e in ready]
+
+
+def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
+            names: Sequence[str] | None = None, points: Iterable | None = None,
+            reader: Callable = _read_all,
+            label: str = "expressions") -> Iterator[Sample]:
+    """The sampling loop: yield every accepted point with its readings.
+
+    For each seed the opaque symbols of `exprs` get one shared
+    instantiation, substituted once.  The seed's points are then either
+    drawn for `names` (default: the sorted free variables of exprs) at
+    indices 0 .. plan.count - 1, or taken from `points`, jet points
+    consumed in order one run of equal seeds at a time.
+
+    reader(ready) is called once per seed with the substituted exprs
+    and returns read(at), which takes the readings at one point; at(e)
+    evaluates under the plan's guards.  A PointRejected raised while
+    reading skips the point.  A seed that keeps fewer than
+    plan.min_accepted points raises SamplingError when its points run
+    out; a consumer that stops early never draws the rest.
+    """
+    exprs = list(exprs)
+    if points is None:
+        if names is None:
+            names = sorted(set().union(*map(free_variables, exprs)))
+        runs = [(seed, range(plan.count)) for seed in plan.seeds]
+    else:
+        runs = [(seed, list(run)) for seed, run in groupby(points, key=attrgetter("seed"))]
+    real_domain = not plan.allow_complex
+    for seed, run in runs:
+        inst = shared_instantiation(exprs, seed)
+        read = reader([substitute_functions(e, inst) for e in exprs] if inst else exprs)
+        accepted = 0
+        for item in run:
+            if points is None:
+                index, where = item, draw_values(names, plan, seed, item)
+                b = Binding(where)
+            else:
+                index, where = item.index, item
+                b = Binding(item.binding_values())
+            try:
+                values = read(lambda e: evaluate(e, b, eps_sing=plan.eps_sing,
+                                                 real_domain=real_domain))
+            except PointRejected:
+                continue
+            accepted += 1
+            yield Sample(seed, index, where, values)
+        if accepted < plan.min_accepted:
+            raise SamplingError("seed %d: %s kept %d of %d points (need %d)"
+                                % (seed, label, accepted, len(run), plan.min_accepted))
+
+
 def numeric_equiv(e1: Expression, e2: Expression,
                   plan: SamplePlan | None = None) -> bool:
     """Sampling oracle for expression equality.
@@ -114,27 +188,8 @@ def numeric_equiv(e1: Expression, e2: Expression,
     every accepted point, over all plan seeds.  Opaque symbols get a
     shared per-seed instantiation so both sides see the same functions.
     """
-    plan = plan or SamplePlan()
-    names = sorted(free_variables(e1) | free_variables(e2))
-    for seed in plan.seeds:
-        inst = shared_instantiation((e1, e2), seed)
-        f1 = substitute_functions(e1, inst)
-        f2 = substitute_functions(e2, inst)
-        accepted = 0
-        for index in range(plan.count):
-            values = draw_values(names, plan, seed, index)
-            try:
-                v1 = evaluate(f1, Binding(values), eps_sing=plan.eps_sing,
-                              real_domain=not plan.allow_complex)
-                v2 = evaluate(f2, Binding(values), eps_sing=plan.eps_sing,
-                              real_domain=not plan.allow_complex)
-            except PointRejected:
-                continue
-            accepted += 1
-            if abs(v1 - v2) > max(EQUIV_ABS, EQUIV_REL * max(abs(v1), abs(v2))):
-                return False
-        if accepted < plan.min_accepted:
-            raise SamplingError(
-                "seed %d: only %d of %d points survived rejection (need %d)"
-                % (seed, accepted, plan.count, plan.min_accepted))
+    for s in sampled((e1, e2), plan or SamplePlan(), label="equality check"):
+        v1, v2 = s.values
+        if abs(v1 - v2) > max(EQUIV_ABS, EQUIV_REL * max(abs(v1), abs(v2))):
+            return False
     return True

@@ -3,6 +3,7 @@ file-workspace path."""
 
 import json
 
+import pytest
 
 from symred.cli import main
 
@@ -60,6 +61,13 @@ def test_minors_on_candidate(capsys):
     assert "HOLDS" in out
 
 
+def test_minors_flags_failed_weak_transversality(capsys):
+    code, out = run(capsys, "minors", "builtin:euler",
+                    "--algebra", "rot3", "--candidate", "SE_printed")
+    assert code == 2
+    assert "weak transversality FAILS" in out
+
+
 def test_minors_none_exist(capsys):
     code, out = run(capsys, "minors", "builtin:laplace_fo",
                     "--algebra", "tr2")
@@ -85,6 +93,15 @@ def test_symcheck_yes_and_donor_precondition(capsys):
     code, _ = run(capsys, "symcheck", "builtin:navier_stokes",
                   "--field", "T", "--candidate", "Sl1")
     assert code == 1
+
+
+def test_symcheck_on_a_candidate_that_rebuilds_its_model(capsys):
+    # example3_k_minus1 resolves to isentropic at k = -1; the donor must
+    # be checked against that system, not the default-k one
+    code, out = run(capsys, "symcheck", "builtin:isentropic",
+                    "--field", "K1", "--candidate", "example3_k_minus1")
+    assert code == 0
+    assert ": yes" in out
 
 
 def test_models_listing(capsys):
@@ -139,6 +156,32 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
     assert main(["verify", "/no/such/file.sr", "--candidate", "c"]) == 1
     capsys.readouterr()
+
+
+LINE_SR = """
+space line { independent x; dependent u; order 1; }
+system flat { eq d(u,x) = 0; }
+field v { xi = [%s]; phi = [0]; }
+algebra a { fields v; }
+candidate c { u = 1; domain x %s; }
+"""
+
+
+@pytest.mark.parametrize("xi, domain, argv", [
+    ("d(u,x)", "(1, 2)", ("classify", "{sr}", "--algebra", "a")),
+    ("1", "(1, 2)", ("verify", "builtin:navier_stokes", "--candidate", "sol",
+                     "--samples", "3")),
+    ("1", "(2, 1)", ("verify", "{sr}", "--candidate", "c")),
+    ("1", "(a, 1)", ("verify", "{sr}", "--candidate", "c")),
+    ("1", "(1, 2, 3)", ("verify", "{sr}", "--candidate", "c")),
+], ids=["field-uses-jet-coordinate", "samples-below-4", "domain-empty",
+        "domain-not-a-number", "domain-not-a-pair"])
+def test_errors_exit_one_with_one_line(capsys, tmp_path, xi, domain, argv):
+    path = tmp_path / "line.sr"
+    path.write_text(LINE_SR % (xi, domain))
+    assert main([a.format(sr=path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("symred: ") and err.count("\n") == 1
 
 
 def test_samples_and_tol_flags(capsys):

@@ -142,6 +142,17 @@ def test_closure_membership_of_subalgebra():
     assert not closure_check(big, sub).ok
 
 
+def test_closure_sampling_rejects_points_outside_the_real_domain():
+    # x^(1/2) and (x^2)^(1/4) agree for x > 0; for x < 0 the principal
+    # branch makes the first imaginary, so a real plan must drop those x
+    plan = SamplePlan(box={"x": ((-0.25, 2.0),)})
+    root = Algebra(SPACE, (_field(("x^(1/2)", "0"), ("0",), "root"),), "root")
+    modulus = Algebra(SPACE, (_field(("(x^2)^(1/4)", "0"), ("0",), "mod"),), "mod")
+    rep = closure_check(root, modulus, plan)
+    assert rep.ok
+    assert rep.membership[0] == pytest.approx((1.0,))
+
+
 def test_algebra_requires_common_space():
     other = make_space(("x", "y"), ("w",), 1)
     w = VectorField(other, (P("1"), P("0")), (P("0"),), "w")
