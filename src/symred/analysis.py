@@ -21,11 +21,10 @@ from .expr import (
     Product,
     Sum,
     SymredError,
-    free_variables,
     normalize,
 )
 from .fields import Algebra, ExpressionMatrix, characteristic_matrix, xi_matrices
-from .jets import CandidateSolution, JetPoint, sample_points, substitute_candidate
+from .jets import CandidateSolution, JetPoint, jet_order, sample_points, substitute_candidate
 from .sampling import SamplePlan, numeric_equiv, sampled
 
 RANK_PIVOT_REL_TOL = 1e-9
@@ -485,16 +484,10 @@ def symmetry_check(system: Sequence[Expression], v, donor: CandidateSolution,
     not a False.
     """
     from .fields import apply_prolonged
-    from .jets import key_of_variable
 
     plan = plan or SamplePlan()
     if order is None:
-        order = 0
-        for e in system:
-            for name in free_variables(e):
-                key = key_of_variable(donor.space, name)
-                if key is not None:
-                    order = max(order, key.order)
+        order = jet_order(donor.space, system)
     points = sample_points(donor, plan, order)
     for e in system:
         if max_abs_on_points(e, points, plan) >= RESIDUAL_TOL:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,8 +31,8 @@ from .analysis import (
     weak_minors,
 )
 from .dsl import Workspace, load_workspace, workspace_from_entry, workspace_to_text
-from .expr import SymredError, free_variables, to_text
-from .jets import key_of_variable, sample_points
+from .expr import SymredError, to_text
+from .jets import jet_order, sample_points
 from .models import MODEL_IDS, ModelError, builtin, resolve_candidate
 from .sampling import SamplePlan
 
@@ -123,12 +124,16 @@ def _load(args):
 def _tuned(plan: SamplePlan, args) -> SamplePlan:
     changes = {}
     if args.seed is not None:
+        if args.seed < 0:
+            raise _UsageError("--seed must be non-negative, got %d" % args.seed)
         changes["seeds"] = (args.seed, args.seed + 1, args.seed + 2)
     if args.samples is not None:
         if args.samples < 4:
             raise _UsageError("--samples must be at least 4, got %d" % args.samples)
         changes["count"] = args.samples
         changes["min_accepted"] = max(4, int(0.6 * args.samples))
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        raise _UsageError("--tol must be positive and finite, got %g" % args.tol)
     return plan.with_(**changes) if changes else plan
 
 
@@ -177,13 +182,8 @@ def _system(ws: Workspace, entry, args):
     except KeyError:
         raise _UsageError("no system %r; available: %s"
                           % (name, ", ".join(sorted(ws.systems))))
-    order = 1
-    for eq in eqs:
-        for varname in free_variables(eq):
-            key = key_of_variable(ws.space, varname)
-            if key is not None:
-                order = max(order, key.order)
-    return name, ["eq%d" % (i + 1) for i in range(len(eqs))], eqs, order
+    return (name, ["eq%d" % (i + 1) for i in range(len(eqs))], eqs,
+            max(1, jet_order(ws.space, eqs)))
 
 
 def _emit(args, report: dict, flagged: bool) -> int:
@@ -212,8 +212,6 @@ def _cmd_classify(args) -> int:
     cand = None
     if args.candidate is not None:
         _, cand, plan = _candidate(ws, entry, args.candidate, args)
-    elif entry is not None:
-        plan = _tuned(entry.algebra_plan(args.algebra), args)
     else:
         plan = _tuned(ws.plan_for(args.algebra), args)
     rep = classify_transversality(alg, plan, cand)
@@ -273,10 +271,7 @@ def _cmd_minors(args) -> int:
     report = {"minors": [to_text(d) for d in minors]}
     holds = True
     if cand is not None:
-        order = max((key_of_variable(ws.space, n).order
-                     for det in minors for n in free_variables(det)
-                     if key_of_variable(ws.space, n) is not None), default=1)
-        points = sample_points(cand, plan, max(order, 1))
+        points = sample_points(cand, plan, max(1, jet_order(ws.space, minors)))
         worst = max(max_abs_on_points(det, points, plan) for det in minors)
         holds = minors_vanish(minors, cand, plan)
         print("max |minor| on %s: %.6e -> weak transversality %s"

@@ -19,7 +19,7 @@ files can be diffed against the library.
     }
 
 `eq LHS = RHS` stores the residual LHS - RHS.  `domain` and `complex`
-attach a sampling plan to the candidate.
+attach a sampling plan to the candidate or algebra they appear in.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ class Workspace:
     plans: dict[str, SamplePlan] = field(default_factory=dict)
     source: str = "<workspace>"
 
-    def plan_for(self, candidate: str | None) -> SamplePlan:
-        if candidate is not None and candidate in self.plans:
-            return self.plans[candidate]
+    def plan_for(self, name: str | None) -> SamplePlan:
+        """The plan declared for a candidate or algebra, else the default."""
+        if name is not None and name in self.plans:
+            return self.plans[name]
         return SamplePlan()
 
 
@@ -154,7 +155,10 @@ def _parse_space(body: str, source: str) -> VariableSpace:
         elif words[0] == "dependent":
             dependent = words[1:]
         elif words[0] == "order":
-            order = int(words[1])
+            try:
+                (order,) = map(int, words[1:])
+            except ValueError:
+                raise DslError("%s: space wants `order N`, got %r" % (source, stmt)) from None
         else:
             raise DslError("%s: unknown space item %r" % (source, words[0]))
     if not independent or not dependent or order is None:
@@ -209,6 +213,18 @@ def _parse_domain(stmt: str) -> tuple[str, tuple[tuple[float, float], ...]]:
     if not name or not spans:
         raise DslError("domain %r wants a variable and intervals" % stmt)
     return name, tuple(spans)
+
+
+def _plan_item(stmt: str, plan: dict) -> bool:
+    """Read a `domain` or `complex` statement into SamplePlan keywords."""
+    if stmt == "complex":
+        plan["allow_complex"] = True
+    elif stmt.startswith("domain"):
+        var_name, spans = _parse_domain(stmt)
+        plan.setdefault("box", {})[var_name] = spans
+    else:
+        return False
+    return True
 
 
 def parse_workspace(text: str, source: str = "<workspace>") -> Workspace:
@@ -278,7 +294,10 @@ def parse_workspace(text: str, source: str = "<workspace>") -> Workspace:
             ws.fields[name] = VectorField(space, xi, phi, name=name)
         elif kind == "algebra":
             members = []
+            plan = {}
             for stmt in _statements(body):
+                if _plan_item(stmt, plan):
+                    continue
                 words = stmt.split()
                 if words[0] != "fields":
                     raise DslError("%s: algebra %s: unknown item %r"
@@ -290,21 +309,17 @@ def parse_workspace(text: str, source: str = "<workspace>") -> Workspace:
                                % (source, name, ", ".join(missing)))
             ws.algebras[name] = Algebra(space, tuple(ws.fields[mn] for mn in members),
                                         name=name)
+            if plan:
+                ws.plans[name] = SamplePlan(**plan)
         elif kind == "candidate":
             assignments: dict[str, Expression] = {}
             loci: list[Expression] = []
-            box: dict[str, tuple] = {}
-            complex_mode = False
+            plan = {}
             for stmt in _statements(body):
-                if stmt == "complex":
-                    complex_mode = True
+                if _plan_item(stmt, plan):
                     continue
                 if stmt.startswith("exclude"):
                     loci.append(parse(stmt[len("exclude"):]))
-                    continue
-                if stmt.startswith("domain"):
-                    var_name, spans = _parse_domain(stmt)
-                    box[var_name] = spans
                     continue
                 lhs, eq, rhs = stmt.partition("=")
                 target = lhs.strip()
@@ -314,10 +329,15 @@ def parse_workspace(text: str, source: str = "<workspace>") -> Workspace:
                 assignments[target] = parse(rhs)
             ws.candidates[name] = CandidateSolution(space, assignments,
                                                     tuple(loci), name=name)
-            if box or complex_mode:
-                ws.plans[name] = SamplePlan(box=box, allow_complex=complex_mode)
+            if plan:
+                ws.plans[name] = SamplePlan(**plan)
         else:
             raise DslError("%s: unknown declaration %r" % (source, kind))
+    # plans are keyed by name, so one name cannot serve both kinds
+    clash = sorted(set(ws.algebras) & set(ws.candidates))
+    if clash:
+        raise DslError("%s: %s names both an algebra and a candidate"
+                       % (source, ", ".join(clash)))
     return ws
 
 
@@ -331,17 +351,22 @@ def workspace_from_entry(entry) -> Workspace:
     ws = Workspace(space=entry.space, source="builtin:" + entry.id)
     ws.functions.update(entry.functions)
     ws.systems[entry.id] = entry.equations
+    plans = []
     for name, alg in entry.algebras.items():
         for f in alg.fields:
             ws.fields.setdefault(f.name, f)
         ws.algebras[name] = alg
+        plans.append((name, entry.algebra_plan(name)))
     for name, cand in entry.candidates.items():
+        # a candidate pinned to other parameter values fails this system
+        pinned = entry.candidate_params.get(name, {})
+        if any(entry.params[p] != value for p, value in pinned.items()):
+            continue
         ws.candidates[name] = cand
-        plan = entry.plan_for(name)
+        plans.append((name, entry.plan_for(name)))
+    for name, plan in plans:
         if plan.box or plan.allow_complex:
             ws.plans[name] = plan
-    for name, plan in entry.algebra_plans.items():
-        ws.plans.setdefault(name, plan)
     return ws
 
 
@@ -351,6 +376,14 @@ def _fmt_interval(span: tuple[float, float]) -> str:
 
 def _fmt_float(x: float) -> str:
     return "%g" % x
+
+
+def _plan_lines(plan: SamplePlan) -> list[str]:
+    lines = ["    domain %s %s;" % (name, " ".join(_fmt_interval(s) for s in plan.box[name]))
+             for name in sorted(plan.box)]
+    if plan.allow_complex:
+        lines.append("    complex;")
+    return lines
 
 
 def workspace_to_text(ws: Workspace) -> str:
@@ -376,6 +409,7 @@ def workspace_to_text(ws: Workspace) -> str:
     for name, alg in ws.algebras.items():
         out.append("algebra %s {" % name)
         out.append("    fields %s;" % " ".join(f.name for f in alg.fields))
+        out.extend(_plan_lines(ws.plan_for(name)))
         out.append("}")
     for name, cand in ws.candidates.items():
         out.append("candidate %s {" % name)
@@ -384,13 +418,6 @@ def workspace_to_text(ws: Workspace) -> str:
                 out.append("    %s = %s;" % (target, to_text(cand.assignments[target])))
         for locus in cand.excluded_loci:
             out.append("    exclude %s;" % to_text(locus))
-        plan = ws.plans.get(name)
-        if plan is not None:
-            for var_name in sorted(plan.box):
-                out.append("    domain %s %s;"
-                           % (var_name, " ".join(_fmt_interval(s)
-                                                 for s in plan.box[var_name])))
-            if plan.allow_complex:
-                out.append("    complex;")
+        out.extend(_plan_lines(ws.plan_for(name)))
         out.append("}")
     return "\n".join(out) + "\n"

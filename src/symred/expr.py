@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from functools import lru_cache
+from typing import Mapping, Union
 
 # Exact scalar type used for all literal constants and exponents.
 Rational = Fraction
@@ -128,6 +129,11 @@ class FunctionApp(Expression):
             )
         if len(self.orders) != self.symbol.arity or any(k < 0 for k in self.orders):
             raise ExpressionError("bad derivative multi-index for %s" % self.symbol.name)
+
+    @property
+    def dvars(self) -> tuple[str, ...]:
+        """The formals differentiated by, with multiplicity, in formal order."""
+        return tuple(f for f, k in zip(self.symbol.formals, self.orders) for _ in range(k))
 
 
 @dataclass(frozen=True, eq=True, repr=False)
@@ -286,21 +292,31 @@ def function_symbols(e: Expression) -> set[FunctionSymbol]:
     return out
 
 
+def rewrite(e: Expression, rule) -> Expression:
+    """Replace each outermost node where rule(node) returns an expression.
+
+    Every other node is rebuilt from its rewritten children.  This is the
+    one tree-rebuilding walk; it does not normalize.
+    """
+    out = rule(e)
+    if out is not None:
+        return out
+    if isinstance(e, Sum):
+        return Sum(tuple(rewrite(t, rule) for t in e.terms))
+    if isinstance(e, Product):
+        return Product(tuple(rewrite(f, rule) for f in e.factors))
+    if isinstance(e, Power):
+        return Power(rewrite(e.base, rule), e.exponent)
+    if isinstance(e, Builtin):
+        return Builtin(e.name, rewrite(e.arg, rule), e.order)
+    if isinstance(e, FunctionApp):
+        return FunctionApp(e.symbol, tuple(rewrite(a, rule) for a in e.args), e.orders)
+    return e
+
+
 def substitute(e: Expression, mapping: Mapping[str, Expression]) -> Expression:
     """Replace variables by expressions, by name.  Does not normalize."""
-    if isinstance(e, Variable):
-        return mapping.get(e.name, e)
-    if isinstance(e, Sum):
-        return Sum(tuple(substitute(t, mapping) for t in e.terms))
-    if isinstance(e, Product):
-        return Product(tuple(substitute(f, mapping) for f in e.factors))
-    if isinstance(e, Power):
-        return Power(substitute(e.base, mapping), e.exponent)
-    if isinstance(e, Builtin):
-        return Builtin(e.name, substitute(e.arg, mapping), e.order)
-    if isinstance(e, FunctionApp):
-        return FunctionApp(e.symbol, tuple(substitute(a, mapping) for a in e.args), e.orders)
-    return e
+    return rewrite(e, lambda node: mapping.get(node.name) if isinstance(node, Variable) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +335,9 @@ _KIND_RANK = {
 
 
 def _sort_key(e: Expression):
+    # The kind rank leads, so two keys reach their second fields only for
+    # nodes of one kind, where those fields share a type: plain tuple
+    # comparison is a total order on these keys.
     rank = _KIND_RANK[type(e)]
     if isinstance(e, Constant):
         return (rank, e.value, ())
@@ -337,37 +356,6 @@ def _sort_key(e: Expression):
     if isinstance(e, Product):
         return (rank, len(e.factors), tuple(_sort_key(f) for f in e.factors))
     raise ExpressionError("unreachable")
-
-
-def _cmp_key(a, b) -> int:
-    # Keys mix strings, fractions and tuples at the same depth, so plain
-    # tuple comparison can raise TypeError; compare elementwise by type.
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        for x, y in zip(a, b):
-            c = _cmp_key(x, y)
-            if c:
-                return c
-        return (len(a) > len(b)) - (len(a) < len(b))
-    ta = 0 if isinstance(a, (int, Fraction)) else 1 if isinstance(a, str) else 2
-    tb = 0 if isinstance(b, (int, Fraction)) else 1 if isinstance(b, str) else 2
-    if ta != tb:
-        return -1 if ta < tb else 1
-    return (a > b) - (a < b)
-
-
-class _Keyed:
-    __slots__ = ("key", "expr")
-
-    def __init__(self, expr):
-        self.key = _sort_key(expr)
-        self.expr = expr
-
-    def __lt__(self, other):
-        return _cmp_key(self.key, other.key) < 0
-
-
-def _sorted_exprs(exprs: Iterable[Expression]) -> list[Expression]:
-    return [k.expr for k in sorted(_Keyed(e) for e in exprs)]
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +377,8 @@ def normalize(e: Expression) -> Expression:
         return _normalize_product(e)
     if isinstance(e, Power):
         return _normalize_power(normalize(e.base), e.exponent)
-    if isinstance(e, Builtin):
-        return Builtin(e.name, normalize(e.arg), e.order)
-    if isinstance(e, FunctionApp):
-        return FunctionApp(e.symbol, tuple(normalize(a) for a in e.args), e.orders)
+    if isinstance(e, (Builtin, FunctionApp)):
+        return rewrite(e, lambda node: None if node is e else normalize(node))
     raise ExpressionError("unknown node %r" % type(e).__name__)
 
 
@@ -410,7 +396,7 @@ def _normalize_sum(e: Sum) -> Expression:
                 const += u.value
             else:
                 terms.append(u)
-    terms = _sorted_exprs(terms)
+    terms.sort(key=_sort_key)
     if const != 0:
         terms.insert(0, Constant(const))
     if not terms:
@@ -472,7 +458,7 @@ def _normalize_product(e: Product) -> Expression:
         return ZERO
     if i_power:
         factors.append(I)
-    factors = _sorted_exprs(factors)
+    factors.sort(key=_sort_key)
     if const != 1:
         factors.insert(0, Constant(const))
     if not factors:
@@ -509,6 +495,14 @@ def differentiate(e: Expression, v: str) -> Expression:
     coordinates; total derivatives live in :mod:`symred.jets`.
     """
     return normalize(_diff(e, v))
+
+
+@lru_cache(maxsize=8192)
+def derivative(e: Expression, dvars: tuple[str, ...]) -> Expression:
+    """e differentiated by each variable of dvars in turn; cached."""
+    for v in dvars:
+        e = differentiate(e, v)
+    return e
 
 
 def _diff(e: Expression, v: str) -> Expression:
@@ -624,10 +618,7 @@ def _print(e: Expression, ctx: int) -> str:
     if isinstance(e, FunctionApp):
         if all(k == 0 for k in e.orders):
             return "%s(%s)" % (e.symbol.name, ", ".join(_print(a, 0) for a in e.args))
-        dvars = []
-        for formal, k in zip(e.symbol.formals, e.orders):
-            dvars.extend([formal] * k)
-        head = "d(%s, %s)" % (e.symbol.name, ", ".join(dvars))
+        head = "d(%s, %s)" % (e.symbol.name, ", ".join(e.dvars))
         plain = tuple(Variable(f) for f in e.symbol.formals)
         if e.args == plain:
             return head

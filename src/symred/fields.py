@@ -18,7 +18,8 @@ from .expr import (
     free_variables,
     normalize,
 )
-from .jets import JetError, JetKey, VariableSpace, key_of_variable, key_variable, total_derivative
+from .jets import (JetError, JetKey, VariableSpace, jet_order, key_of_variable, key_variable,
+                   total_derivative)
 from .sampling import SamplePlan, sampled
 
 
@@ -289,12 +290,7 @@ def prolong(v: VectorField, order: int) -> dict[JetKey, Expression]:
 def apply_prolonged(v: VectorField, e: Expression) -> Expression:
     """pr v applied to an expression over the jet space."""
     space = v.space
-    needed = 0
-    for name in free_variables(e):
-        key = key_of_variable(space, name)
-        if key is not None:
-            needed = max(needed, key.order)
-    coeffs = prolong(v, needed)
+    coeffs = prolong(v, jet_order(space, (e,)))
     terms = []
     for i, x in enumerate(space.independents):
         de = differentiate(e, x)

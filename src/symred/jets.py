@@ -8,22 +8,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .expr import (
     ZERO,
-    Builtin,
     Expression,
-    FunctionApp,
-    Power,
     Product,
     Sum,
     SymredError,
     Variable,
+    derivative,
     differentiate,
     free_variables,
     normalize,
+    rewrite,
 )
 from .numeric import PointRejected
 from .parser import jet_name, split_jet_name
@@ -121,6 +119,13 @@ def key_of_variable(space: VariableSpace, name: str) -> JetKey | None:
     return JetKey(space.dependents.index(head), tuple(orders))
 
 
+def jet_order(space: VariableSpace, exprs: Iterable[Expression]) -> int:
+    """Highest derivative order among the space's jet coordinates in exprs;
+    0 when only dependents (or none) occur."""
+    keys = (key_of_variable(space, name) for e in exprs for name in free_variables(e))
+    return max((key.order for key in keys if key is not None), default=0)
+
+
 def bump_name(space: VariableSpace, name: str, i: int) -> str:
     """Jet name for one more derivative of `name` along independent i."""
     parts = split_jet_name(name)
@@ -184,42 +189,22 @@ class CandidateSolution:
                 raise JetError("excluded locus uses jet-space names %s" % sorted(bad))
 
 
-@lru_cache(maxsize=8192)
-def _candidate_derivative(rhs: Expression, dvars: tuple[str, ...]) -> Expression:
-    out = rhs
-    for v in dvars:
-        out = differentiate(out, v)
-    return out
-
-
 def substitute_candidate(e: Expression, c: CandidateSolution) -> Expression:
     """Replace dependents and jet coordinates in e by the candidate's data."""
-    return normalize(_subst(e, c))
-
-
-def _subst(e: Expression, c: CandidateSolution) -> Expression:
-    if isinstance(e, Variable):
-        key = key_of_variable(c.space, e.name)
+    def rule(node):
+        if not isinstance(node, Variable):
+            return None
+        key = key_of_variable(c.space, node.name)
         if key is None:
-            return e
+            return None
         if key.order > c.space.max_order:  # pragma: no cover - name length bound
-            raise JetError("jet order of %s exceeds the space bound" % e.name)
+            raise JetError("jet order of %s exceeds the space bound" % node.name)
         dep = c.space.dependents[key.alpha]
         rhs = c.assignments.get(dep)
         if rhs is None:
             raise JetError("candidate %s does not define %s" % (c.name, dep))
-        return _candidate_derivative(rhs, _key_dvars(c.space, key))
-    if isinstance(e, Sum):
-        return Sum(tuple(_subst(t, c) for t in e.terms))
-    if isinstance(e, Product):
-        return Product(tuple(_subst(f, c) for f in e.factors))
-    if isinstance(e, Power):
-        return Power(_subst(e.base, c), e.exponent)
-    if isinstance(e, Builtin):
-        return Builtin(e.name, _subst(e.arg, c), e.order)
-    if isinstance(e, FunctionApp):
-        return FunctionApp(e.symbol, tuple(_subst(a, c) for a in e.args), e.orders)
-    return e
+        return derivative(rhs, _key_dvars(c.space, key))
+    return normalize(rewrite(e, rule))
 
 
 @dataclass(frozen=True)
@@ -278,7 +263,7 @@ def sample_points(c: CandidateSolution, plan: SamplePlan, order: int) -> list[Je
     def reader(ready):
         # once per seed: differentiate the instantiated right-hand sides
         loci = ready[:n_loci]
-        derivs = {name: _candidate_derivative(ready[i], dvars) for name, i, dvars in slots}
+        derivs = {name: derivative(ready[i], dvars) for name, i, dvars in slots}
 
         def read(at):
             if any(abs(at(L)) <= plan.eps_sing for L in loci):

@@ -26,7 +26,6 @@ from .expr import (
     con,
     differentiate,
     exp,
-    free_variables,
     mul,
     normalize,
     sqrt,
@@ -38,7 +37,9 @@ from .jets import (
     CandidateSolution,
     JetPoint,
     VariableSpace,
+    _key_dvars,
     candidate_instantiation,
+    jet_order,
     key_of_variable,
     make_space,
     sample_points,
@@ -93,16 +94,6 @@ def _make_fields(space, parse, spec) -> dict[str, VectorField]:
                                 tuple(parse(t) for t in phi),
                                 name=name)
     return out
-
-
-def _system_order(space: VariableSpace, equations) -> int:
-    order = 1
-    for eq in equations:
-        for name in free_variables(eq):
-            key = key_of_variable(space, name)
-            if key is not None:
-                order = max(order, sum(key.orders))
-    return order
 
 
 @dataclass(frozen=True)
@@ -266,7 +257,7 @@ def _navier_stokes(params: dict) -> ModelEntry:
     return ModelEntry(
         id="navier_stokes", space=space,
         equations=equations, equation_names=names,
-        order=_system_order(space, equations),
+        order=max(1, jet_order(space, equations)),
         params=consts_view(params), functions=functions,
         algebras=algebras, algebra_plans={"g2": _T_POS},
         candidates=candidates, candidate_params={},
@@ -354,7 +345,7 @@ def _euler(params: dict) -> ModelEntry:
     return ModelEntry(
         id="euler", space=space,
         equations=equations, equation_names=names,
-        order=_system_order(space, equations),
+        order=max(1, jet_order(space, equations)),
         params=consts_view(params), functions=functions,
         algebras=algebras, algebra_plans={},
         candidates=candidates, candidate_params={},
@@ -446,7 +437,7 @@ def _isentropic(params: dict) -> ModelEntry:
     return ModelEntry(
         id="isentropic", space=space,
         equations=equations, equation_names=names,
-        order=_system_order(space, equations),
+        order=max(1, jet_order(space, equations)),
         params=consts_view(params), functions=functions,
         algebras=algebras, algebra_plans={},
         candidates=candidates,
@@ -517,7 +508,7 @@ def _vnls3(params: dict) -> ModelEntry:
     return ModelEntry(
         id="vnls3", space=space,
         equations=equations, equation_names=names,
-        order=_system_order(space, equations),
+        order=max(1, jet_order(space, equations)),
         params=consts_view(params), functions={},
         algebras=algebras, algebra_plans={},
         candidates=candidates, candidate_params={},
@@ -557,7 +548,7 @@ def _laplace_fo(params: dict) -> ModelEntry:
     return ModelEntry(
         id="laplace_fo", space=space,
         equations=equations, equation_names=names,
-        order=_system_order(space, equations),
+        order=max(1, jet_order(space, equations)),
         params=consts_view(params), functions={},
         algebras=algebras, algebra_plans={},
         candidates=candidates, candidate_params={},
@@ -801,11 +792,6 @@ def reduced_ode_check(kind: str, params: Mapping | None = None,
 # ---------------------------------------------------------------------------
 # derived constraint systems (the example8_* candidates and IF12)
 
-def _points_for(entry, name, plan, order):
-    entry2, cand, plan2 = resolve_candidate(entry, name, plan)
-    return entry2, cand, plan2, sample_points(cand, plan2, order)
-
-
 def _check_e83_e86(candidate, plan) -> dict:
     entry = builtin("euler")
     entry, cand, plan2 = resolve_candidate(entry, candidate or "example8_euler", plan)
@@ -930,14 +916,11 @@ def _fd_jet_gap(cand: CandidateSolution, point: JetPoint, plan: SamplePlan) -> f
     worst = 0.0
     for name, slot in point.slots.items():
         key = key_of_variable(space, name)
-        if key is None or sum(key.orders) == 0:
+        if key is None or key.order == 0:
             continue
         rhs = substitute_functions(cand.assignments[space.dependents[key.alpha]], inst)
-        axes = []
-        for independent, count in zip(space.independents, key.orders):
-            axes.extend([independent] * count)
         try:
-            approx = _central_difference(rhs, base, tuple(axes), plan)
+            approx = _central_difference(rhs, base, _key_dvars(space, key), plan)
         except PointRejected:
             continue
         gap = abs(approx - slot) / max(1.0, abs(slot))

@@ -14,7 +14,6 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -31,9 +30,10 @@ from .expr import (
     Sum,
     SymredError,
     Variable,
-    differentiate,
+    derivative,
     function_symbols,
     normalize,
+    rewrite,
     substitute,
 )
 
@@ -204,21 +204,11 @@ def _eval_function(e: FunctionApp, values, functions, eps, real_dom) -> complex:
     inst = functions.get(e.symbol)
     if inst is None:
         raise EvaluationError("no instantiation bound for %s" % e.symbol.name)
-    deriv = _instantiation_derivative(inst, e.symbol.formals, e.orders)
+    deriv = derivative(inst, e.dvars)
     local = dict(values)
     for formal, arg in zip(e.symbol.formals, e.args):
         local[formal] = _eval(arg, values, functions, eps, real_dom)
     return _eval(deriv, local, functions, eps, real_dom)
-
-
-@lru_cache(maxsize=4096)
-def _instantiation_derivative(inst: Expression, formals: tuple[str, ...],
-                              orders: tuple[int, ...]) -> Expression:
-    out = inst
-    for formal, k in zip(formals, orders):
-        for _ in range(k):
-            out = differentiate(out, formal)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +261,10 @@ def instantiate_functions(e: Expression, seed: int) -> tuple[Expression, dict[Fu
 
 def substitute_functions(e: Expression, functions: Mapping[FunctionSymbol, Expression]) -> Expression:
     """Expand FunctionApp nodes whose symbol is in the map; leave others."""
-    if isinstance(e, FunctionApp) and e.symbol in functions:
-        deriv = _instantiation_derivative(functions[e.symbol], e.symbol.formals, e.orders)
-        args = {formal: substitute_functions(arg, functions)
-                for formal, arg in zip(e.symbol.formals, e.args)}
-        return normalize(substitute(deriv, args))
-    if isinstance(e, Sum):
-        return Sum(tuple(substitute_functions(t, functions) for t in e.terms))
-    if isinstance(e, Product):
-        return Product(tuple(substitute_functions(f, functions) for f in e.factors))
-    if isinstance(e, Power):
-        return Power(substitute_functions(e.base, functions), e.exponent)
-    if isinstance(e, Builtin):
-        return Builtin(e.name, substitute_functions(e.arg, functions), e.order)
-    if isinstance(e, FunctionApp):
-        return FunctionApp(e.symbol, tuple(substitute_functions(a, functions) for a in e.args),
-                           e.orders)
-    return e
+    def rule(node):
+        if not (isinstance(node, FunctionApp) and node.symbol in functions):
+            return None
+        args = {formal: rewrite(arg, rule)
+                for formal, arg in zip(node.symbol.formals, node.args)}
+        return normalize(substitute(derivative(functions[node.symbol], node.dvars), args))
+    return rewrite(e, rule)

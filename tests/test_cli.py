@@ -121,6 +121,13 @@ def test_models_export_reparses(capsys, tmp_path):
     code2, out2 = run(capsys, "classify", str(path), "--algebra", "gal3")
     assert code2 == 0
     assert "strong transversality HOLDS" in out2
+    # g2 (fields with t^(5/3)) needs its algebra's t > 0 domain in the file
+    code, out = run(capsys, "models", "--export", "navier_stokes")
+    path = tmp_path / "ns.sr"
+    path.write_text(out)
+    code, out = run(capsys, "classify", str(path), "--algebra", "g2")
+    assert code == 0
+    assert "rank Xi1=3, rank Xi2=4" in out
 
 
 def test_json_envelope_byte_identical(capsys, tmp_path):
@@ -158,27 +165,34 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+LINE_SPACE = "space line { independent x; dependent u; order 1; }"
 LINE_SR = """
-space line { independent x; dependent u; order 1; }
+%s
 system flat { eq d(u,x) = 0; }
 field v { xi = [%s]; phi = [0]; }
 algebra a { fields v; }
 candidate c { u = 1; domain x %s; }
 """
+VERIFY_C = ("verify", "{sr}", "--candidate", "c")
 
 
-@pytest.mark.parametrize("xi, domain, argv", [
-    ("d(u,x)", "(1, 2)", ("classify", "{sr}", "--algebra", "a")),
-    ("1", "(1, 2)", ("verify", "builtin:navier_stokes", "--candidate", "sol",
-                     "--samples", "3")),
-    ("1", "(2, 1)", ("verify", "{sr}", "--candidate", "c")),
-    ("1", "(a, 1)", ("verify", "{sr}", "--candidate", "c")),
-    ("1", "(1, 2, 3)", ("verify", "{sr}", "--candidate", "c")),
+@pytest.mark.parametrize("space, xi, domain, argv", [
+    (LINE_SPACE, "d(u,x)", "(1, 2)", ("classify", "{sr}", "--algebra", "a")),
+    (LINE_SPACE, "1", "(1, 2)", ("verify", "builtin:navier_stokes", "--candidate", "sol",
+                                 "--samples", "3")),
+    (LINE_SPACE, "1", "(2, 1)", VERIFY_C),
+    (LINE_SPACE, "1", "(a, 1)", VERIFY_C),
+    (LINE_SPACE, "1", "(1, 2, 3)", VERIFY_C),
+    (LINE_SPACE.replace("order 1", "order two"), "1", "(1, 2)", VERIFY_C),
+    (LINE_SPACE.replace("order 1", "order"), "1", "(1, 2)", VERIFY_C),
+    (LINE_SPACE, "1", "(1, 2)", VERIFY_C + ("--seed", "-1")),
+    (LINE_SPACE, "1", "(1, 2)", VERIFY_C + ("--tol", "nan")),
 ], ids=["field-uses-jet-coordinate", "samples-below-4", "domain-empty",
-        "domain-not-a-number", "domain-not-a-pair"])
-def test_errors_exit_one_with_one_line(capsys, tmp_path, xi, domain, argv):
+        "domain-not-a-number", "domain-not-a-pair", "order-not-a-number",
+        "order-missing", "seed-negative", "tol-not-a-number"])
+def test_errors_exit_one_with_one_line(capsys, tmp_path, space, xi, domain, argv):
     path = tmp_path / "line.sr"
-    path.write_text(LINE_SR % (xi, domain))
+    path.write_text(LINE_SR % (space, xi, domain))
     assert main([a.format(sr=path) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("symred: ") and err.count("\n") == 1

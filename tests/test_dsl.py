@@ -77,6 +77,20 @@ candidate c { u = i*t; complex; domain t (1, 2); }
     assert plan.box["t"] == ((1.0, 2.0),)
 
 
+def test_algebra_plan_and_name_clash():
+    text = """
+space s { independent t; dependent u; order 1; }
+field f { xi = [1]; phi = [0]; }
+algebra g { fields f; domain t (1, 2); complex; }
+candidate %s { u = t; }
+"""
+    plan = parse_workspace(text % "c", source="t").plan_for("g")
+    assert plan.allow_complex and plan.box["t"] == ((1.0, 2.0),)
+    with pytest.raises(DslError) as err:
+        parse_workspace(text % "g", source="t")
+    assert "g names both an algebra and a candidate" in str(err.value)
+
+
 def test_exclude_clause():
     ws = parse_workspace("""
 space s { independent t; dependent u; order 1; }
@@ -151,8 +165,21 @@ def test_export_round_trip(model_id):
     for name, alg in ws.algebras.items():
         assert [f.name for f in ws2.algebras[name].fields] == \
             [f.name for f in alg.fields]
+    assert ws2.plans == ws.plans
     # a second serialization is byte-stable
     assert workspace_to_text(ws2) == text
+
+
+def test_export_omits_candidates_pinned_to_other_parameters():
+    # example3_k_minus1/2 solve the system only at k = -1 / -2, and the
+    # exported file fixes the entry's own k
+    entry = builtin("isentropic")
+    ws = workspace_from_entry(entry)
+    assert set(ws.candidates) == set(entry.candidates) - {"example3_k_minus1",
+                                                           "example3_k_minus2"}
+    ws = workspace_from_entry(builtin("isentropic", {"k": -1}))
+    assert "example3_k_minus1" in ws.candidates
+    assert "example3_k_minus2" not in ws.candidates
 
 
 def test_workspace_from_entry_shares_plans():

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from symred.expr import (
+    Builtin,
+    Constant,
     ExpressionError,
     FunctionSymbol,
     I,
     ONE,
     Power,
+    Product,
     Sum,
+    Variable,
     ZERO,
     add,
     apply_symbol,
@@ -34,9 +38,9 @@ from symred.expr import (
     to_text,
     var,
 )
-from symred.numeric import Binding, evaluate
+from symred.numeric import Binding, PointRejected, evaluate
 
-from helpers import random_expression
+from helpers import VARS, random_expression
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -78,6 +82,52 @@ def test_normalize_idempotent_on_random_trees():
         e = random_expression(rng, depth=4)
         n1 = normalize(e)
         assert normalize(n1) == n1
+
+
+def _to_sympy(sp, e):
+    if isinstance(e, Constant):
+        return sp.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, Variable):
+        return sp.Symbol(e.name)
+    if isinstance(e, Sum):
+        return sp.Add(*(_to_sympy(sp, t) for t in e.terms))
+    if isinstance(e, Product):
+        return sp.Mul(*(_to_sympy(sp, f) for f in e.factors))
+    if isinstance(e, Power):
+        q = e.exponent
+        return sp.Pow(_to_sympy(sp, e.base), sp.Rational(q.numerator, q.denominator))
+    if isinstance(e, Builtin) and e.name in ("exp", "ln", "sin", "cos"):
+        head = {"exp": sp.exp, "ln": sp.log, "sin": sp.sin, "cos": sp.cos}[e.name]
+        return head(_to_sympy(sp, e.arg))
+    raise TypeError("no sympy form for %r" % (e,))
+
+
+def test_differentiate_and_normalize_match_sympy():
+    # sympy is an independent oracle, used only here and only if present
+    sp = pytest.importorskip("sympy")
+    symbols = [sp.Symbol(n) for n in VARS]
+    rng = np.random.default_rng(7)
+    compared = 0
+    for _ in range(40):
+        e = random_expression(rng, depth=3)
+        ref = _to_sympy(sp, e)
+        pairs = [(normalize(e), ref)]
+        pairs += [(differentiate(e, v), sp.diff(ref, s)) for v, s in zip(VARS, symbols)]
+        pairs = [(ours, sp.lambdify(symbols, theirs, modules="cmath"))
+                 for ours, theirs in pairs]
+        for _ in range(3):
+            point = [float(rng.uniform(0.5, 2.0)) * rng.choice((-1, 1)) for _ in VARS]
+            for ours, theirs in pairs:
+                try:
+                    got = evaluate(ours, Binding(dict(zip(VARS, point))), real_domain=True)
+                    want = complex(theirs(*point))
+                except (PointRejected, OverflowError, ZeroDivisionError, ValueError):
+                    continue
+                if abs(want) > 1e8:
+                    continue
+                assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (to_text(e), to_text(ours))
+                compared += 1
+    assert compared >= 200
 
 
 def test_polynomial_derivative():
