@@ -25,7 +25,7 @@ from .expr import (
 )
 from .fields import Algebra, ExpressionMatrix, characteristic_matrix, xi_matrices
 from .jets import CandidateSolution, JetPoint, jet_order, sample_points, substitute_candidate
-from .sampling import SamplePlan, numeric_equiv, sampled
+from .sampling import SamplePlan, SamplingError, numeric_equiv, sampled
 
 RANK_PIVOT_REL_TOL = 1e-9
 KERNEL_SVD_REL_TOL = 1e-8
@@ -95,8 +95,8 @@ class RankReport:
         }
 
 
-def _value_and_mass(e: Expression, at) -> tuple[complex, float]:
-    """Value plus the entry's pre-cancellation magnitude.
+def _value_and_mass(e: Expression, at) -> tuple[np.ndarray, np.ndarray]:
+    """Value plus the entry's pre-cancellation magnitude, per point.
 
     For a Sum the mass is the sum of the term magnitudes: the scale the
     value *would* have if its terms did not cancel.  This is the right
@@ -105,13 +105,17 @@ def _value_and_mass(e: Expression, at) -> tuple[complex, float]:
     """
     if isinstance(e, Sum):
         vals = [at(t) for t in e.terms]
-        return sum(vals), float(sum(abs(v) for v in vals))
+        return sum(vals), sum(np.hypot(v.real, v.imag) for v in vals)
     val = at(e)
-    return val, abs(val)
+    return val, np.hypot(val.real, val.imag)
 
 
-def _masses(ready: Sequence[Expression]):
-    return lambda at: [_value_and_mass(e, at) for e in ready]
+def _masses(ready: Sequence[Expression], at, live) -> list[tuple]:
+    """Per point: the entry values and the largest entry mass."""
+    pairs = [_value_and_mass(e, at) for e in ready]
+    values = zip(*(v.tolist() for v, _ in pairs))
+    scales = map(max, zip(*(mass.tolist() for _, mass in pairs)))
+    return list(zip(values, scales))
 
 
 def _matrix_values(m: ExpressionMatrix, plan: SamplePlan,
@@ -123,8 +127,8 @@ def _matrix_values(m: ExpressionMatrix, plan: SamplePlan,
     """
     for s in sampled(m.all_entries(), plan, points=points, reader=_masses,
                      label="matrix %s" % m.name):
-        vals = np.array([v for v, _ in s.values], dtype=complex).reshape(m.shape)
-        yield s.seed, vals, max(mass for _, mass in s.values)
+        vals, scale = s.values
+        yield s.seed, np.array(vals, dtype=complex).reshape(m.shape), scale
 
 
 def generic_rank(m: ExpressionMatrix, plan: SamplePlan | None = None,
@@ -223,11 +227,18 @@ def _symbolic_minor(m: ExpressionMatrix, rows: Sequence[int],
 
 def _fingerprints(exprs: Sequence[Expression], plan: SamplePlan) -> list[tuple]:
     """Shared-point value vectors used to pre-bucket duplicate minors:
-    the first FINGERPRINT_POINTS accepted points of the first seed."""
-    one_seed = plan.with_(seeds=plan.seeds[:1], count=4 * plan.count,
-                          min_accepted=FINGERPRINT_POINTS)
-    rows = [s.values for s in itertools.islice(
-        sampled(exprs, one_seed, label="minor fingerprinting"), FINGERPRINT_POINTS)]
+    the first FINGERPRINT_POINTS accepted points of the first seed.  A
+    seed is evaluated whole, so look among 2 x FINGERPRINT_POINTS points
+    first and among 4 x count only if too few of those survive."""
+    def first_rows(count):
+        one_seed = plan.with_(seeds=plan.seeds[:1], count=count,
+                              min_accepted=FINGERPRINT_POINTS)
+        return [s.values for s in itertools.islice(
+            sampled(exprs, one_seed, label="minor fingerprinting"), FINGERPRINT_POINTS)]
+    try:
+        rows = first_rows(2 * FINGERPRINT_POINTS)
+    except SamplingError:
+        rows = first_rows(4 * plan.count)
     return list(zip(*rows))
 
 

@@ -215,12 +215,15 @@ def _parse_domain(stmt: str) -> tuple[str, tuple[tuple[float, float], ...]]:
     return name, tuple(spans)
 
 
-def _plan_item(stmt: str, plan: dict) -> bool:
+def _plan_item(stmt: str, plan: dict, space: VariableSpace, where: str) -> bool:
     """Read a `domain` or `complex` statement into SamplePlan keywords."""
     if stmt == "complex":
         plan["allow_complex"] = True
     elif stmt.startswith("domain"):
         var_name, spans = _parse_domain(stmt)
+        if var_name not in space.independents + space.dependents:
+            raise DslError("%s: domain names %s, which is not a variable of the space"
+                           % (where, var_name))
         plan.setdefault("box", {})[var_name] = spans
     else:
         return False
@@ -255,6 +258,8 @@ def parse_workspace(text: str, source: str = "<workspace>") -> Workspace:
             raise DslError("%s: %s" % (source, err)) from err
 
     p, q = len(space.independents), len(space.dependents)
+    declared = {"system": ws.systems, "field": ws.fields, "algebra": ws.algebras,
+                "candidate": ws.candidates}
     for header, body in pending:
         kind = header[0]
         if kind == "func":
@@ -265,6 +270,9 @@ def parse_workspace(text: str, source: str = "<workspace>") -> Workspace:
             raise DslError("%s: `%s` wants `%s NAME { ... }`"
                            % (source, kind, kind))
         name = header[1]
+        if name in declared.get(kind, ()):
+            raise DslError("%s: duplicate %s %s" % (source, kind, name))
+        where = "%s: %s %s" % (source, kind, name)
         if kind == "system":
             eqs = []
             for stmt in _statements(body):
@@ -296,7 +304,7 @@ def parse_workspace(text: str, source: str = "<workspace>") -> Workspace:
             members = []
             plan = {}
             for stmt in _statements(body):
-                if _plan_item(stmt, plan):
+                if _plan_item(stmt, plan, space, where):
                     continue
                 words = stmt.split()
                 if words[0] != "fields":
@@ -316,7 +324,7 @@ def parse_workspace(text: str, source: str = "<workspace>") -> Workspace:
             loci: list[Expression] = []
             plan = {}
             for stmt in _statements(body):
-                if _plan_item(stmt, plan):
+                if _plan_item(stmt, plan, space, where):
                     continue
                 if stmt.startswith("exclude"):
                     loci.append(parse(stmt[len("exclude"):]))

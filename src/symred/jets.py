@@ -10,6 +10,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .expr import (
     ZERO,
     Expression,
@@ -23,7 +25,6 @@ from .expr import (
     normalize,
     rewrite,
 )
-from .numeric import PointRejected
 from .parser import jet_name, split_jet_name
 from .sampling import SamplePlan, sampled, shared_instantiation
 
@@ -260,16 +261,14 @@ def sample_points(c: CandidateSolution, plan: SamplePlan, order: int) -> list[Je
               n_loci + needed.index(space.dependents[key.alpha]), _key_dvars(space, key))
              for key in keys]
 
-    def reader(ready):
+    def reader(ready, at, live):
         # once per seed: differentiate the instantiated right-hand sides
-        loci = ready[:n_loci]
-        derivs = {name: derivative(ready[i], dvars) for name, i, dvars in slots}
-
-        def read(at):
-            if any(abs(at(L)) <= plan.eps_sing for L in loci):
-                raise PointRejected("excluded locus")
-            return {name: at(d) for name, d in derivs.items()}
-        return read
+        for locus in ready[:n_loci]:
+            value = at(locus)
+            live &= ~(np.hypot(value.real, value.imag) <= plan.eps_sing)
+        columns = {name: at(derivative(ready[i], dvars)).tolist()
+                   for name, i, dvars in slots}
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
     exprs = list(c.excluded_loci) + [c.assignments[dep] for dep in needed]
     return [JetPoint(s.where, s.values, order, c.name, s.seed, s.index)

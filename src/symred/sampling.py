@@ -3,10 +3,11 @@ equality oracle built on it.
 
 Every sampled verdict in symred (ranks, defect, kernel, closure fits,
 residuals, equality) reads its numbers through the one loop in
-`sampled`: per seed it instantiates the opaque symbols once, walks the
-points (drawn from the plan box, or given jet points), evaluates with
-the plan's pole and real-domain guards, skips rejected points and
-raises SamplingError when a seed keeps fewer than plan.min_accepted.
+`sampled`: per seed it instantiates the opaque symbols once, gathers
+the points (drawn from the plan box, or given jet points) into columns,
+evaluates each expression once over all of them with the plan's pole
+and real-domain guards, keeps one rejection mask for the seed and
+raises SamplingError when it keeps fewer than plan.min_accepted.
 
 Determinism contract: the value drawn for a variable depends only on
 (seed, point index, position in the requested name list), and opaque
@@ -86,26 +87,24 @@ def _check_intervals(name, intervals):
             raise ValueError("empty interval [%g, %g] for %s" % (lo, hi, name))
 
 
-def point_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
-
-
-def draw_from_intervals(rng: np.random.Generator,
-                        intervals: tuple[tuple[float, float], ...]) -> float:
-    widths = [hi - lo for lo, hi in intervals]
-    u = rng.uniform(0.0, sum(widths))
-    for (lo, hi), w in zip(intervals, widths):
-        if u <= w:
-            return lo + u
-        u -= w
-    return intervals[-1][1]
-
-
 def draw_values(names: Sequence[str], plan: SamplePlan, seed: int,
                 index: int) -> dict[str, float]:
-    """One sample point for the named variables, in list order."""
-    rng = point_rng(seed, index)
-    return {name: draw_from_intervals(rng, plan.intervals_for(name)) for name in names}
+    """One sample point for the named variables, in list order: one unit
+    double each, scaled by the width of its interval union exactly as
+    rng.uniform(0, width) scales it, then placed in the union."""
+    out = {}
+    unit = np.random.default_rng([seed, index]).random(len(names))
+    for name, u in zip(names, unit.tolist()):
+        intervals = plan.intervals_for(name)
+        u *= sum(hi - lo for lo, hi in intervals)
+        for lo, hi in intervals:
+            if u <= hi - lo:
+                out[name] = lo + u
+                break
+            u -= hi - lo
+        else:
+            out[name] = intervals[-1][1]
+    return out
 
 
 def shared_instantiation(exprs: Iterable[Expression], seed: int):
@@ -126,8 +125,8 @@ class Sample(NamedTuple):
     values: object
 
 
-def _read_all(ready: Sequence[Expression]):
-    return lambda at: [at(e) for e in ready]
+def _read_all(ready: Sequence[Expression], at, live) -> list[tuple]:
+    return list(zip(*(at(e).tolist() for e in ready)))
 
 
 def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
@@ -142,12 +141,14 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
     indices 0 .. plan.count - 1, or taken from `points`, jet points
     consumed in order one run of equal seeds at a time.
 
-    reader(ready) is called once per seed with the substituted exprs
-    and returns read(at), which takes the readings at one point; at(e)
-    evaluates under the plan's guards.  A PointRejected raised while
-    reading skips the point.  A seed that keeps fewer than
-    plan.min_accepted points raises SamplingError when its points run
-    out; a consumer that stops early never draws the rest.
+    reader(ready, at, live) is called once per seed with the substituted
+    exprs and returns one row of readings per point.  It reads columns:
+    at(e) evaluates e at all the seed's points and returns a complex
+    array.  live is the seed's one rejection mask: at(e) skips the points
+    it lacks and clears those e rejects, and the reader may clear more.
+    The live points are yielded in index order with their rows; a seed
+    that keeps fewer than plan.min_accepted raises SamplingError after
+    its last one.
     """
     exprs = list(exprs)
     if points is None:
@@ -159,25 +160,33 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
     real_domain = not plan.allow_complex
     for seed, run in runs:
         inst = shared_instantiation(exprs, seed)
-        read = reader([substitute_functions(e, inst) for e in exprs] if inst else exprs)
-        accepted = 0
-        for item in run:
-            if points is None:
-                index, where = item, draw_values(names, plan, seed, item)
-                b = Binding(where)
-            else:
-                index, where = item.index, item
-                b = Binding(item.binding_values())
+        ready = [substitute_functions(e, inst) for e in exprs] if inst else exprs
+        if points is None:
+            indices, where = run, [draw_values(names, plan, seed, i) for i in run]
+            values = where
+        else:
+            indices, where = [p.index for p in run], run
+            values = [p.binding_values() for p in run]
+        columns = {name: np.array([v[name] for v in values], dtype=complex)
+                   for name in values[0]}
+        live = np.ones(len(run), dtype=bool)
+        b = Binding(columns, live=live)
+
+        def at(e):
             try:
-                values = read(lambda e: evaluate(e, b, eps_sing=plan.eps_sing,
-                                                 real_domain=real_domain))
-            except PointRejected:
-                continue
-            accepted += 1
-            yield Sample(seed, index, where, values)
-        if accepted < plan.min_accepted:
+                return evaluate(e, b, eps_sing=plan.eps_sing, real_domain=real_domain)
+            except PointRejected as r:
+                live[r.rejected] = False
+                return r.values
+
+        with np.errstate(all="ignore"):
+            rows = reader(ready, at, live)
+        accepted = np.flatnonzero(live).tolist()
+        for k in accepted:
+            yield Sample(seed, indices[k], where[k], rows[k])
+        if len(accepted) < plan.min_accepted:
             raise SamplingError("seed %d: %s kept %d of %d points (need %d)"
-                                % (seed, label, accepted, len(run), plan.min_accepted))
+                                % (seed, label, len(accepted), len(run), plan.min_accepted))
 
 
 def numeric_equiv(e1: Expression, e2: Expression,

@@ -187,9 +187,13 @@ VERIFY_C = ("verify", "{sr}", "--candidate", "c")
     (LINE_SPACE.replace("order 1", "order"), "1", "(1, 2)", VERIFY_C),
     (LINE_SPACE, "1", "(1, 2)", VERIFY_C + ("--seed", "-1")),
     (LINE_SPACE, "1", "(1, 2)", VERIFY_C + ("--tol", "nan")),
+    (LINE_SPACE, "1", "(1, 2); domain q (1, 2)", VERIFY_C),
+    (LINE_SPACE, "1", "(1, 2); }\nalgebra b { fields v; domain q (1, 2)",
+     ("classify", "{sr}", "--algebra", "b")),
 ], ids=["field-uses-jet-coordinate", "samples-below-4", "domain-empty",
         "domain-not-a-number", "domain-not-a-pair", "order-not-a-number",
-        "order-missing", "seed-negative", "tol-not-a-number"])
+        "order-missing", "seed-negative", "tol-not-a-number",
+        "domain-outside-the-space", "algebra-domain-outside-the-space"])
 def test_errors_exit_one_with_one_line(capsys, tmp_path, space, xi, domain, argv):
     path = tmp_path / "line.sr"
     path.write_text(LINE_SR % (space, xi, domain))

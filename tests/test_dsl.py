@@ -91,6 +91,42 @@ candidate %s { u = t; }
     assert "g names both an algebra and a candidate" in str(err.value)
 
 
+@pytest.mark.parametrize("kind, block", [
+    ("system", "system s { eq u = 0; }"),
+    ("field", "field f { xi = [1]; phi = [0]; }"),
+    ("algebra", "algebra f2 { fields f0; }"),
+    ("candidate", "candidate c { u = t; }"),
+])
+def test_duplicate_declarations_rejected(kind, block):
+    text = """
+space s { independent t; dependent u; order 1; }
+field f0 { xi = [1]; phi = [0]; }
+%s
+%s
+""" % (block, block.replace("= t", "= 1").replace("= 0", "= 1"))
+    with pytest.raises(DslError) as err:
+        parse_workspace(text, source="t")
+    name = block.split()[1]
+    assert str(err.value) == "t: duplicate %s %s" % (kind, name)
+
+
+@pytest.mark.parametrize("block", [
+    "candidate c { u = t; domain q (1, 2); }",
+    "algebra g { fields f; domain q (1, 2); }",
+])
+def test_domain_must_name_a_space_variable(block):
+    text = """
+space s { independent t; dependent u; order 1; }
+field f { xi = [1]; phi = [0]; }
+%s
+"""
+    with pytest.raises(DslError) as err:
+        parse_workspace(text % block, source="t")
+    assert "domain names q, which is not a variable of the space" in str(err.value)
+    # the space's own variables, dependents included, are fine
+    parse_workspace(text % block.replace("domain q", "domain u"), source="t")
+
+
 def test_exclude_clause():
     ws = parse_workspace("""
 space s { independent t; dependent u; order 1; }

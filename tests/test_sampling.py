@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from symred.expr import var
@@ -23,6 +24,32 @@ def test_draw_values_deterministic():
     assert a == b
     c = draw_values(["x", "y"], plan, seed=211, index=6)
     assert a != c
+
+
+def _draw_by_uniform(names, plan, seed, index):
+    """Reference draw: one rng.uniform(0, width) call per name."""
+    rng = np.random.default_rng([seed, index])
+    out = {}
+    for name in names:
+        intervals = plan.intervals_for(name)
+        widths = [hi - lo for lo, hi in intervals]
+        u = rng.uniform(0.0, sum(widths))
+        out[name] = intervals[-1][1]
+        for (lo, hi), w in zip(intervals, widths):
+            if u <= w:
+                out[name] = lo + u
+                break
+            u -= w
+    return out
+
+
+def test_draw_values_matches_one_uniform_call_per_name():
+    plan = SamplePlan(box={"t": ((0.5, 2.0),), "x": ((-3.0, -1.0), (0.0, 0.25), (1.0, 4.0))})
+    names = ["t", "x", "y", "u"]
+    for seed in (101, 211, 331, 7):
+        for index in range(250):
+            assert draw_values(names, plan, seed, index) == \
+                _draw_by_uniform(names, plan, seed, index), (seed, index)
 
 
 def test_multi_interval_box():
