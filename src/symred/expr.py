@@ -4,11 +4,19 @@ The kernel is deliberately small: construction, structural normalization,
 exact differentiation and printing.  There is no general simplifier; two
 expressions are considered equal when the sampling oracle in
 :mod:`symred.sampling` says so.
+
+Each node stores three facts about itself, each computed at most once:
+its hash, the frozenset of its free variable names (filled the first
+time it is asked for) and a mark set by `normalize` when the node is
+its own normal form.  None of them takes part in equality, printing or
+evaluation; they only let `differentiate` return 0 without a walk when
+the variable does not occur, and `normalize` return a marked subtree
+unchanged instead of walking it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
@@ -54,6 +62,18 @@ class Expression:
     """Base class for all nodes.  Instances are immutable and hashable."""
 
     __slots__ = ()
+    # Per-node facts, stored on the instance on first use (module docstring).
+    _hash = None
+    _free = None
+    _normal = False
+
+    def __hash__(self):
+        # The dataclass hash of the fields, computed once per node.
+        h = self._hash
+        if h is None:
+            h = hash(tuple([getattr(self, name) for name in self._fields]))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __add__(self, other):
         return Sum((self, _coerce(other)))
@@ -89,26 +109,38 @@ class Expression:
         return "<%s %s>" % (type(self).__name__, to_text(self))
 
 
-@dataclass(frozen=True, eq=True, repr=False)
+def _node(cls):
+    """A frozen dataclass node that keeps Expression's stored hash."""
+    cls = dataclass(frozen=True, eq=True, repr=False)(cls)
+    cls._fields = tuple(f.name for f in fields(cls))
+    cls.__hash__ = Expression.__hash__
+    return cls
+
+
+@_node
 class Constant(Expression):
     value: Rational
+    _free = frozenset()
+    _normal = True
 
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True, eq=True, repr=False)
+@_node
 class ImaginaryUnit(Expression):
-    pass
+    _free = frozenset()
+    _normal = True
 
 
-@dataclass(frozen=True, eq=True, repr=False)
+@_node
 class Variable(Expression):
     name: str
+    _normal = True
 
 
-@dataclass(frozen=True, eq=True, repr=False)
+@_node
 class FunctionApp(Expression):
     """symbol applied to argument expressions, differentiated per orders.
 
@@ -136,7 +168,7 @@ class FunctionApp(Expression):
         return tuple(f for f, k in zip(self.symbol.formals, self.orders) for _ in range(k))
 
 
-@dataclass(frozen=True, eq=True, repr=False)
+@_node
 class Sum(Expression):
     terms: tuple[Expression, ...]
 
@@ -144,7 +176,7 @@ class Sum(Expression):
         object.__setattr__(self, "terms", tuple(self.terms))
 
 
-@dataclass(frozen=True, eq=True, repr=False)
+@_node
 class Product(Expression):
     factors: tuple[Expression, ...]
 
@@ -152,7 +184,7 @@ class Product(Expression):
         object.__setattr__(self, "factors", tuple(self.factors))
 
 
-@dataclass(frozen=True, eq=True, repr=False)
+@_node
 class Power(Expression):
     base: Expression
     exponent: Rational
@@ -162,7 +194,7 @@ class Power(Expression):
             object.__setattr__(self, "exponent", Fraction(self.exponent))
 
 
-@dataclass(frozen=True, eq=True, repr=False)
+@_node
 class Builtin(Expression):
     """exp, ln, sin, cos or besseli.  `order` is the besseli index nu."""
 
@@ -270,14 +302,23 @@ def children(e: Expression) -> tuple[Expression, ...]:
 
 
 def free_variables(e: Expression) -> set[str]:
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Variable):
-            out.add(node.name)
+    return set(_free(e))
+
+
+def _free(e: Expression) -> frozenset[str]:
+    """The names of the variables in e, stored on e on first use."""
+    out = e._free
+    if out is None:
+        if isinstance(e, Variable):
+            out = frozenset((e.name,))
         else:
-            stack.extend(children(node))
+            # a child's set is shared whenever it covers the others
+            out = frozenset()
+            for c in children(e):
+                inner = _free(c)
+                if not inner <= out:
+                    out = inner if not out else out | inner
+        object.__setattr__(e, "_free", out)
     return out
 
 
@@ -366,10 +407,13 @@ def normalize(e: Expression) -> Expression:
 
     Flattens nested sums and products, folds rational constants, merges
     equal-base powers inside a product and sorts children canonically.
-    Idempotent and value preserving; it does not attempt cancellation
-    beyond exact rational arithmetic.
+    Value preserving; it does not attempt cancellation beyond exact
+    rational arithmetic.  A result is marked normal, and returned
+    unchanged by later calls, when it is its own normal form; that holds
+    except where merged powers leave a bare product, power or i that a
+    second pass would flatten or merge (see _normalize_product).
     """
-    if isinstance(e, (Constant, ImaginaryUnit, Variable)):
+    if e._normal:
         return e
     if isinstance(e, Sum):
         return _normalize_sum(e)
@@ -378,8 +422,19 @@ def normalize(e: Expression) -> Expression:
     if isinstance(e, Power):
         return _normalize_power(normalize(e.base), e.exponent)
     if isinstance(e, (Builtin, FunctionApp)):
-        return rewrite(e, lambda node: None if node is e else normalize(node))
+        return _mark(rewrite(e, lambda node: None if node is e else normalize(node)))
     raise ExpressionError("unknown node %r" % type(e).__name__)
+
+
+def _mark(e: Expression) -> Expression:
+    """Mark a node normalize built as normal if all its children are.
+
+    A marked node is a fixed point of normalize, so normalize may return
+    it unchanged.  Callers pass only nodes whose own level is canonical.
+    """
+    if all(c._normal for c in children(e)):
+        object.__setattr__(e, "_normal", True)
+    return e
 
 
 def _normalize_sum(e: Sum) -> Expression:
@@ -403,7 +458,7 @@ def _normalize_sum(e: Sum) -> Expression:
         return ZERO
     if len(terms) == 1:
         return terms[0]
-    return Sum(tuple(terms))
+    return _mark(Sum(tuple(terms)))
 
 
 def _as_base_exponent(f: Expression) -> tuple[Expression, Fraction]:
@@ -448,12 +503,18 @@ def _normalize_product(e: Product) -> Expression:
         else:
             merged.append((base, expo))
     factors: list[Expression] = []
+    # A merged piece that a second pass would flatten or merge again (a
+    # product, or a power or i left bare by a unit exponent) makes this
+    # product no fixed point of normalize, so it is not marked.
+    settled = True
     for base, q in merged:
         piece = _normalize_power(base, q)
         if isinstance(piece, Constant):
             const *= piece.value
         else:
             factors.append(piece)
+            if isinstance(piece, Product) or (piece is base and isinstance(base, (Power, ImaginaryUnit))):
+                settled = False
     if const == 0:
         return ZERO
     if i_power:
@@ -465,7 +526,8 @@ def _normalize_product(e: Product) -> Expression:
         return Constant(const)
     if len(factors) == 1:
         return factors[0]
-    return Product(tuple(factors))
+    out = Product(tuple(factors))
+    return _mark(out) if settled else out
 
 
 def _normalize_power(base: Expression, exponent: Fraction) -> Expression:
@@ -475,14 +537,14 @@ def _normalize_power(base: Expression, exponent: Fraction) -> Expression:
         return base
     if isinstance(base, ImaginaryUnit) and exponent.denominator == 1:
         n = exponent.numerator % 4
-        return (ONE, I, MINUS_ONE, Product((MINUS_ONE, I)))[n]
+        return (ONE, I, MINUS_ONE, _mark(Product((MINUS_ONE, I))))[n]
     if isinstance(base, Constant) and exponent.denominator == 1:
         n = exponent.numerator
         if base.value == 0 and n < 0:
             raise ExpressionError("division by exact zero")
         return Constant(base.value ** n)
     # (x^a)^b is left alone: collapsing it is unsound on principal branches
-    return Power(base, exponent)
+    return _mark(Power(base, exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +554,18 @@ def differentiate(e: Expression, v: str) -> Expression:
     """Exact partial derivative with respect to the variable named v.
 
     Every Variable is treated as an independent coordinate, including jet
-    coordinates; total derivatives live in :mod:`symred.jets`.
+    coordinates; total derivatives live in :mod:`symred.jets`.  It is 0
+    at once, without a walk, when v does not occur in e.
     """
+    if v not in _free(e):
+        return ZERO
     return normalize(_diff(e, v))
 
 
-@lru_cache(maxsize=8192)
+# One command needs at most a few hundred entries; the bound keeps a
+# long-lived process from holding derivatives of expressions it has
+# dropped.
+@lru_cache(maxsize=1024)
 def derivative(e: Expression, dvars: tuple[str, ...]) -> Expression:
     """e differentiated by each variable of dvars in turn; cached."""
     for v in dvars:
@@ -506,18 +574,17 @@ def derivative(e: Expression, dvars: tuple[str, ...]) -> Expression:
 
 
 def _diff(e: Expression, v: str) -> Expression:
-    if isinstance(e, (Constant, ImaginaryUnit)):
+    # Subtrees without v differentiate to 0 and are left out, so the
+    # product rule builds only the terms that survive normalize.
+    if v not in _free(e):
         return ZERO
     if isinstance(e, Variable):
-        return ONE if e.name == v else ZERO
+        return ONE
     if isinstance(e, Sum):
         return Sum(tuple(_diff(t, v) for t in e.terms))
     if isinstance(e, Product):
-        terms = []
-        for i, f in enumerate(e.factors):
-            rest = e.factors[:i] + (_diff(f, v),) + e.factors[i + 1:]
-            terms.append(Product(rest))
-        return Sum(tuple(terms)) if terms else ZERO
+        return Sum(tuple(Product(e.factors[:i] + (_diff(f, v),) + e.factors[i + 1:])
+                         for i, f in enumerate(e.factors) if v in _free(f)))
     if isinstance(e, Power):
         return Product((Constant(e.exponent),
                         Power(e.base, e.exponent - 1),
@@ -540,12 +607,11 @@ def _diff(e: Expression, v: str) -> Expression:
     if isinstance(e, FunctionApp):
         terms = []
         for j, arg in enumerate(e.args):
-            da = _diff(arg, v)
-            if da == ZERO:
+            if v not in _free(arg):
                 continue
             bumped = tuple(k + (1 if i == j else 0) for i, k in enumerate(e.orders))
-            terms.append(Product((FunctionApp(e.symbol, e.args, bumped), da)))
-        return Sum(tuple(terms)) if terms else ZERO
+            terms.append(Product((FunctionApp(e.symbol, e.args, bumped), _diff(arg, v))))
+        return Sum(tuple(terms))
     raise ExpressionError("unknown node %r" % type(e).__name__)
 
 

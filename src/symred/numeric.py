@@ -275,10 +275,14 @@ def bessel_i(order: Fraction, z: complex, *, real_domain: bool = False) -> compl
     except (ValueError, OverflowError):
         raise EvaluationError("besseli order %s has a singular or overflowing gamma factor"
                               % order) from None
-    if real_domain:
-        term = complex(half.real ** nu) / gamma
-    else:
-        term = half ** nu / gamma
+    try:
+        if real_domain:
+            term = complex(half.real ** nu) / gamma
+        else:
+            term = half ** nu / gamma
+    except OverflowError:
+        raise PointRejected("besseli term overflows at |z| = %.3g for order %s"
+                            % (abs(z), order)) from None
     acc = term
     terms = [term]
     ratio_base = half * half

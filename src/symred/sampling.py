@@ -18,6 +18,7 @@ runs with the same plan produce identical samples and readings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -93,8 +94,7 @@ def draw_values(names: Sequence[str], plan: SamplePlan, seed: int,
     double each, scaled by the width of its interval union exactly as
     rng.uniform(0, width) scales it, then placed in the union."""
     out = {}
-    unit = np.random.default_rng([seed, index]).random(len(names))
-    for name, u in zip(names, unit.tolist()):
+    for name, u in zip(names, _unit_doubles(seed, index, len(names))):
         intervals = plan.intervals_for(name)
         u *= sum(hi - lo for lo, hi in intervals)
         for lo, hi in intervals:
@@ -105,6 +105,13 @@ def draw_values(names: Sequence[str], plan: SamplePlan, seed: int,
         else:
             out[name] = intervals[-1][1]
     return out
+
+
+@lru_cache(maxsize=2048)
+def _unit_doubles(seed: int, index: int, n: int) -> tuple[float, ...]:
+    # One generator per (seed, index); the same points recur across the
+    # sampled calls of one command, so their doubles are kept.
+    return tuple(np.random.default_rng([seed, index]).random(n).tolist())
 
 
 def shared_instantiation(exprs: Iterable[Expression], seed: int):

@@ -5,12 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import symred.expr
 from symred.expr import (
     Builtin,
     Constant,
     ExpressionError,
+    FunctionApp,
     FunctionSymbol,
     I,
+    ImaginaryUnit,
+    MINUS_ONE,
     ONE,
     Power,
     Product,
@@ -32,6 +36,7 @@ from symred.expr import (
     neg,
     normalize,
     pow_,
+    rewrite,
     sin,
     sqrt,
     substitute,
@@ -213,3 +218,143 @@ def test_besseli_requires_order():
 def test_function_symbol_needs_arguments():
     with pytest.raises(ExpressionError):
         FunctionSymbol("f", ())
+
+
+def _full_diff(e, v):
+    """The derivative walk without pruning: every subtree is differentiated
+    and every zero term is left for normalize to fold.  The oracle for the
+    pruned walk in differentiate."""
+    if isinstance(e, (Constant, ImaginaryUnit)):
+        return ZERO
+    if isinstance(e, Variable):
+        return ONE if e.name == v else ZERO
+    if isinstance(e, Sum):
+        return Sum(tuple(_full_diff(t, v) for t in e.terms))
+    if isinstance(e, Product):
+        terms = []
+        for i, f in enumerate(e.factors):
+            rest = e.factors[:i] + (_full_diff(f, v),) + e.factors[i + 1:]
+            terms.append(Product(rest))
+        return Sum(tuple(terms)) if terms else ZERO
+    if isinstance(e, Power):
+        return Product((Constant(e.exponent),
+                        Power(e.base, e.exponent - 1),
+                        _full_diff(e.base, v)))
+    if isinstance(e, Builtin):
+        da = _full_diff(e.arg, v)
+        if e.name == "exp":
+            inner = Builtin("exp", e.arg)
+        elif e.name == "ln":
+            inner = Power(e.arg, Fraction(-1))
+        elif e.name == "sin":
+            inner = Builtin("cos", e.arg)
+        elif e.name == "cos":
+            inner = neg(Builtin("sin", e.arg))
+        else:
+            inner = Product((Constant(Fraction(1, 2)),
+                             Sum((Builtin("besseli", e.arg, e.order - 1),
+                                  Builtin("besseli", e.arg, e.order + 1)))))
+        return Product((inner, da))
+    if isinstance(e, FunctionApp):
+        terms = []
+        for j, arg in enumerate(e.args):
+            da = _full_diff(arg, v)
+            if da == ZERO:
+                continue
+            bumped = tuple(k + (1 if i == j else 0) for i, k in enumerate(e.orders))
+            terms.append(Product((FunctionApp(e.symbol, e.args, bumped), da)))
+        return Sum(tuple(terms)) if terms else ZERO
+    raise TypeError(e)
+
+
+def _fresh(e):
+    """An equal tree of new nodes, none of them marked normal."""
+    return rewrite(e, lambda node: None)
+
+
+def test_pruned_differentiate_matches_the_full_walk():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(300):
+        raw = random_expression(rng, depth=4)
+        try:
+            tree = normalize(raw)
+        except ExpressionError:     # an exact zero divisor: nothing to compare
+            continue
+        # the raw tree, and the normalized one whose marked factors are reused
+        for e in (raw, tree):
+            for v in ("x", "y", "z", "w"):
+                want = normalize(_fresh(_full_diff(_fresh(e), v)))
+                got = differentiate(e, v)
+                assert got == want, (to_text(e), v)
+                assert to_text(got) == to_text(want)
+                checked += 1
+    assert checked >= 2000
+
+
+def test_differentiate_by_an_absent_variable_neither_walks_nor_normalizes(monkeypatch):
+    e = normalize(mul(exp(x), sin(mul(y, z))))
+    def boom(*args):
+        raise AssertionError("walked")
+    monkeypatch.setattr(symred.expr, "_diff", boom)
+    monkeypatch.setattr(symred.expr, "normalize", boom)
+    assert differentiate(e, "w") is ZERO
+
+
+def test_normalize_of_an_unmarked_copy_equals_the_marked_result():
+    rng = np.random.default_rng(32)
+    builders = (add, mul, lambda a, b: pow_(add(a, b), 3), lambda a, b: exp(mul(a, b)))
+    for k in range(200):
+        a, b = random_expression(rng, depth=3), random_expression(rng, depth=3)
+        try:
+            marked = builders[k % 4](normalize(a), normalize(b))
+            got = normalize(marked)
+        except ExpressionError:
+            continue
+        want = normalize(_fresh(marked))
+        assert got == want and to_text(got) == to_text(want), to_text(marked)
+        if got._normal:
+            assert normalize(_fresh(got)) == got
+
+
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("product", [
+    # sqrt(x*y)^2 leaves the bare product x*y inside z*(x*y)
+    mul(sqrt(mul(x, y)), sqrt(mul(x, y)), z),
+    # i^(1/2)^2 leaves a bare i beside the folded one
+    mul(pow_(I, _HALF), pow_(I, _HALF), x, I),
+    # ((x^(1/2))^(1/2))^2 leaves x^(1/2) beside another power of x
+    mul(pow_(sqrt(x), _HALF), pow_(sqrt(x), _HALF), sqrt(x), y),
+])
+def test_a_product_a_second_pass_would_change_is_not_marked(product):
+    first = normalize(product)
+    assert normalize(_fresh(first)) != first
+    assert not first._normal
+    # nor is a sum or builtin normalize builds around it
+    for inner in (first, normalize(add(product, y)), normalize(exp(product))):
+        outer = mul(con(2), inner)
+        assert normalize(outer) == normalize(_fresh(outer))
+
+
+def test_separately_built_equal_trees_have_equal_hashes():
+    for seed in range(20):
+        a = random_expression(np.random.default_rng(seed), depth=4)
+        b = random_expression(np.random.default_rng(seed), depth=4)
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(_fresh(a))
+        try:
+            na, nb = normalize(a), normalize(_fresh(b))
+        except ExpressionError:
+            continue
+        assert hash(na) == hash(nb)
+    assert hash(MINUS_ONE) == hash(con(-1))
+
+
+def test_free_variables_returns_a_fresh_set():
+    e = mul(x, sin(y))
+    names = free_variables(e)
+    names.add("q")
+    names.discard("x")
+    assert free_variables(e) == {"x", "y"}

@@ -74,6 +74,13 @@ def test_bessel_order_past_the_gamma_range_is_an_error():
         evaluate(e, Binding({"x": np.array([0.5, 1.0])}))
 
 
+@pytest.mark.parametrize("z, real_domain", [(1e-200 + 1e-200j, False), (1e-200, True)])
+def test_bessel_overflowing_first_term_is_rejected(z, real_domain):
+    # (z/2)^nu overflows for a tiny z and a negative non-integer order
+    with pytest.raises(PointRejected, match="besseli term overflows"):
+        bessel_i(Fraction(-5, 2), z, real_domain=real_domain)
+
+
 def test_singularity_rejected():
     with pytest.raises(PointRejected):
         evaluate(div(con(1), x), Binding({"x": 0.0}), eps_sing=1e-6)

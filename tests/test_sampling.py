@@ -26,6 +26,15 @@ def test_draw_values_deterministic():
     assert a != c
 
 
+def test_draw_values_returns_a_fresh_dict_per_call():
+    plan = SamplePlan()
+    a = draw_values(["x", "y"], plan, seed=331, index=2)
+    b = draw_values(["x", "y"], plan, seed=331, index=2)
+    assert a == b and a is not b
+    a["x"] = 99.0
+    assert draw_values(["x", "y"], plan, seed=331, index=2) == b
+
+
 def _draw_by_uniform(names, plan, seed, index):
     """Reference draw: one rng.uniform(0, width) call per name."""
     rng = np.random.default_rng([seed, index])
