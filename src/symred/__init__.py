@@ -73,7 +73,6 @@ from .analysis import (
 )
 from .models import (
     MODEL_IDS,
-    ModelEntry,
     ModelError,
     builtin,
     derived_constraint_check,

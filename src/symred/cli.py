@@ -33,7 +33,7 @@ from .analysis import (
 from .dsl import Workspace, load_workspace, workspace_from_entry, workspace_to_text
 from .expr import SymredError, to_text
 from .jets import jet_order, sample_points
-from .models import MODEL_IDS, ModelError, builtin, resolve_candidate
+from .models import MODEL_IDS, builtin, resolve_candidate
 from .sampling import SamplePlan
 
 USAGE_ERROR, FLAGGED = 1, 2
@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="per-equation residuals of a candidate")
     common(p, candidate_required=True, algebra=False)
     p.add_argument("--system", default=None,
-                   help="system name for file workspaces with several")
+                   help="system name, for workspaces with several")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("minors", help="weak transversality minors of Xi2")
@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
                                         " on a donor solution")
     common(p, candidate_required=True, algebra=False)
     p.add_argument("--field", required=True, help="vector field name")
-    p.add_argument("--system", default=None, help="system name for files")
+    p.add_argument("--system", default=None, help="system name")
     p.set_defaults(handler=_cmd_symcheck)
 
     p = sub.add_parser("models", help="list built-in models")
@@ -113,12 +113,11 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # plumbing
 
-def _load(args):
+def _load(args) -> Workspace:
     name = args.workspace
     if name.startswith("builtin:"):
-        entry = builtin(name[len("builtin:"):])
-        return workspace_from_entry(entry), entry
-    return load_workspace(name), None
+        return builtin(name[len("builtin:"):])
+    return load_workspace(name)
 
 
 def _tuned(plan: SamplePlan, args) -> SamplePlan:
@@ -145,45 +144,22 @@ def _algebra(ws: Workspace, name: str):
                           % (name, ", ".join(sorted(ws.algebras)) or "none"))
 
 
-def _candidate(ws: Workspace, entry, name: str, args):
-    """Resolve a candidate plus its sampling plan, honoring overrides."""
-    if entry is not None:
-        try:
-            entry2, cand, plan = resolve_candidate(entry, name, None)
-        except ModelError as err:
-            raise _UsageError(str(err))
-        return entry2, cand, _tuned(plan, args)
-    try:
-        cand = ws.candidates[name]
-    except KeyError:
-        raise _UsageError("no candidate %r; available: %s"
-                          % (name, ", ".join(sorted(ws.candidates)) or "none"))
-    return None, cand, _tuned(ws.plan_for(name), args)
+def _candidate(ws: Workspace, name: str, args):
+    """(workspace, candidate, tuned plan).  A pinned candidate comes with
+    the workspace parsed at its pinned params, whose system it meets."""
+    ws, cand, plan = resolve_candidate(ws, name, None)
+    return ws, cand, _tuned(plan, args)
 
 
-def _system(ws: Workspace, entry, args):
-    """(system name, equation names, equations, jet order) to check.
-
-    For a builtin pass the entry _candidate resolved, so a candidate
-    that rebuilds the model with its own parameters meets its system.
-    """
-    if entry is not None:
-        return entry.id, entry.equation_names, entry.equations, entry.order
-    if not ws.systems:
-        raise _UsageError("workspace declares no system")
-    name = getattr(args, "system", None)
-    if name is None:
-        if len(ws.systems) > 1:
-            raise _UsageError("workspace has several systems; pick one with"
-                              " --system (%s)" % ", ".join(sorted(ws.systems)))
-        name = next(iter(ws.systems))
-    try:
-        eqs = ws.systems[name]
-    except KeyError:
-        raise _UsageError("no system %r; available: %s"
-                          % (name, ", ".join(sorted(ws.systems))))
-    return (name, ["eq%d" % (i + 1) for i in range(len(eqs))], eqs,
-            max(1, jet_order(ws.space, eqs)))
+def _with_algebra(args):
+    """(workspace, algebra, candidate or None, tuned plan) for --algebra
+    commands; a pinned candidate meets the algebra at its own params."""
+    ws = _load(args)
+    alg = _algebra(ws, args.algebra)
+    if args.candidate is None:
+        return ws, alg, None, _tuned(alg.plan, args)
+    ws, cand, plan = _candidate(ws, args.candidate, args)
+    return ws, ws.algebras[args.algebra], cand, plan
 
 
 def _emit(args, report: dict, flagged: bool) -> int:
@@ -207,13 +183,7 @@ def _emit(args, report: dict, flagged: bool) -> int:
 # commands
 
 def _cmd_classify(args) -> int:
-    ws, entry = _load(args)
-    alg = _algebra(ws, args.algebra)
-    cand = None
-    if args.candidate is not None:
-        _, cand, plan = _candidate(ws, entry, args.candidate, args)
-    else:
-        plan = _tuned(ws.plan_for(args.algebra), args)
+    _, alg, cand, plan = _with_algebra(args)
     rep = classify_transversality(alg, plan, cand)
     strong = "HOLDS" if rep.status == "Strong" else "VIOLATED"
     print("algebra %s: rank Xi1=%d, rank Xi2=%d, strong transversality %s"
@@ -225,9 +195,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_defect(args) -> int:
-    ws, entry = _load(args)
-    alg = _algebra(ws, args.algebra)
-    _, cand, plan = _candidate(ws, entry, args.candidate, args)
+    _, alg, cand, plan = _with_algebra(args)
     rep = defect(alg, cand, plan)
     print("generators: %s" % " ".join(f.name for f in alg.fields))
     print("defect delta=%d (m0=%d, orbit rank s=%d): %s"
@@ -236,30 +204,25 @@ def _cmd_defect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ws, entry = _load(args)
     tol = args.tol if args.tol is not None else 1e-8
-    entry, cand, plan = _candidate(ws, entry, args.candidate, args)
-    system_name, names, eqs, order = _system(ws, entry, args)
-    points = sample_points(cand, plan, order)
-    values = {name: max_abs_on_points(e, points, plan) for name, e in zip(names, eqs)}
+    ws, cand, plan = _candidate(_load(args), args.candidate, args)
+    system = ws.system(args.system)
+    points = sample_points(cand, plan, system.order)
+    values = {name: max_abs_on_points(e, points, plan)
+              for name, e in zip(system.equation_names, system.equations)}
     worst = max(values.values())
     for name, value in values.items():
         print("%-12s %.6e" % (name, value))
     verdict = "PASS" if worst < tol else "FAIL"
     print("max residual %.6e (%s at tol %.1e) for %s on %s"
-          % (worst, verdict, tol, cand.name, system_name))
-    report = {"system": system_name, "candidate": cand.name,
+          % (worst, verdict, tol, cand.name, system.name))
+    report = {"system": system.name, "candidate": cand.name,
               "residuals": values, "max": worst, "pass": worst < tol}
     return _emit(args, report, worst >= tol)
 
 
 def _cmd_minors(args) -> int:
-    ws, entry = _load(args)
-    alg = _algebra(ws, args.algebra)
-    if args.candidate is not None:
-        _, cand, plan = _candidate(ws, entry, args.candidate, args)
-    else:
-        cand, plan = None, _tuned(ws.plan_for(args.algebra), args)
+    ws, alg, cand, plan = _with_algebra(args)
     try:
         minors = weak_minors(alg, plan)
     except AnalysisError as err:
@@ -283,12 +246,8 @@ def _cmd_minors(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    ws, entry = _load(args)
-    alg = _algebra(ws, args.algebra)
-    _, cand, plan = _candidate(ws, entry, args.candidate, args)
-    hints = None
-    if entry is not None:
-        hints = entry.kernel_hints.get(args.candidate, {}).get(args.algebra)
+    ws, alg, cand, plan = _with_algebra(args)
+    hints = ws.kernel_hints.get(args.candidate, {}).get(args.algebra)
     rep = constant_kernel_generators(alg, cand, plan, named_combinations=hints)
     print("generators: %s" % " ".join(rep.generator_order))
     print("pointwise kernel dimension: %d" % rep.pointwise_kernel_dim)
@@ -301,43 +260,43 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_symcheck(args) -> int:
-    ws, entry = _load(args)
-    entry, cand, plan = _candidate(ws, entry, args.candidate, args)
-    system_name, _, eqs, order = _system(ws, entry, args)
+    ws, cand, plan = _candidate(_load(args), args.candidate, args)
+    system = ws.system(args.system)
     try:
         field = ws.fields[args.field]
     except KeyError:
         raise _UsageError("no field %r; available: %s"
                           % (args.field, ", ".join(sorted(ws.fields)) or "none"))
-    ok = symmetry_check(eqs, field, cand, plan, order)
+    ok = symmetry_check(system.equations, field, cand, plan, system.order)
     print("pr %s annihilates %s on solution %s: %s"
-          % (field.name, system_name, cand.name, "yes" if ok else "NO"))
-    report = {"system": system_name, "field": field.name,
+          % (field.name, system.name, cand.name, "yes" if ok else "NO"))
+    report = {"system": system.name, "field": field.name,
               "candidate": cand.name, "symmetry": ok}
     return _emit(args, report, not ok)
 
 
 def _cmd_models(args) -> int:
     if args.export is not None:
-        entry = builtin(args.export)
-        sys.stdout.write(workspace_to_text(workspace_from_entry(entry)))
+        if args.json_path:
+            raise _UsageError("--export prints .sr text and takes no --json")
+        sys.stdout.write(workspace_to_text(workspace_from_entry(builtin(args.export))))
         return 0
     listing = {}
     for model_id in MODEL_IDS:
-        entry = builtin(model_id)
+        ws = builtin(model_id)
         print("%s: %d equations on (%s | %s)"
-              % (model_id, len(entry.equations),
-                 ", ".join(entry.space.independents),
-                 ", ".join(entry.space.dependents)))
-        print("  algebras:   %s" % ", ".join(sorted(entry.algebras)))
+              % (model_id, len(ws.equations),
+                 ", ".join(ws.space.independents),
+                 ", ".join(ws.space.dependents)))
+        print("  algebras:   %s" % ", ".join(sorted(ws.algebras)))
         print("  candidates: %s" % ", ".join(
-            name + ("*" if name in entry.solutions else "")
-            for name in sorted(entry.candidates)))
+            name + ("*" if name in ws.solutions else "")
+            for name in sorted(ws.candidates)))
         listing[model_id] = {
-            "equations": len(entry.equations),
-            "algebras": sorted(entry.algebras),
-            "candidates": sorted(entry.candidates),
-            "solutions": sorted(entry.solutions),
+            "equations": len(ws.equations),
+            "algebras": sorted(ws.algebras),
+            "candidates": sorted(ws.candidates),
+            "solutions": sorted(ws.solutions),
         }
     print("(* = certified exact solution)")
     if args.json_path:

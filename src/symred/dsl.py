@@ -1,25 +1,41 @@
 """Workspace files.
 
-A workspace (.sr) declares one variable space plus the systems, vector
-fields, algebras and candidates living on it.  The same format is what
-`symred models --export` emits for the built-in entries, so hand-written
-files can be diffed against the library.
+A workspace (.sr) declares one variable space plus the parameters,
+systems, vector fields, algebras and candidates living on it.  The
+built-in models ship as .sr files in `symred/library/` and are read by
+this same parser.  `symred models --export` prints a built-in as plain
+workspace text, parameters inlined, so hand-written files can be
+diffed against the library.
 
     # comments run to end of line
-    space { independent x y z t; dependent u1 u2 u3 p; order 2; }
+    space {
+        independent x y z t; dependent u1 u2 u3 p; order 2;
+        domain t (0.5, 2);          # default plan of blocks without one
+    }
+    param k = 5/3;                  # a literal: builtin(id, params) may override it
+    param km1 = k - 1;              # derived from earlier params
     func a(t);
-    system ns { eq d(u1,x) + d(u2,y) + d(u3,z) = 0; }
+    system ns { eq continuity: d(u1,x) + d(u2,y) + d(u3,z) = 0; }
     field L3 { xi = [y, -x, 0, 0]; phi = [u2, -u1, 0, 0]; }
     algebra rot { fields L3; }
     candidate sol {
         u1 = a(t)*x*(x^2 + y^2 + z^2)^(-3/2);
         exclude x^2 + y^2 + z^2;
-        domain t (0.5, 2);        # sampling box for this candidate
-        complex;                  # evaluate in complex mode
+        domain t (0.5, 2);          # sampling box for this candidate
+        complex;                    # evaluate in complex mode
+        param k = -2;               # pin: holds only at k = -2
+        kernel rot L3;              # named combination of rot's generators
+        solution;                   # a certified exact solution
     }
 
-`eq LHS = RHS` stores the residual LHS - RHS.  `domain` and `complex`
-attach a sampling plan to the candidate or algebra they appear in.
+`eq LHS = RHS` stores the residual LHS - RHS; an equation without a
+`name:` is eq1, eq2, ... by position.  A param name stands for its exact
+rational value wherever it occurs, exponents included.  `domain` and
+`complex` attach a sampling plan to the candidate or algebra they
+appear in; in the space block they set the plan of every block that
+declares none.  Resolving a pinned candidate by name parses the text
+again at the pinned values.  func and param names share one name space
+with the space's variables.
 """
 
 from __future__ import annotations
@@ -27,15 +43,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Mapping, NamedTuple
 
-from .expr import Expression, FunctionSymbol, SymredError, add, neg, normalize, to_text
+from .expr import (
+    ZERO,
+    Constant,
+    Expression,
+    FunctionSymbol,
+    SymredError,
+    add,
+    differentiate,
+    neg,
+    normalize,
+    substitute,
+    to_text,
+)
 from .fields import Algebra, VectorField
-from .jets import CandidateSolution, VariableSpace, make_space
+from .jets import CandidateSolution, VariableSpace, jet_order, make_space
 from .parser import ParseError, parse_expression
 from .sampling import SamplePlan
 
 __all__ = [
     "DslError",
+    "ModelError",
+    "System",
     "Workspace",
     "load_workspace",
     "parse_workspace",
@@ -48,24 +79,96 @@ class DslError(SymredError, ValueError):
     """Malformed workspace text."""
 
 
+class ModelError(SymredError, ValueError):
+    """Unknown model id, parameter, or candidate."""
+
+
+class System(NamedTuple):
+    name: str
+    equation_names: tuple[str, ...]
+    equations: tuple[Expression, ...]
+    order: int
+
+
 @dataclass
 class Workspace:
-    """Everything a single .sr file declares, name-resolved."""
+    """Everything a single .sr file declares, name-resolved.
+
+    params holds every param by name, literal and derived; overrides are
+    the literal values the text was parsed with, and `with_params` parses
+    it again with more.  plans holds the candidates' own plans; an
+    algebra carries its plan itself.  `equations`, `equation_names` and
+    `order` read the workspace's only system.
+    """
 
     space: VariableSpace
+    params: dict[str, Fraction] = field(default_factory=dict)
     functions: dict[str, FunctionSymbol] = field(default_factory=dict)
     systems: dict[str, tuple[Expression, ...]] = field(default_factory=dict)
+    eq_names: dict[str, tuple[str, ...]] = field(default_factory=dict)
     fields: dict[str, VectorField] = field(default_factory=dict)
     algebras: dict[str, Algebra] = field(default_factory=dict)
     candidates: dict[str, CandidateSolution] = field(default_factory=dict)
     plans: dict[str, SamplePlan] = field(default_factory=dict)
+    default_plan: SamplePlan = field(default_factory=SamplePlan)
+    solutions: set[str] = field(default_factory=set)
+    candidate_params: dict[str, dict[str, Fraction]] = field(default_factory=dict)
+    kernel_hints: dict[str, dict[str, dict[str, tuple[float, ...]]]] = \
+        field(default_factory=dict)
     source: str = "<workspace>"
+    text: str = ""
+    overrides: dict[str, Fraction] = field(default_factory=dict)
 
-    def plan_for(self, name: str | None) -> SamplePlan:
+    @property
+    def id(self) -> str:
+        return self.source.removeprefix("builtin:")
+
+    def plan_for(self, name: str | None = None) -> SamplePlan:
         """The plan declared for a candidate or algebra, else the default."""
-        if name is not None and name in self.plans:
+        if name in self.plans:
             return self.plans[name]
-        return SamplePlan()
+        if name in self.algebras:
+            return self.algebras[name].plan
+        return self.default_plan
+
+    def algebra_plan(self, name: str) -> SamplePlan:
+        return self.algebras[name].plan
+
+    def system(self, name: str | None = None) -> System:
+        """The named system, or the only one when name is None."""
+        if not self.systems:
+            raise DslError("workspace declares no system")
+        if name is None:
+            if len(self.systems) > 1:
+                raise DslError("workspace has several systems; pick one with"
+                               " --system (%s)" % ", ".join(sorted(self.systems)))
+            name = next(iter(self.systems))
+        try:
+            eqs = self.systems[name]
+        except KeyError:
+            raise DslError("no system %r; available: %s"
+                           % (name, ", ".join(sorted(self.systems)))) from None
+        return System(name, self.eq_names[name], eqs, max(1, jet_order(self.space, eqs)))
+
+    @property
+    def equations(self) -> tuple[Expression, ...]:
+        return self.system().equations
+
+    @property
+    def equation_names(self) -> tuple[str, ...]:
+        return self.system().equation_names
+
+    @property
+    def order(self) -> int:
+        return self.system().order
+
+    def holds_here(self, candidate: str) -> bool:
+        """False for a candidate pinned to other param values than these."""
+        pins = self.candidate_params.get(candidate, {})
+        return all(self.params[name] == value for name, value in pins.items())
+
+    def with_params(self, params: Mapping) -> "Workspace":
+        return parse_workspace(self.text, self.source, {**self.overrides, **params})
 
 
 def _strip_comments(text: str) -> str:
@@ -144,10 +247,11 @@ def _split_list(text: str) -> list[str]:
     return parts
 
 
-def _parse_space(body: str, source: str) -> VariableSpace:
+def _parse_space(body: str, source: str) -> tuple[VariableSpace, SamplePlan]:
     independent: list[str] = []
     dependent: list[str] = []
     order = None
+    plan_items = []
     for stmt in _statements(body):
         words = stmt.split()
         if words[0] == "independent":
@@ -160,10 +264,11 @@ def _parse_space(body: str, source: str) -> VariableSpace:
             except ValueError:
                 raise DslError("%s: space wants `order N`, got %r" % (source, stmt)) from None
         else:
-            raise DslError("%s: unknown space item %r" % (source, words[0]))
+            plan_items.append(stmt)
     if not independent or not dependent or order is None:
         raise DslError("%s: space needs independent, dependent and order" % source)
-    return make_space(tuple(independent), tuple(dependent), order)
+    space = make_space(tuple(independent), tuple(dependent), order)
+    return space, _plan(plan_items, space, "%s: space" % source, SamplePlan())
 
 
 def _parse_func(words: list[str], source: str) -> FunctionSymbol:
@@ -230,30 +335,110 @@ def _plan_item(stmt: str, plan: dict, space: VariableSpace, where: str) -> bool:
     return True
 
 
-def parse_workspace(text: str, source: str = "<workspace>") -> Workspace:
-    """Parse .sr text into a resolved Workspace."""
-    text = _strip_comments(text)
-    space = None
+def _plan(stmts, space: VariableSpace, where: str, default: SamplePlan) -> SamplePlan:
+    """The plan a block's `domain`/`complex` statements declare, else default."""
+    plan = {}
+    for stmt in stmts:
+        if not _plan_item(stmt, plan, space, where):
+            raise DslError("%s: unknown item %r" % (where, stmt.split()[0]))
+    return SamplePlan(**plan) if plan else default
+
+
+def _param(decl: str, params: Mapping[str, Fraction], where: str) -> tuple[str, Fraction, bool]:
+    """(name, value, is_literal) of `NAME = rational expression of params`."""
+    name, eq, rhs = decl.partition("=")
+    name = name.strip()
+    if not eq or not name.isidentifier():
+        raise DslError("%s: param wants `param NAME = VALUE`, got %r" % (where, decl.strip()))
+    try:
+        value = parse_expression(rhs)
+        literal = isinstance(value, Constant)
+        if not literal:
+            value = parse_expression(rhs, None, params)
+    except ParseError as err:
+        raise DslError("%s: param %s: %s" % (where, name, err)) from err
+    if not isinstance(value, Constant):
+        raise DslError("%s: param %s is not a rational constant of earlier params"
+                       % (where, name))
+    return name, Fraction(value.value), literal
+
+
+def _kernel_hint(stmt: str, ws: Workspace, parse, where: str):
+    """(algebra, label, coefficients) of `kernel ALGEBRA COMBINATION`."""
+    words = stmt.split(None, 2)
+    if len(words) != 3 or words[1] not in ws.algebras:
+        raise DslError("%s: kernel wants `kernel ALGEBRA COMBINATION` naming a"
+                       " declared algebra" % where)
+    label = " ".join(words[2].split())
+    combination = parse(label)
+    names = ws.algebras[words[1]].generator_names()
+    coeffs = tuple(differentiate(combination, g) for g in names)
+    offset = normalize(substitute(combination, dict.fromkeys(names, ZERO)))
+    if not all(isinstance(c, Constant) for c in coeffs) or offset != ZERO:
+        raise DslError("%s: kernel %s is not a constant combination of %s's generators"
+                       % (where, label, words[1]))
+    return words[1], label, tuple(float(c.value) for c in coeffs)
+
+
+def parse_workspace(text: str, source: str = "<workspace>",
+                    params: Mapping | None = None) -> Workspace:
+    """Parse .sr text into a resolved Workspace.
+
+    params overrides literal `param` values by name; naming anything
+    else raises ModelError.
+    """
+    overrides = {name: Fraction(value) for name, value in (params or {}).items()}
+    space_body = None
+    param_decls = []
     pending = []
-    for header, body in _blocks(text, source):
+    for header, body in _blocks(_strip_comments(text), source):
         if not header:
             raise DslError("%s: declaration without a keyword" % source)
+        if header[0] in ("func", "param") and body is not None:
+            # without its ';' a declaration swallows the next block's header
+            raise DslError("%s: %s is missing its ';'" % (source, " ".join(header[:2])))
         if header[0] == "space":
-            if space is not None:
+            if space_body is not None:
                 raise DslError("%s: a workspace holds exactly one space" % source)
             if body is None:
                 raise DslError("%s: space needs a braced body" % source)
-            space = _parse_space(body, source)
+            space_body = body
+        elif header[0] == "param":
+            param_decls.append(" ".join(header[1:]))
         else:
             pending.append((header, body))
-    if space is None:
+    if space_body is None:
         raise DslError("%s: no space declaration" % source)
+    space, default_plan = _parse_space(space_body, source)
+    ws = Workspace(space=space, default_plan=default_plan, source=source,
+                   text=text, overrides=overrides)
 
-    ws = Workspace(space=space, source=source)
+    # func and param names share one name space with the variables
+    taken = {v: "independent" for v in space.independents}
+    taken.update((v, "dependent") for v in space.dependents)
+
+    def claim(kind: str, name: str):
+        if name in taken:
+            if taken[name] == kind:
+                raise DslError("%s: duplicate %s %s" % (source, kind, name))
+            raise DslError("%s: %s %s shadows %s %s" % (source, kind, name, taken[name], name))
+        taken[name] = kind
+
+    literals = set()
+    for decl in param_decls:
+        name, value, literal = _param(decl, ws.params, source)
+        claim("param", name)
+        if literal:
+            literals.add(name)
+            value = overrides.get(name, value)
+        ws.params[name] = value
+    for name in overrides:
+        if name not in literals:
+            raise ModelError("%s has no parameter %r" % (ws.id, name))
 
     def parse(expr_text: str) -> Expression:
         try:
-            return parse_expression(expr_text, ws.functions)
+            return parse_expression(expr_text, ws.functions, ws.params)
         except ParseError as err:
             raise DslError("%s: %s" % (source, err)) from err
 
@@ -264,6 +449,7 @@ def parse_workspace(text: str, source: str = "<workspace>") -> Workspace:
         kind = header[0]
         if kind == "func":
             fs = _parse_func(header, source)
+            claim("func", fs.name)
             ws.functions[fs.name] = fs
             continue
         if len(header) != 2 or body is None:
@@ -274,17 +460,22 @@ def parse_workspace(text: str, source: str = "<workspace>") -> Workspace:
             raise DslError("%s: duplicate %s %s" % (source, kind, name))
         where = "%s: %s %s" % (source, kind, name)
         if kind == "system":
-            eqs = []
+            eqs, labels = [], []
             for stmt in _statements(body):
                 if not stmt.startswith("eq"):
-                    raise DslError("%s: system %s: unknown item %r"
-                                   % (source, name, stmt.split()[0]))
-                lhs, eq, rhs = stmt[2:].partition("=")
-                if not eq:
-                    raise DslError("%s: system %s: `eq` wants LHS = RHS"
-                                   % (source, name))
+                    raise DslError("%s: unknown item %r" % (where, stmt.split()[0]))
+                label, colon, rest = stmt[2:].partition(":")
+                if not colon:
+                    label, rest = "eq%d" % (len(eqs) + 1), stmt[2:]
+                label = label.strip()
+                lhs, eq, rhs = rest.partition("=")
+                if not eq or not label.isidentifier() or label in labels:
+                    raise DslError("%s: `eq` wants [NAME:] LHS = RHS with distinct"
+                                   " names" % where)
                 eqs.append(normalize(add(parse(lhs), neg(parse(rhs)))))
+                labels.append(label)
             ws.systems[name] = tuple(eqs)
+            ws.eq_names[name] = tuple(labels)
         elif kind == "field":
             xi = phi = None
             for stmt in _statements(body):
@@ -295,45 +486,56 @@ def parse_workspace(text: str, source: str = "<workspace>") -> Workspace:
                 elif key == "phi":
                     phi = _parse_vector(rhs, parse, q, "phi of field " + name)
                 else:
-                    raise DslError("%s: field %s: unknown item %r"
-                                   % (source, name, key))
+                    raise DslError("%s: unknown item %r" % (where, key))
             if xi is None or phi is None:
-                raise DslError("%s: field %s needs xi and phi" % (source, name))
+                raise DslError("%s needs xi and phi" % where)
             ws.fields[name] = VectorField(space, xi, phi, name=name)
         elif kind == "algebra":
             members = []
-            plan = {}
+            plan_items = []
             for stmt in _statements(body):
-                if _plan_item(stmt, plan, space, where):
-                    continue
                 words = stmt.split()
-                if words[0] != "fields":
-                    raise DslError("%s: algebra %s: unknown item %r"
-                                   % (source, name, words[0]))
-                members.extend(words[1:])
+                if words[0] == "fields":
+                    members.extend(words[1:])
+                else:
+                    plan_items.append(stmt)
+            plan = _plan(plan_items, space, where, ws.default_plan)
             missing = [mname for mname in members if mname not in ws.fields]
             if missing:
-                raise DslError("%s: algebra %s references undeclared fields %s"
-                               % (source, name, ", ".join(missing)))
+                raise DslError("%s references undeclared fields %s"
+                               % (where, ", ".join(missing)))
             ws.algebras[name] = Algebra(space, tuple(ws.fields[mn] for mn in members),
-                                        name=name)
-            if plan:
-                ws.plans[name] = SamplePlan(**plan)
+                                        name=name, plan=plan)
         elif kind == "candidate":
             assignments: dict[str, Expression] = {}
             loci: list[Expression] = []
             plan = {}
             for stmt in _statements(body):
+                words = stmt.split()
                 if _plan_item(stmt, plan, space, where):
+                    continue
+                if stmt == "solution":
+                    ws.solutions.add(name)
                     continue
                 if stmt.startswith("exclude"):
                     loci.append(parse(stmt[len("exclude"):]))
                     continue
+                if words[0] == "param":
+                    pin, value, _ = _param(stmt[len("param"):], ws.params, where)
+                    if pin not in literals:
+                        raise DslError("%s pins %s, which is not a literal param"
+                                       % (where, pin))
+                    ws.candidate_params.setdefault(name, {})[pin] = value
+                    continue
+                if words[0] == "kernel":
+                    alg, label, coeffs = _kernel_hint(stmt, ws, parse, where)
+                    ws.kernel_hints.setdefault(name, {}).setdefault(alg, {})[label] = coeffs
+                    continue
                 lhs, eq, rhs = stmt.partition("=")
                 target = lhs.strip()
                 if not eq or target not in space.dependents:
-                    raise DslError("%s: candidate %s: %r is not a dependent"
-                                   " variable assignment" % (source, name, stmt))
+                    raise DslError("%s: %r is not a dependent variable assignment"
+                                   % (where, stmt))
                 assignments[target] = parse(rhs)
             ws.candidates[name] = CandidateSolution(space, assignments,
                                                     tuple(loci), name=name)
@@ -341,7 +543,7 @@ def parse_workspace(text: str, source: str = "<workspace>") -> Workspace:
                 ws.plans[name] = SamplePlan(**plan)
         else:
             raise DslError("%s: unknown declaration %r" % (source, kind))
-    # plans are keyed by name, so one name cannot serve both kinds
+    # plan_for looks a name up among both kinds, so one name cannot serve both
     clash = sorted(set(ws.algebras) & set(ws.candidates))
     if clash:
         raise DslError("%s: %s names both an algebra and a candidate"
@@ -354,28 +556,25 @@ def load_workspace(path) -> Workspace:
     return parse_workspace(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def workspace_from_entry(entry) -> Workspace:
-    """View a library entry as a workspace (shared expression objects)."""
-    ws = Workspace(space=entry.space, source="builtin:" + entry.id)
-    ws.functions.update(entry.functions)
-    ws.systems[entry.id] = entry.equations
-    plans = []
-    for name, alg in entry.algebras.items():
-        for f in alg.fields:
-            ws.fields.setdefault(f.name, f)
-        ws.algebras[name] = alg
-        plans.append((name, entry.algebra_plan(name)))
-    for name, cand in entry.candidates.items():
-        # a candidate pinned to other parameter values fails this system
-        pinned = entry.candidate_params.get(name, {})
-        if any(entry.params[p] != value for p, value in pinned.items()):
+def workspace_from_entry(ws: Workspace) -> Workspace:
+    """The export view of a workspace: what `models --export` prints.
+
+    Candidates pinned to other param values are dropped, since they fail
+    this system, and each kept candidate carries its effective plan.
+    Params, pins, solution marks and kernel hints are not part of the
+    view, and the text omits equation names.
+    """
+    view = Workspace(space=ws.space, functions=ws.functions, systems=ws.systems,
+                     eq_names=ws.eq_names, fields=ws.fields, algebras=ws.algebras,
+                     source=ws.source)
+    for name, cand in ws.candidates.items():
+        if not ws.holds_here(name):
             continue
-        ws.candidates[name] = cand
-        plans.append((name, entry.plan_for(name)))
-    for name, plan in plans:
+        view.candidates[name] = cand
+        plan = ws.plan_for(name)
         if plan.box or plan.allow_complex:
-            ws.plans[name] = plan
-    return ws
+            view.plans[name] = plan
+    return view
 
 
 def _fmt_interval(span: tuple[float, float]) -> str:
@@ -417,7 +616,7 @@ def workspace_to_text(ws: Workspace) -> str:
     for name, alg in ws.algebras.items():
         out.append("algebra %s {" % name)
         out.append("    fields %s;" % " ".join(f.name for f in alg.fields))
-        out.extend(_plan_lines(ws.plan_for(name)))
+        out.extend(_plan_lines(alg.plan))
         out.append("}")
     for name, cand in ws.candidates.items():
         out.append("candidate %s {" % name)

@@ -3,7 +3,7 @@ brackets, closure checking and prolongation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,9 +67,12 @@ class VectorField:
 
 @dataclass(frozen=True)
 class Algebra:
+    """Generators on one space, with the plan their samples are drawn on."""
+
     space: VariableSpace
     fields: tuple[VectorField, ...]
     name: str = "algebra"
+    plan: SamplePlan = field(default_factory=SamplePlan)
 
     def __post_init__(self):
         object.__setattr__(self, "fields", tuple(self.fields))
@@ -216,11 +219,12 @@ def closure_check(a: Algebra, within: Algebra,
 
     Coefficients are fitted by least squares over sampled (x, u) points;
     a fit counts only if its relative residual is below 1e-8.  A
-    rank-deficient design matrix is reported via the flagged bit.
+    rank-deficient design matrix is reported via the flagged bit.  The
+    points come from a's own plan unless one is given.
     """
     if a.space != within.space:
         raise FieldError("closure_check across different spaces")
-    plan = plan or SamplePlan()
+    plan = plan or a.plan
     brackets: dict[tuple[int, int], VectorField] = {}
     for i in range(a.r):
         for j in range(i + 1, a.r):

@@ -11,14 +11,16 @@ looser than ^):
     call     := name "(" args ")" | "d" "(" name ("," name)+ ")" trailer?
     trailer  := "(" args ")"
 
-Names of declared function symbols parse as applications; besseli uses a
-semicolon to separate its order from the argument: besseli(1/2; x).
+Names of declared function symbols parse as applications, and names of
+parameters as their exact rational values; besseli uses a semicolon to
+separate its order from the argument: besseli(1/2; x).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Mapping
 
 from .expr import (
     BUILTIN_NAMES,
@@ -93,10 +95,12 @@ def _number_to_fraction(text: str) -> Fraction:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], declared: dict[str, FunctionSymbol]):
+    def __init__(self, tokens: list[_Token], declared: Mapping[str, FunctionSymbol],
+                 params: Mapping[str, Fraction]):
         self.tokens = tokens
         self.pos = 0
         self.declared = declared
+        self.params = params
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -212,6 +216,8 @@ class _Parser:
             return FunctionApp(symbol, args, (0,) * symbol.arity)
         if self.peek().text == "(":
             raise ParseError("call of undeclared function %r" % name, tok.line, tok.column)
+        if name in self.params:
+            return Constant(self.params[name])
         return Variable(name)
 
     def call_args(self, symbol: FunctionSymbol, at: _Token) -> tuple[Expression, ...]:
@@ -313,12 +319,15 @@ def _fold_rational(e: Expression) -> Fraction | None:
     return None
 
 
-def parse_expression(text: str, declared: dict[str, FunctionSymbol] | None = None) -> Expression:
+def parse_expression(text: str, declared: Mapping[str, FunctionSymbol] | None = None,
+                     params: Mapping[str, Fraction] | None = None) -> Expression:
     """Parse source text into an expression tree.
 
     declared maps function names to their symbols; anything else that
-    looks like an application is an error so typos fail loudly.
+    looks like an application is an error so typos fail loudly.  params
+    maps names to exact values, which stand in for them everywhere,
+    exponents and besseli orders included.
     """
     tokens = _tokenize(text)
-    tree = _Parser(tokens, dict(declared or {})).parse()
+    tree = _Parser(tokens, declared or {}, params or {}).parse()
     return normalize(tree)

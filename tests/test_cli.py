@@ -236,3 +236,67 @@ candidate bad { u = x^2; }
     code, out = run(capsys, "classify", str(path), "--algebra", "turn",
                     "--candidate", "saddle")
     assert code == 0
+
+
+def test_system_flag_resolves_on_builtins(capsys):
+    code, out = run(capsys, "verify", "builtin:laplace_fo", "--candidate", "SLE",
+                    "--system", "laplace_fo")
+    assert code == 0 and "PASS" in out
+    assert main(["verify", "builtin:laplace_fo", "--candidate", "SLE",
+                 "--system", "nope"]) == 1
+    assert capsys.readouterr().err == "symred: no system 'nope'; available: laplace_fo\n"
+
+
+def test_models_export_takes_no_json(capsys, tmp_path):
+    path = tmp_path / "export.json"
+    assert main(["models", "--export", "euler", "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("symred: ") and captured.err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_func_shadowing_a_dependent_is_an_error(capsys, tmp_path):
+    path = tmp_path / "shadow.sr"
+    path.write_text("""
+space s { independent x t; dependent u; order 1; }
+func u(t);
+system s { eq d(u,t) = 0; }
+candidate c { u = x; }
+""")
+    assert main(["verify", str(path), "--candidate", "c"]) == 1
+    assert capsys.readouterr().err == "symred: %s: func u shadows dependent u\n" % path
+    path.write_text(path.read_text().replace("func u(t);", ""))
+    code, out = run(capsys, "verify", str(path), "--candidate", "c")
+    assert code == 0 and "PASS" in out
+
+
+def test_kernel_hint_in_a_file_workspace(capsys, tmp_path):
+    # the shipped isentropic text, read as a file, names its combination
+    # just as builtin:isentropic does
+    from importlib.resources import files
+    path = tmp_path / "isentropic.sr"
+    path.write_text((files("symred") / "library" / "isentropic.sr").read_text())
+    code, out = run(capsys, "kernel", str(path), "--algebra", "full12",
+                    "--candidate", "IF11")
+    assert code == 0
+    assert "matches named combination: K3 + t0*P3" in out
+
+
+def test_pinned_candidate_meets_the_algebra_at_its_own_params(capsys, tmp_path):
+    # G = k*u d/du vanishes at the pinned k = 0, so Xi2 has rank 0 there
+    path = tmp_path / "pinned.sr"
+    path.write_text("""
+space s { independent x t; dependent u; order 1; }
+param k = 1;
+system s { eq d(u,t) - k*u = 0; }
+field G { xi = [0, 0]; phi = [k*u]; }
+algebra g { fields G; }
+candidate c { u = 1; param k = 0; solution; }
+""")
+    code, out = run(capsys, "classify", str(path), "--algebra", "g")
+    assert "rank Xi2=1" in out
+    code, out = run(capsys, "classify", str(path), "--algebra", "g", "--candidate", "c")
+    assert code == 0
+    assert "rank Xi1=0, rank Xi2=0" in out
+    assert "candidate c: weak transversality HOLDS" in out

@@ -1,10 +1,14 @@
 """Workspace grammar: parsing, validation errors, plan directives, and
 the export/reparse round trip for every built-in model."""
 
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from symred.dsl import (
     DslError,
+    ModelError,
     load_workspace,
     parse_workspace,
     workspace_from_entry,
@@ -232,3 +236,125 @@ def test_load_workspace_reads_files(tmp_path):
     ws = load_workspace(str(path))
     assert ws.source.endswith("demo.sr")
     assert set(ws.fields) == {"rot", "P1"}
+
+
+def test_duplicate_func_rejected():
+    with pytest.raises(DslError) as err:
+        parse_workspace("""
+space s { independent t x; dependent u; order 1; }
+func a(t);
+func a(x);
+""", source="t")
+    assert str(err.value) == "t: duplicate func a"
+
+
+@pytest.mark.parametrize("decl, message", [
+    ("func u(t);", "t: func u shadows dependent u"),
+    ("func x(t);", "t: func x shadows independent x"),
+    ("param u = 1;", "t: param u shadows dependent u"),
+    ("param k = 1; param k = 2;", "t: duplicate param k"),
+    ("param k = 1; func k(t);", "t: func k shadows param k"),
+])
+def test_func_and_param_names_share_one_name_space(decl, message):
+    # with `func u(t)` accepted, d(u,t) meant the opaque function's
+    # derivative and u = x failed d(u,t) = 0
+    text = """
+space s { independent x t; dependent u; order 1; }
+%s
+system s { eq d(u,t) = 0; }
+candidate c { u = x; }
+""" % decl
+    with pytest.raises(DslError) as err:
+        parse_workspace(text, source="t")
+    assert str(err.value) == message
+
+
+PARAMS = """
+space s { independent x t; dependent u; order 1; }
+param k = 5/3;
+param km1 = k - 1;
+system s { eq grow: d(u,t) = k*t^km1*x; eq d(u,x) = t^k; }
+candidate c { u = t^k*x; solution; }
+"""
+
+
+def test_params_stand_for_exact_constants_exponents_included():
+    ws = parse_workspace(PARAMS, source="t")
+    assert ws.params == {"k": Fraction(5, 3), "km1": Fraction(2, 3)}
+    inlined = parse_workspace(PARAMS.replace("param k = 5/3;\nparam km1 = k - 1;\n", "")
+                              .replace("km1", "(2/3)").replace("k", "(5/3)"), source="t")
+    assert ws.systems == inlined.systems
+    assert ws.candidates == inlined.candidates
+    assert ws.equation_names == ("grow", "eq2")
+    assert ws.solutions == {"c"}
+
+
+def test_only_literal_params_can_be_overridden():
+    ws = parse_workspace(PARAMS, source="t", params={"k": 2})
+    assert ws.params == {"k": 2, "km1": 1}
+    assert to_text(ws.candidates["c"].assignments["u"]) == "x*t^2"
+    assert ws.with_params({"k": 3}).params["km1"] == 2
+    for name in ("km1", "zeta"):
+        with pytest.raises(ModelError) as err:
+            parse_workspace(PARAMS, source="t", params={name: 1})
+        assert str(err.value) == "t has no parameter %r" % name
+
+
+@pytest.mark.parametrize("decl", ["param k = x;", "param k = 2^(1/2);", "param = 1;"])
+def test_param_must_be_a_rational_constant(decl):
+    with pytest.raises(DslError):
+        parse_workspace("space s { independent x; dependent u; order 1; }\n" + decl,
+                        source="t")
+
+
+def test_space_block_sets_the_default_plan():
+    ws = parse_workspace("""
+space s { independent t; dependent u; order 1; domain t (1, 2); complex; }
+field f { xi = [1]; phi = [0]; }
+algebra a { fields f; }
+algebra b { fields f; domain t (3, 4); }
+candidate c { u = t; }
+""", source="t")
+    default = ws.default_plan
+    assert default.allow_complex and default.box["t"] == ((1.0, 2.0),)
+    assert ws.plan_for("c") == default and ws.plan_for(None) == default
+    assert ws.algebra_plan("a") == default
+    assert ws.algebra_plan("b").box == {"t": ((3.0, 4.0),)}
+    assert not ws.algebra_plan("b").allow_complex
+    assert ws.plans == {}
+
+
+@pytest.mark.parametrize("hint", ["kernel tr T*P;", "kernel tr T + 1;", "kernel ghost T;",
+                                  "kernel tr;"])
+def test_kernel_hint_must_combine_an_algebras_generators(hint):
+    with pytest.raises(DslError):
+        parse_workspace("""
+space s { independent x t; dependent u; order 1; }
+field P { xi = [1, 0]; phi = [0]; }
+field T { xi = [0, 1]; phi = [0]; }
+algebra tr { fields P T; }
+candidate c { u = x; %s }
+""" % hint, source="t")
+
+
+@pytest.mark.parametrize("model_id", sorted(MODEL_IDS))
+def test_export_matches_the_golden_text(model_id):
+    # tests/exports holds `symred models --export ID` as printed before
+    # the built-ins became shipped .sr text
+    golden = (Path(__file__).parent / "exports" / (model_id + ".sr")).read_bytes()
+    text = workspace_to_text(workspace_from_entry(builtin(model_id)))
+    assert text.encode("utf-8") == golden
+
+
+@pytest.mark.parametrize("decl", ["func w(t)", "param k = 1"])
+def test_declaration_missing_its_semicolon_rejected(decl):
+    # it used to swallow the header of the block after it, so system b
+    # vanished without a word
+    with pytest.raises(DslError) as err:
+        parse_workspace("""
+space s { independent x t; dependent u; order 1; }
+system a { eq d(u,t) = 0; }
+%s
+system b { eq d(u,x) = 1; }
+""" % decl, source="t")
+    assert str(err.value) == "t: %s is missing its ';'" % " ".join(decl.split()[:2])

@@ -3,10 +3,12 @@ solutions, closure of every algebra, the defect table, reduced-ODE and
 derived-constraint checks, and the diagnostic report."""
 
 import math
+from importlib.resources import files
 
 import pytest
 
 from symred.analysis import defect, invariance_check
+from symred.dsl import DslError, parse_workspace, workspace_from_entry, workspace_to_text
 from symred.fields import closure_check
 from symred.models import (
     MODEL_IDS,
@@ -237,3 +239,55 @@ def test_residual_accepts_plan_override():
     entry = builtin("laplace_fo")
     plan = SamplePlan(count=12, min_accepted=6, seeds=(9, 10, 11))
     assert _worst(residual(entry, candidate="SLE", plan=plan)) < 1e-8
+
+
+def test_closure_check_defaults_to_the_algebras_own_plan():
+    # navier_stokes g2 has t^(5/3) coefficients: on the t < 0 half of
+    # the default plan its closure sampling starves
+    for model_id in MODEL_IDS:
+        ws = builtin(model_id)
+        for name, algebra in sorted(ws.algebras.items()):
+            assert algebra.plan == ws.algebra_plan(name)
+            rep = closure_check(algebra, algebra)
+            assert rep.ok, (model_id, name, rep.worst_residual)
+
+
+@pytest.mark.parametrize("model_id", sorted(MODEL_IDS))
+def test_builtin_is_its_shipped_text_parsed(model_id):
+    text = (files("symred") / "library" / (model_id + ".sr")).read_text()
+    ws = builtin(model_id)
+    again = parse_workspace(text, source="builtin:" + model_id)
+    assert ws.id == model_id
+    assert list(ws.systems) == [model_id]
+    assert workspace_to_text(ws) == workspace_to_text(again)
+    assert (ws.equation_names, ws.solutions, ws.candidate_params, ws.kernel_hints) == \
+        (again.equation_names, again.solutions, again.candidate_params, again.kernel_hints)
+
+
+PINNED = """
+space s { independent x t; dependent u; order 1; }
+param k = 1;
+system s { eq d(u,t) - k*u = 0; }
+field P { xi = [1, 0]; phi = [0]; }
+field T { xi = [0, 1]; phi = [0]; }
+algebra tr { fields P T; }
+candidate grow { u = exp(t); param k = 1; solution; }
+candidate decay { u = exp(-t); param k = -1; kernel tr T + k*P; solution; }
+"""
+
+
+def test_pinned_candidates_resolve_against_their_own_params():
+    ws = parse_workspace(PINNED, source="pins.sr")
+    assert ws.candidate_params == {"grow": {"k": 1}, "decay": {"k": -1}}
+    assert ws.kernel_hints == {"decay": {"tr": {"T + k*P": (1.0, 1.0)}}}
+    same, _, _ = resolve_candidate(ws, "grow")
+    assert same is ws
+    again, _, _ = resolve_candidate(ws, "decay")
+    assert again.params["k"] == -1
+    assert again.kernel_hints["decay"]["tr"]["T + k*P"] == (-1.0, 1.0)
+    assert _worst(residual(ws, "grow")) < 1e-12
+    assert _worst(residual(ws, "decay")) < 1e-12
+    # the export keeps only what solves the system at the file's own k
+    assert set(workspace_from_entry(ws).candidates) == {"grow"}
+    with pytest.raises(DslError):
+        parse_workspace(PINNED.replace("param k = -1", "param q = -1"), source="t")
