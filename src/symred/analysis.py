@@ -24,29 +24,29 @@ from .expr import (
     normalize,
 )
 from .fields import Algebra, ExpressionMatrix, characteristic_matrix, xi_matrices
-from .jets import CandidateSolution, JetPoint, jet_order, sample_points, substitute_candidate
-from .sampling import SamplePlan, SamplingError, numeric_equiv, sampled
+from .jets import CandidateSolution, JetPoint, sample_points, substitute_candidate
+from .sampling import EQUIV_ABS, SamplePlan, SamplingError, numeric_equiv, sampled
 
 RANK_PIVOT_REL_TOL = 1e-9
 KERNEL_SVD_REL_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 SYMMETRY_TOL = 1e-7
 FINGERPRINT_POINTS = 8
+KERNEL_LEAD_TOL = 1e-10
 
 
 class AnalysisError(SymredError, RuntimeError):
     pass
 
 
-def pivot_rank(matrix: np.ndarray, rel_tol: float = RANK_PIVOT_REL_TOL,
-               scale: float | None = None) -> int:
+def pivot_rank(matrix: np.ndarray, scale: float | None = None) -> int:
     """Rank by Gaussian elimination with full pivoting.
 
-    A pivot counts while its magnitude exceeds rel_tol times `scale`.
-    scale defaults to the largest magnitude of the initial matrix; rank
-    work on symbolic matrices passes the pre-cancellation term mass
-    instead, so an entry that is zero only up to rounding dust is not
-    mistaken for a pivot of a tiny-but-honest matrix.
+    A pivot counts while its magnitude exceeds RANK_PIVOT_REL_TOL times
+    `scale`.  scale defaults to the largest magnitude of the initial
+    matrix; rank work on symbolic matrices passes the pre-cancellation
+    term mass instead, so an entry that is zero only up to rounding dust
+    is not mistaken for a pivot of a tiny-but-honest matrix.
     """
     a = np.array(matrix, dtype=complex)
     if a.size == 0:
@@ -55,7 +55,7 @@ def pivot_rank(matrix: np.ndarray, rel_tol: float = RANK_PIVOT_REL_TOL,
         scale = float(np.max(np.abs(a)))
     if scale == 0.0:
         return 0
-    tol = rel_tol * scale
+    tol = RANK_PIVOT_REL_TOL * scale
     rows = list(range(a.shape[0]))
     cols = list(range(a.shape[1]))
     rank = 0
@@ -118,29 +118,23 @@ def _masses(ready: Sequence[Expression], at, live) -> list[tuple]:
     return list(zip(values, scales))
 
 
-def _matrix_values(m: ExpressionMatrix, plan: SamplePlan,
-                   points: Sequence[JetPoint] | None = None):
+def _matrix_values(m: ExpressionMatrix, plan: SamplePlan):
     """Yield (seed, numeric matrix, mass scale) per accepted sample.
 
-    Free slots (anything not fixed by a supplied jet point) are drawn
-    from the plan box; opaque symbols get per-seed instantiations.
+    Every free variable is drawn from the plan box; opaque symbols get
+    per-seed instantiations.
     """
-    for s in sampled(m.all_entries(), plan, points=points, reader=_masses,
+    for s in sampled(m.all_entries(), plan, reader=_masses,
                      label="matrix %s" % m.name):
         vals, scale = s.values
         yield s.seed, np.array(vals, dtype=complex).reshape(m.shape), scale
 
 
-def generic_rank(m: ExpressionMatrix, plan: SamplePlan | None = None,
-                 points: Sequence[JetPoint] | None = None) -> RankReport:
-    """Generic rank of a symbolic matrix by seeded sampling.
-
-    When `points` is given the matrix is evaluated on those jet points;
-    otherwise every free variable (including jet slots) is drawn from
-    the plan box.
-    """
+def generic_rank(m: ExpressionMatrix, plan: SamplePlan | None = None) -> RankReport:
+    """Generic rank of a symbolic matrix by seeded sampling: every free
+    variable (jet slots included) is drawn from the plan box."""
     ranks: dict[int, list[int]] = {}
-    for seed, numeric, mass in _matrix_values(m, plan or SamplePlan(), points):
+    for seed, numeric, mass in _matrix_values(m, plan or SamplePlan()):
         ranks.setdefault(seed, []).append(pivot_rank(numeric, scale=mass))
     observed = [r for seen in ranks.values() for r in seen]
     top = max(observed)
@@ -295,9 +289,25 @@ def weak_minors(a: Algebra, plan: SamplePlan | None = None) -> list[Expression]:
     return kept
 
 
+def minors_on_candidate(minors: Sequence[Expression], c: CandidateSolution,
+                        plan: SamplePlan) -> tuple[float, bool]:
+    """(largest |minor| over the candidate's jet points, weak holds).
+
+    Weak transversality holds iff that maximum is at most EQUIV_ABS,
+    the bound numeric_equiv applies against zero.  No minors give 0.0
+    and holds.
+    """
+    if not minors:
+        return 0.0, True
+    points = sample_points(c, plan, minors)
+    worst = max(max_abs_on_points(det, points, plan) for det in minors)
+    return worst, worst <= EQUIV_ABS
+
+
 def weak_check_candidate(a: Algebra, c: CandidateSolution,
                          plan: SamplePlan | None = None) -> bool:
-    """True iff every weak minor vanishes identically on the candidate.
+    """True iff every weak minor vanishes on the candidate's jet points,
+    as minors_on_candidate decides.
 
     Vacuously true when the minors cannot exist by dimension count
     (rank Xi2 can never exceed rank Xi1 then).
@@ -307,13 +317,7 @@ def weak_check_candidate(a: Algebra, c: CandidateSolution,
         minors = weak_minors(a, plan)
     except AnalysisError:
         return True
-    return minors_vanish(minors, c, plan)
-
-
-def minors_vanish(minors: Sequence[Expression], c: CandidateSolution,
-                  plan: SamplePlan) -> bool:
-    """True iff every given minor vanishes identically on the candidate."""
-    return all(numeric_equiv(substitute_candidate(det, c), ZERO, plan) for det in minors)
+    return minors_on_candidate(minors, c, plan)[1]
 
 
 @dataclass
@@ -408,9 +412,9 @@ class KernelReport:
         }
 
 
-def _normalize_first_nonzero(v: np.ndarray, tol: float = 1e-10) -> tuple[float, ...]:
+def _normalize_first_nonzero(v: np.ndarray) -> tuple[float, ...]:
     for entry in v:
-        if abs(entry) > tol:
+        if abs(entry) > KERNEL_LEAD_TOL:
             v = v / entry
             break
     return tuple(float(x.real) for x in v)
@@ -487,19 +491,17 @@ def max_abs_on_points(e: Expression, points: Sequence[JetPoint] | None,
 
 
 def symmetry_check(system: Sequence[Expression], v, donor: CandidateSolution,
-                   plan: SamplePlan | None = None, order: int | None = None) -> bool:
+                   plan: SamplePlan | None = None) -> bool:
     """Does pr v annihilate the system on the donor solution's jet points?
 
-    The donor must itself satisfy the system to RESIDUAL_TOL, otherwise
-    the check would be vacuous; that precondition failing is an error,
-    not a False.
+    The points are drawn to read the system (sample_points).  The donor
+    must itself satisfy the system to RESIDUAL_TOL, otherwise the check
+    would be vacuous; that precondition failing is an error, not a False.
     """
     from .fields import apply_prolonged
 
     plan = plan or SamplePlan()
-    if order is None:
-        order = jet_order(donor.space, system)
-    points = sample_points(donor, plan, order)
+    points = sample_points(donor, plan, system)
     for e in system:
         if max_abs_on_points(e, points, plan) >= RESIDUAL_TOL:
             raise AnalysisError(

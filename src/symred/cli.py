@@ -26,13 +26,13 @@ from .analysis import (
     constant_kernel_generators,
     defect,
     max_abs_on_points,
-    minors_vanish,
+    minors_on_candidate,
     symmetry_check,
     weak_minors,
 )
 from .dsl import Workspace, load_workspace, workspace_from_entry, workspace_to_text
 from .expr import SymredError, to_text
-from .jets import jet_order, sample_points
+from .jets import sample_points
 from .models import MODEL_IDS, builtin, resolve_candidate
 from .sampling import SamplePlan
 
@@ -207,7 +207,7 @@ def _cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else 1e-8
     ws, cand, plan = _candidate(_load(args), args.candidate, args)
     system = ws.system(args.system)
-    points = sample_points(cand, plan, system.order)
+    points = sample_points(cand, plan, system.equations)
     values = {name: max_abs_on_points(e, points, plan)
               for name, e in zip(system.equation_names, system.equations)}
     worst = max(values.values())
@@ -222,7 +222,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_minors(args) -> int:
-    ws, alg, cand, plan = _with_algebra(args)
+    _, alg, cand, plan = _with_algebra(args)
     try:
         minors = weak_minors(alg, plan)
     except AnalysisError as err:
@@ -234,9 +234,7 @@ def _cmd_minors(args) -> int:
     report = {"minors": [to_text(d) for d in minors]}
     holds = True
     if cand is not None:
-        points = sample_points(cand, plan, max(1, jet_order(ws.space, minors)))
-        worst = max(max_abs_on_points(det, points, plan) for det in minors)
-        holds = minors_vanish(minors, cand, plan)
+        worst, holds = minors_on_candidate(minors, cand, plan)
         print("max |minor| on %s: %.6e -> weak transversality %s"
               % (cand.name, worst, "HOLDS" if holds else "FAILS"))
         report["candidate"] = cand.name
@@ -267,7 +265,7 @@ def _cmd_symcheck(args) -> int:
     except KeyError:
         raise _UsageError("no field %r; available: %s"
                           % (args.field, ", ".join(sorted(ws.fields)) or "none"))
-    ok = symmetry_check(system.equations, field, cand, plan, system.order)
+    ok = symmetry_check(system.equations, field, cand, plan)
     print("pr %s annihilates %s on solution %s: %s"
           % (field.name, system.name, cand.name, "yes" if ok else "NO"))
     report = {"system": system.name, "field": field.name,

@@ -35,7 +35,10 @@ rational value wherever it occurs, exponents included.  `domain` and
 appear in; in the space block they set the plan of every block that
 declares none.  Resolving a pinned candidate by name parses the text
 again at the pinned values.  func and param names share one name space
-with the space's variables.
+with the space's variables.  Each block item is given once: a second
+assignment to one dependent, `xi`, `phi`, `domain` of one variable,
+pin of one param, or `independent`/`dependent`/`order` is an error,
+as is a second declaration of one name.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .expr import (
     to_text,
 )
 from .fields import Algebra, VectorField
-from .jets import CandidateSolution, VariableSpace, jet_order, make_space
+from .jets import CandidateSolution, VariableSpace, make_space
 from .parser import ParseError, parse_expression
 from .sampling import SamplePlan
 
@@ -87,7 +90,6 @@ class System(NamedTuple):
     name: str
     equation_names: tuple[str, ...]
     equations: tuple[Expression, ...]
-    order: int
 
 
 @dataclass
@@ -97,8 +99,8 @@ class Workspace:
     params holds every param by name, literal and derived; overrides are
     the literal values the text was parsed with, and `with_params` parses
     it again with more.  plans holds the candidates' own plans; an
-    algebra carries its plan itself.  `equations`, `equation_names` and
-    `order` read the workspace's only system.
+    algebra carries its plan itself.  `equations` and `equation_names`
+    read the workspace's only system.
     """
 
     space: VariableSpace
@@ -124,12 +126,8 @@ class Workspace:
         return self.source.removeprefix("builtin:")
 
     def plan_for(self, name: str | None = None) -> SamplePlan:
-        """The plan declared for a candidate or algebra, else the default."""
-        if name in self.plans:
-            return self.plans[name]
-        if name in self.algebras:
-            return self.algebras[name].plan
-        return self.default_plan
+        """The plan declared for a candidate, else the default."""
+        return self.plans.get(name, self.default_plan)
 
     def algebra_plan(self, name: str) -> SamplePlan:
         return self.algebras[name].plan
@@ -148,7 +146,7 @@ class Workspace:
         except KeyError:
             raise DslError("no system %r; available: %s"
                            % (name, ", ".join(sorted(self.systems)))) from None
-        return System(name, self.eq_names[name], eqs, max(1, jet_order(self.space, eqs)))
+        return System(name, self.eq_names[name], eqs)
 
     @property
     def equations(self) -> tuple[Expression, ...]:
@@ -157,10 +155,6 @@ class Workspace:
     @property
     def equation_names(self) -> tuple[str, ...]:
         return self.system().equation_names
-
-    @property
-    def order(self) -> int:
-        return self.system().order
 
     def holds_here(self, candidate: str) -> bool:
         """False for a candidate pinned to other param values than these."""
@@ -247,13 +241,24 @@ def _split_list(text: str) -> list[str]:
     return parts
 
 
+def _once(held, item: str, where: str, label: str | None = None):
+    """Reject an item the block already holds; a second one would
+    silently replace the first."""
+    if item in held:
+        raise DslError("%s: %s given twice" % (where, label or item))
+
+
 def _parse_space(body: str, source: str) -> tuple[VariableSpace, SamplePlan]:
     independent: list[str] = []
     dependent: list[str] = []
     order = None
     plan_items = []
+    seen: set[str] = set()
     for stmt in _statements(body):
         words = stmt.split()
+        if words[0] in ("independent", "dependent", "order"):
+            _once(seen, words[0], "%s: space" % source)
+            seen.add(words[0])
         if words[0] == "independent":
             independent = words[1:]
         elif words[0] == "dependent":
@@ -329,7 +334,9 @@ def _plan_item(stmt: str, plan: dict, space: VariableSpace, where: str) -> bool:
         if var_name not in space.independents + space.dependents:
             raise DslError("%s: domain names %s, which is not a variable of the space"
                            % (where, var_name))
-        plan.setdefault("box", {})[var_name] = spans
+        box = plan.setdefault("box", {})
+        _once(box, var_name, where, "domain " + var_name)
+        box[var_name] = spans
     else:
         return False
     return True
@@ -477,19 +484,18 @@ def parse_workspace(text: str, source: str = "<workspace>",
             ws.systems[name] = tuple(eqs)
             ws.eq_names[name] = tuple(labels)
         elif kind == "field":
-            xi = phi = None
+            vectors = {}
             for stmt in _statements(body):
                 lhs, eq, rhs = stmt.partition("=")
                 key = lhs.strip()
-                if key == "xi":
-                    xi = _parse_vector(rhs, parse, p, "xi of field " + name)
-                elif key == "phi":
-                    phi = _parse_vector(rhs, parse, q, "phi of field " + name)
-                else:
+                if key not in ("xi", "phi"):
                     raise DslError("%s: unknown item %r" % (where, key))
-            if xi is None or phi is None:
+                _once(vectors, key, where)
+                vectors[key] = _parse_vector(rhs, parse, p if key == "xi" else q,
+                                             "%s of field %s" % (key, name))
+            if len(vectors) < 2:
                 raise DslError("%s needs xi and phi" % where)
-            ws.fields[name] = VectorField(space, xi, phi, name=name)
+            ws.fields[name] = VectorField(space, vectors["xi"], vectors["phi"], name=name)
         elif kind == "algebra":
             members = []
             plan_items = []
@@ -525,7 +531,9 @@ def parse_workspace(text: str, source: str = "<workspace>",
                     if pin not in literals:
                         raise DslError("%s pins %s, which is not a literal param"
                                        % (where, pin))
-                    ws.candidate_params.setdefault(name, {})[pin] = value
+                    pins = ws.candidate_params.setdefault(name, {})
+                    _once(pins, pin, where, "param " + pin)
+                    pins[pin] = value
                     continue
                 if words[0] == "kernel":
                     alg, label, coeffs = _kernel_hint(stmt, ws, parse, where)
@@ -536,6 +544,7 @@ def parse_workspace(text: str, source: str = "<workspace>",
                 if not eq or target not in space.dependents:
                     raise DslError("%s: %r is not a dependent variable assignment"
                                    % (where, stmt))
+                _once(assignments, target, where)
                 assignments[target] = parse(rhs)
             ws.candidates[name] = CandidateSolution(space, assignments,
                                                     tuple(loci), name=name)
@@ -543,11 +552,6 @@ def parse_workspace(text: str, source: str = "<workspace>",
                 ws.plans[name] = SamplePlan(**plan)
         else:
             raise DslError("%s: unknown declaration %r" % (source, kind))
-    # plan_for looks a name up among both kinds, so one name cannot serve both
-    clash = sorted(set(ws.algebras) & set(ws.candidates))
-    if clash:
-        raise DslError("%s: %s names both an algebra and a candidate"
-                       % (source, ", ".join(clash)))
     return ws
 
 

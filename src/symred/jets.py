@@ -47,12 +47,6 @@ class VariableSpace:
     def q(self) -> int:
         return len(self.dependents)
 
-    def dependent_index(self, name: str) -> int:
-        try:
-            return self.dependents.index(name)
-        except ValueError:
-            raise JetError("%r is not a dependent variable" % name) from None
-
 
 def make_space(independents: Sequence[str], dependents: Sequence[str],
                max_order: int) -> VariableSpace:
@@ -219,8 +213,6 @@ class JetPoint:
 
     base: Mapping[str, float]
     slots: Mapping[str, complex]
-    order: int
-    candidate: str
     seed: int
     index: int
 
@@ -241,15 +233,16 @@ def candidate_instantiation(c: CandidateSolution, seed: int):
         list(c.assignments.values()) + list(c.excluded_loci), seed)
 
 
-def sample_points(c: CandidateSolution, plan: SamplePlan, order: int) -> list[JetPoint]:
-    """Draw jet points on the candidate's graph.
+def sample_points(c: CandidateSolution, plan: SamplePlan,
+                  exprs: Iterable[Expression]) -> list[JetPoint]:
+    """Draw jet points on the candidate's graph at which to read exprs.
 
-    Rejects points where any excluded locus or encountered denominator
-    is within eps_sing of zero.  min_accepted applies per seed.
+    Every jet slot up to max(1, jet_order of exprs) is sampled.  Rejects
+    points where any excluded locus or encountered denominator is within
+    eps_sing of zero.  min_accepted applies per seed.
     """
     space = c.space
-    if order > space.max_order:
-        raise JetError("order %d exceeds space max_order %d" % (order, space.max_order))
+    order = max(1, jet_order(space, exprs))
     keys = jet_keys(space, order)
     needed = sorted({space.dependents[k.alpha] for k in keys})
     missing = [dep for dep in needed if dep not in c.assignments]
@@ -270,7 +263,7 @@ def sample_points(c: CandidateSolution, plan: SamplePlan, order: int) -> list[Je
                    for name, i, dvars in slots}
         return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
-    exprs = list(c.excluded_loci) + [c.assignments[dep] for dep in needed]
-    return [JetPoint(s.where, s.values, order, c.name, s.seed, s.index)
-            for s in sampled(exprs, plan, names=space.independents, reader=reader,
+    sources = list(c.excluded_loci) + [c.assignments[dep] for dep in needed]
+    return [JetPoint(s.where, s.values, s.seed, s.index)
+            for s in sampled(sources, plan, names=space.independents, reader=reader,
                              label="candidate %s" % c.name)]

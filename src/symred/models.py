@@ -150,7 +150,7 @@ def residual(ws: Workspace, candidate=None, plan: SamplePlan | None = None) -> d
     """Per-equation max |residual| of the candidate over accepted samples."""
     ws, cand, plan = resolve_candidate(ws, candidate, plan)
     system = ws.system()
-    points = sample_points(cand, plan, system.order)
+    points = sample_points(cand, plan, system.equations)
     return {name: max_abs_on_points(eq, points, plan)
             for name, eq in zip(system.equation_names, system.equations)}
 
@@ -254,10 +254,9 @@ def _check_general(params: Mapping, plan: SamplePlan | None) -> dict:
         "u1": parse_expression("x/t"), "u2": parse_expression("y/t"),
         "u3": normalize(mul(z, w)), "a": normalize(mul(z, amp)),
     }, (parse_expression("t"),), name="IF5_reduced")
-    points = sample_points(cand, plan, ws.order)
-    out["system"] = max(max_abs_on_points(eq, points, plan)
-                        for name, eq in zip(ws.equation_names, ws.equations)
-                        if name != "sound")
+    momentum = [eq for name, eq in zip(ws.equation_names, ws.equations) if name != "sound"]
+    points = sample_points(cand, plan, momentum)
+    out["system"] = max(max_abs_on_points(eq, points, plan) for eq in momentum)
     return out
 
 
@@ -293,7 +292,7 @@ def _check_e83_e86(candidate, plan) -> dict:
         ("E85", "d(u3,z) + 2*k/t"),
         ("E86", "d(u3,t) + u3*d(u3,z) + (k/t)*(x*d(u3,x) + y*d(u3,y)) + d(p,z)"),
     )}
-    points = sample_points(cand, plan2, ws.order)
+    points = sample_points(cand, plan2, [*constraints.values(), *ws.equations])
     out = {name: max_abs_on_points(e, points, plan2)
            for name, e in constraints.items()}
     out["system"] = max(max_abs_on_points(eq, points, plan2)
@@ -301,8 +300,6 @@ def _check_e83_e86(candidate, plan) -> dict:
 
     # on the weak class (u3, p arbitrary) the Euler system is equivalent
     # to the constraint system; checked identity by identity
-    cls = ws.candidates["example8_class"]
-    cls_points = sample_points(cls, ws.default_plan, ws.order)
     eqs = dict(zip(ws.equation_names, ws.equations))
     t = var("t")
     pairs = {
@@ -311,6 +308,8 @@ def _check_e83_e86(candidate, plan) -> dict:
         "equiv_z": normalize(eqs["momentum_z"] - constraints["E86"]),
         "equiv_div": normalize(eqs["continuity"] - constraints["E85"]),
     }
+    cls_points = sample_points(ws.candidates["example8_class"], ws.default_plan,
+                               pairs.values())
     for name, e in pairs.items():
         out[name] = max_abs_on_points(e, cls_points, ws.default_plan)
     return out
@@ -329,12 +328,10 @@ def _check_if12(candidate, plan) -> dict:
                         " + k*a*d(a,z)"),
         "IF12_t": parse("d(a,t) + u3*d(a,z) + (a/k)*(2/t + d(u3,z))"),
     }
-    points = sample_points(cand, plan2, 1)
+    points = sample_points(cand, plan2, system.values())
     out = {name: max_abs_on_points(e, points, plan2)
            for name, e in system.items()}
 
-    cls = ws.candidates["IF4_class"]
-    cls_points = sample_points(cls, ws.default_plan, 1)
     eqs = dict(zip(ws.equation_names, ws.equations))
     pairs = {
         "equiv_1": normalize(eqs["momentum_x"] - parse("k*a*d(a,x)")),
@@ -343,6 +340,7 @@ def _check_if12(candidate, plan) -> dict:
         "equiv_4": normalize(eqs["sound"] - system["IF12_t"]
                              - parse("(x/t)*d(a,x) + (y/t)*d(a,y)")),
     }
+    cls_points = sample_points(ws.candidates["IF4_class"], ws.default_plan, pairs.values())
     for name, e in pairs.items():
         out[name] = max_abs_on_points(e, cls_points, ws.default_plan)
     return out
@@ -425,7 +423,7 @@ def discrepancy_report(ws: Workspace, candidate=None,
     (small jet gap, large residual) from a differentiation defect.
     """
     ws, cand, plan = resolve_candidate(ws, candidate, plan)
-    points = sample_points(cand, plan, ws.order)
+    points = sample_points(cand, plan, ws.equations)
     residuals = {}
     failing = None
     worst_point = None

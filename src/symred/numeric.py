@@ -309,18 +309,19 @@ def _symbol_stream(symbol: FunctionSymbol, seed: int) -> np.random.Generator:
 
 
 @functools.lru_cache(maxsize=1024)
-def random_polynomial(symbol: FunctionSymbol, seed: int,
-                      degree: int = INSTANTIATION_DEGREE) -> Expression:
-    """Seeded polynomial of total degree <= degree in the symbol's formals.
+def random_polynomial(symbol: FunctionSymbol, seed: int) -> Expression:
+    """Seeded polynomial of total degree <= INSTANTIATION_DEGREE in the
+    symbol's formals.
 
     Coefficients are uniform on [-2, 2], converted to exact dyadic
     rationals so downstream differentiation stays exact.  Memoized per
-    (symbol, seed, degree): expressions are immutable, so callers share
+    (symbol, seed): expressions are immutable, so callers share
     the one stand-in.
     """
     rng = _symbol_stream(symbol, seed)
-    monomials = [m for m in itertools.product(range(degree + 1), repeat=symbol.arity)
-                 if sum(m) <= degree]
+    monomials = [m for m in itertools.product(range(INSTANTIATION_DEGREE + 1),
+                                              repeat=symbol.arity)
+                 if sum(m) <= INSTANTIATION_DEGREE]
     monomials.sort()
     terms = []
     for m in monomials:

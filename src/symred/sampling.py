@@ -51,13 +51,12 @@ class SamplePlan:
     """Where and how densely to sample.
 
     box maps variable names to interval unions ((lo, hi), ...); names
-    not listed use default_intervals.  eps_sing is the rejection radius
+    not listed use DEFAULT_INTERVALS.  eps_sing is the rejection radius
     around excluded loci and denominators.  allow_complex switches the
     evaluator from real-domain guards to principal branches.
     """
 
     box: Mapping[str, tuple[tuple[float, float], ...]] = field(default_factory=dict)
-    default_intervals: tuple[tuple[float, float], ...] = DEFAULT_INTERVALS
     count: int = 20
     min_accepted: int = 12
     seeds: tuple[int, ...] = DEFAULT_SEEDS
@@ -71,10 +70,9 @@ class SamplePlan:
             raise ValueError("need at least one seed")
         for name, intervals in self.box.items():
             _check_intervals(name, intervals)
-        _check_intervals("<default>", self.default_intervals)
 
     def intervals_for(self, name: str) -> tuple[tuple[float, float], ...]:
-        return self.box.get(name, self.default_intervals)
+        return self.box.get(name, DEFAULT_INTERVALS)
 
     def with_(self, **changes) -> "SamplePlan":
         return replace(self, **changes)

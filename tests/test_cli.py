@@ -75,6 +75,25 @@ def test_minors_none_exist(capsys):
     assert "no minors" in out
 
 
+def test_minors_all_zero_hold_on_a_candidate(capsys, tmp_path):
+    # proportional fields: every 2x2 minor of Xi2 vanishes identically
+    path = tmp_path / "ab.sr"
+    path.write_text("""
+space s { independent x y; dependent u; order 1; }
+field A { xi = [1, 0]; phi = [0]; }
+field B { xi = [2, 0]; phi = [0]; }
+algebra ab { fields A B; }
+candidate c { u = x; }
+""")
+    code, out = run(capsys, "minors", str(path), "--algebra", "ab", "--candidate", "c",
+                    "--json", str(tmp_path / "out.json"))
+    assert code == 0
+    assert "0 distinct minors" in out
+    assert "max |minor| on c: 0.000000e+00 -> weak transversality HOLDS" in out
+    report = json.loads((tmp_path / "out.json").read_text())["report"]
+    assert report["max_on_candidate"] == 0.0 and report["weak_holds"]
+
+
 def test_kernel_reports_match(capsys):
     code, out = run(capsys, "kernel", "builtin:isentropic",
                     "--algebra", "full12", "--candidate", "IF11")
@@ -190,10 +209,12 @@ VERIFY_C = ("verify", "{sr}", "--candidate", "c")
     (LINE_SPACE, "1", "(1, 2); domain q (1, 2)", VERIFY_C),
     (LINE_SPACE, "1", "(1, 2); }\nalgebra b { fields v; domain q (1, 2)",
      ("classify", "{sr}", "--algebra", "b")),
+    (LINE_SPACE, "1", "(1, 2); u = x", VERIFY_C),
 ], ids=["field-uses-jet-coordinate", "samples-below-4", "domain-empty",
         "domain-not-a-number", "domain-not-a-pair", "order-not-a-number",
         "order-missing", "seed-negative", "tol-not-a-number",
-        "domain-outside-the-space", "algebra-domain-outside-the-space"])
+        "domain-outside-the-space", "algebra-domain-outside-the-space",
+        "candidate-assigns-twice"])
 def test_errors_exit_one_with_one_line(capsys, tmp_path, space, xi, domain, argv):
     path = tmp_path / "line.sr"
     path.write_text(LINE_SR % (space, xi, domain))

@@ -88,11 +88,46 @@ field f { xi = [1]; phi = [0]; }
 algebra g { fields f; domain t (1, 2); complex; }
 candidate %s { u = t; }
 """
-    plan = parse_workspace(text % "c", source="t").plan_for("g")
+    plan = parse_workspace(text % "c", source="t").algebra_plan("g")
     assert plan.allow_complex and plan.box["t"] == ((1.0, 2.0),)
+
+
+def test_algebra_and_candidate_may_share_a_name():
+    ws = parse_workspace("""
+space s { independent t; dependent u; order 1; }
+field f { xi = [1]; phi = [0]; }
+algebra g { fields f; domain t (1, 2); }
+candidate g { u = t; domain t (3, 4); }
+""", source="t")
+    assert ws.algebra_plan("g").box["t"] == ((1.0, 2.0),)
+    assert ws.plan_for("g").box["t"] == ((3.0, 4.0),)
+
+
+@pytest.mark.parametrize("space, block, message", [
+    ("", "candidate c { u = 1; u = t; }", "t: candidate c: u given twice"),
+    ("", "field g { xi = [1]; xi = [t]; phi = [0]; }", "t: field g: xi given twice"),
+    ("", "field g { xi = [1]; phi = [0]; phi = [u]; }", "t: field g: phi given twice"),
+    ("", "candidate c { u = t; domain t (1, 2); domain t (3, 4); }",
+     "t: candidate c: domain t given twice"),
+    ("", "algebra g { fields f; domain t (1, 2); domain t (3, 4); }",
+     "t: algebra g: domain t given twice"),
+    ("domain t (1, 2); domain t (3, 4);", "", "t: space: domain t given twice"),
+    ("", "candidate c { u = t; param k = 1; param k = 2; }",
+     "t: candidate c: param k given twice"),
+    ("independent x;", "", "t: space: independent given twice"),
+    ("dependent v;", "", "t: space: dependent given twice"),
+    ("order 2;", "", "t: space: order given twice"),
+])
+def test_repeated_block_items_rejected(space, block, message):
+    text = """
+space s { independent t; dependent u; order 1; %s }
+param k = 0;
+field f { xi = [1]; phi = [0]; }
+%s
+""" % (space, block)
     with pytest.raises(DslError) as err:
-        parse_workspace(text % "g", source="t")
-    assert "g names both an algebra and a candidate" in str(err.value)
+        parse_workspace(text, source="t")
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("kind, block", [

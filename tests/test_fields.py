@@ -96,7 +96,7 @@ def test_apply_prolonged_on_invariant_equation():
     e = P("d(u,x,x) + d(u,y,y)")
     acted = apply_prolonged(ROT, e)
     c = CandidateSolution(SPACE, {"u": P("x^2 - y^2")}, name="harmonic")
-    pts = sample_points(c, SamplePlan(), 2)
+    pts = sample_points(c, SamplePlan(), [e])
     from symred.analysis import max_abs_on_points
     assert max_abs_on_points(acted, pts, SamplePlan()) < 1e-12
 

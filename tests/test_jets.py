@@ -77,7 +77,7 @@ def test_sample_points_slots_match_assignments():
         "v": parse_expression("x*y"),
     }, name="poly")
     plan = SamplePlan()
-    points = sample_points(c, plan, 2)
+    points = sample_points(c, plan, [parse_expression("d(u,x,x)")])
     assert len(points) >= plan.min_accepted
     pt = points[0]
     vx, vy = pt.base["x"], pt.base["y"]
@@ -94,7 +94,7 @@ def test_sample_points_with_opaque_function_match_fd():
         "v": parse_expression("0"),
     }, name="opaque")
     plan = SamplePlan()
-    points = sample_points(c, plan, 1)
+    points = sample_points(c, plan, [parse_expression("d(u,x)")])
     from symred.jets import candidate_instantiation
     from symred.numeric import substitute_functions
     for pt in points[:4]:
@@ -109,7 +109,7 @@ def test_sample_points_skip_excluded_loci():
         "u": parse_expression("1/(x - y)"),
         "v": parse_expression("0"),
     }, (parse_expression("x - y"),), name="singular")
-    points = sample_points(c, SamplePlan(), 1)
+    points = sample_points(c, SamplePlan(), [parse_expression("d(u,x)")])
     for pt in points:
         assert abs(pt.base["x"] - pt.base["y"]) > 1e-6
 
@@ -119,7 +119,7 @@ def test_sampling_requires_full_assignment():
     # never by omitting a dependent
     c = CandidateSolution(SPACE, {"u": parse_expression("x + y")}, name="part")
     with pytest.raises(JetError):
-        sample_points(c, SamplePlan(), 1)
+        sample_points(c, SamplePlan(), [parse_expression("d(u,x)")])
 
 
 def test_candidate_rejects_jet_expressions():
