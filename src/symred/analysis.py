@@ -3,7 +3,8 @@ minors, defect, invariance, constant kernels and prolongation checks.
 
 Every rank here is a sampled rank: evaluated at random points, reduced
 with full pivoting, and maximized over points and seeds (ranks only drop
-on subvarieties, so the maximum is the generic value).
+on subvarieties, so the maximum is the generic value).  An analysis of
+an algebra given no plan samples on the algebra's own plan.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def classify_transversality(a: Algebra, plan: SamplePlan | None = None,
                             candidate: CandidateSolution | None = None) -> TransversalityReport:
     """Strong transversality iff rank Xi1 = rank Xi2 generically; with a
     candidate, weak transversality iff the ranks agree on its graph."""
-    plan = plan or SamplePlan()
+    plan = plan or a.plan
     xi1, xi2 = xi_matrices(a)
     r1 = generic_rank(xi1, plan)
     r2 = generic_rank(xi2, plan)
@@ -251,7 +252,7 @@ def weak_minors(a: Algebra, plan: SamplePlan | None = None) -> list[Expression]:
     candidate class.  Identically-zero minors are dropped; duplicates up
     to sign are merged, keeping the first representative.
     """
-    plan = plan or SamplePlan()
+    plan = plan or a.plan
     xi1, xi2 = xi_matrices(a)
     rho = generic_rank(xi1, plan).generic_rank
     size = rho + 1
@@ -312,7 +313,7 @@ def weak_check_candidate(a: Algebra, c: CandidateSolution,
     Vacuously true when the minors cannot exist by dimension count
     (rank Xi2 can never exceed rank Xi1 then).
     """
-    plan = plan or SamplePlan()
+    plan = plan or a.plan
     try:
         minors = weak_minors(a, plan)
     except AnalysisError:
@@ -353,7 +354,7 @@ def defect(a: Algebra, c: CandidateSolution,
     The genericity bound is m0 = min{s, q} with s the orbit dimension
     (generic rank of Xi2 on the unrestricted space).
     """
-    plan = plan or SamplePlan()
+    plan = plan or a.plan
     q_matrix = characteristic_matrix(a)
     restricted = substitute_matrix(q_matrix, c)
     rank = generic_rank(restricted, plan)
@@ -380,7 +381,7 @@ def invariance_check(a: Algebra, c: CandidateSolution,
     Deliberately not implemented as defect() == 0: this is the second
     route of the dual check that rank 0 and entrywise vanishing agree.
     """
-    plan = plan or SamplePlan()
+    plan = plan or a.plan
     q_matrix = characteristic_matrix(a)
     for row in q_matrix.entries:
         for entry in row:
@@ -431,7 +432,7 @@ def constant_kernel_generators(a: Algebra, c: CandidateSolution,
     B v = 0, solved by SVD with a 1e-8 relative singular-value cut.  The
     pointwise kernel dimension r - rank Q(point) is reported alongside.
     """
-    plan = plan or SamplePlan()
+    plan = plan or a.plan
     q_matrix = substitute_matrix(characteristic_matrix(a), c)
     blocks = []
     point_ranks = []

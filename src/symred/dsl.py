@@ -502,7 +502,9 @@ def parse_workspace(text: str, source: str = "<workspace>",
             for stmt in _statements(body):
                 words = stmt.split()
                 if words[0] == "fields":
-                    members.extend(words[1:])
+                    for mname in words[1:]:
+                        _once(members, mname, where, "field " + mname)
+                        members.append(mname)
                 else:
                     plan_items.append(stmt)
             plan = _plan(plan_items, space, where, ws.default_plan)

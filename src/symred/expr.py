@@ -7,11 +7,12 @@ expressions are considered equal when the sampling oracle in
 
 Each node stores three facts about itself, each computed at most once:
 its hash, the frozenset of its free variable names (filled the first
-time it is asked for) and a mark set by `normalize` when the node is
-its own normal form.  None of them takes part in equality, printing or
-evaluation; they only let `differentiate` return 0 without a walk when
-the variable does not occur, and `normalize` return a marked subtree
-unchanged instead of walking it again.
+time it is asked for) and a mark set by `normalize` on every node it
+returns, each of which is its own normal form.  None of them takes part
+in equality, printing or evaluation; they only let `differentiate`
+return 0 without a walk when the variable does not occur, and
+`normalize` return a marked subtree unchanged instead of walking it
+again.
 """
 
 from __future__ import annotations
@@ -408,10 +409,8 @@ def normalize(e: Expression) -> Expression:
     Flattens nested sums and products, folds rational constants, merges
     equal-base powers inside a product and sorts children canonically.
     Value preserving; it does not attempt cancellation beyond exact
-    rational arithmetic.  A result is marked normal, and returned
-    unchanged by later calls, when it is its own normal form; that holds
-    except where merged powers leave a bare product, power or i that a
-    second pass would flatten or merge (see _normalize_product).
+    rational arithmetic.  Every result is its own normal form and is
+    marked so, and later calls return it unchanged.
     """
     if e._normal:
         return e
@@ -427,13 +426,8 @@ def normalize(e: Expression) -> Expression:
 
 
 def _mark(e: Expression) -> Expression:
-    """Mark a node normalize built as normal if all its children are.
-
-    A marked node is a fixed point of normalize, so normalize may return
-    it unchanged.  Callers pass only nodes whose own level is canonical.
-    """
-    if all(c._normal for c in children(e)):
-        object.__setattr__(e, "_normal", True)
+    """Mark a node normalize built from normal children as normal."""
+    object.__setattr__(e, "_normal", True)
     return e
 
 
@@ -468,22 +462,54 @@ def _as_base_exponent(f: Expression) -> tuple[Expression, Fraction]:
 
 
 def _normalize_product(e: Product) -> Expression:
-    flat: list[Expression] = []
     const = Fraction(1)
     i_power = 0
-    stack = [normalize(f) for f in e.factors]
-    for f in stack:
-        inner = f.factors if isinstance(f, Product) else (f,)
-        for u in inner:
-            if isinstance(u, Constant):
-                const *= u.value
-            elif isinstance(u, ImaginaryUnit):
-                i_power += 1
-            elif isinstance(u, Power) and isinstance(u.base, ImaginaryUnit) \
-                    and u.exponent.denominator == 1:
-                i_power += u.exponent.numerator
-            else:
-                flat.append(u)
+    # Equal bases merge; exponents add under the principal branch since
+    # z^a * z^b = exp((a+b) ln z) whenever both factors use the same ln z.
+    # Each entry is [base, exponent, piece]: piece is the lone factor
+    # with that base, or None once another factor merged into it.
+    merged: list[list] = []
+    todo = [normalize(f) for f in e.factors]
+    while todo:
+        for f in todo:
+            for u in (f.factors if isinstance(f, Product) else (f,)):
+                if isinstance(u, Constant):
+                    const *= u.value
+                elif isinstance(u, ImaginaryUnit):
+                    i_power += 1
+                elif isinstance(u, Power) and isinstance(u.base, ImaginaryUnit) \
+                        and u.exponent.denominator == 1:
+                    i_power += u.exponent.numerator
+                else:
+                    base, expo = _as_base_exponent(u)
+                    for m in merged:
+                        if m[0] == base:
+                            m[1] += expo
+                            m[2] = None
+                            break
+                    else:
+                        merged.append([base, expo, u])
+        if const == 0:
+            return ZERO
+        # A merged piece that is a product (a product base raised to 1,
+        # or i^3 = (-1)*i), or a power or i left bare by exponent 1, is
+        # flattened and merged again, so the result is its own normal
+        # form.  Its entry stays at exponent 0 for later factors to join.
+        todo = []
+        for m in merged:
+            if m[2] is None:
+                base = m[0]
+                m[2] = _normalize_power(base, m[1])
+                if isinstance(m[2], Product) or \
+                        (m[2] is base and isinstance(base, (Power, ImaginaryUnit))):
+                    todo.append(m[2])
+                    m[1], m[2] = Fraction(0), ONE
+    factors: list[Expression] = []
+    for _, _, piece in merged:
+        if isinstance(piece, Constant):
+            const *= piece.value
+        else:
+            factors.append(piece)
     if const == 0:
         return ZERO
     # fold powers of i exactly: i^2 = -1
@@ -491,32 +517,6 @@ def _normalize_product(e: Product) -> Expression:
     if i_power >= 2:
         const = -const
         i_power -= 2
-    # merge equal bases; exponents add under the principal branch since
-    # z^a * z^b = exp((a+b) ln z) whenever both factors use the same ln z
-    merged: list[tuple[Expression, Fraction]] = []
-    for f in flat:
-        base, expo = _as_base_exponent(f)
-        for j, (b, q) in enumerate(merged):
-            if b == base:
-                merged[j] = (b, q + expo)
-                break
-        else:
-            merged.append((base, expo))
-    factors: list[Expression] = []
-    # A merged piece that a second pass would flatten or merge again (a
-    # product, or a power or i left bare by a unit exponent) makes this
-    # product no fixed point of normalize, so it is not marked.
-    settled = True
-    for base, q in merged:
-        piece = _normalize_power(base, q)
-        if isinstance(piece, Constant):
-            const *= piece.value
-        else:
-            factors.append(piece)
-            if isinstance(piece, Product) or (piece is base and isinstance(base, (Power, ImaginaryUnit))):
-                settled = False
-    if const == 0:
-        return ZERO
     if i_power:
         factors.append(I)
     factors.sort(key=_sort_key)
@@ -526,8 +526,7 @@ def _normalize_product(e: Product) -> Expression:
         return Constant(const)
     if len(factors) == 1:
         return factors[0]
-    out = Product(tuple(factors))
-    return _mark(out) if settled else out
+    return _mark(Product(tuple(factors)))
 
 
 def _normalize_power(base: Expression, exponent: Fraction) -> Expression:

@@ -290,33 +290,12 @@ def split_jet_name(name: str) -> tuple[str, tuple[str, ...]] | None:
 
 
 def _fold_rational(e: Expression) -> Fraction | None:
-    """Collapse an expression of constants to a Fraction, else None."""
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Sum):
-        total = Fraction(0)
-        for t in e.terms:
-            q = _fold_rational(t)
-            if q is None:
-                return None
-            total += q
-        return total
-    if isinstance(e, Product):
-        total = Fraction(1)
-        for f in e.factors:
-            q = _fold_rational(f)
-            if q is None:
-                return None
-            total *= q
-        return total
-    if isinstance(e, Power):
-        q = _fold_rational(e.base)
-        if q is None or e.exponent.denominator != 1:
-            return None
-        if q == 0 and e.exponent < 0:
-            return None
-        return q ** e.exponent.numerator
-    return None
+    """The exact value e normalizes to, or None if it is no constant."""
+    try:
+        e = normalize(e)
+    except ExpressionError:     # an exact zero divisor
+        return None
+    return e.value if isinstance(e, Constant) else None
 
 
 def parse_expression(text: str, declared: Mapping[str, FunctionSymbol] | None = None,

@@ -111,6 +111,7 @@ candidate g { u = t; domain t (3, 4); }
      "t: candidate c: domain t given twice"),
     ("", "algebra g { fields f; domain t (1, 2); domain t (3, 4); }",
      "t: algebra g: domain t given twice"),
+    ("", "algebra g { fields f f; }", "t: algebra g: field f given twice"),
     ("domain t (1, 2); domain t (3, 4);", "", "t: space: domain t given twice"),
     ("", "candidate c { u = t; param k = 1; param k = 2; }",
      "t: candidate c: param k given twice"),

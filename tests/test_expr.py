@@ -313,26 +313,29 @@ def test_normalize_of_an_unmarked_copy_equals_the_marked_result():
             continue
         want = normalize(_fresh(marked))
         assert got == want and to_text(got) == to_text(want), to_text(marked)
-        if got._normal:
-            assert normalize(_fresh(got)) == got
+        assert got._normal and normalize(_fresh(got)) == got
 
 
 _HALF = Fraction(1, 2)
 
 
-@pytest.mark.parametrize("product", [
-    # sqrt(x*y)^2 leaves the bare product x*y inside z*(x*y)
-    mul(sqrt(mul(x, y)), sqrt(mul(x, y)), z),
-    # i^(1/2)^2 leaves a bare i beside the folded one
-    mul(pow_(I, _HALF), pow_(I, _HALF), x, I),
+@pytest.mark.parametrize("product, text", [
+    # sqrt(x*y)^2 leaves the product x*y beside z
+    (mul(sqrt(mul(x, y)), sqrt(mul(x, y)), z), "x*y*z"),
+    # i^(1/2)^2 leaves an i beside the folded one
+    (mul(pow_(I, _HALF), pow_(I, _HALF), x, I), "(-1)*x"),
     # ((x^(1/2))^(1/2))^2 leaves x^(1/2) beside another power of x
-    mul(pow_(sqrt(x), _HALF), pow_(sqrt(x), _HALF), sqrt(x), y),
+    (mul(pow_(sqrt(x), _HALF), pow_(sqrt(x), _HALF), sqrt(x), y), "x*y"),
+    # i^(1/2)^6 leaves i^3 = (-1)*i
+    (mul(*[pow_(I, _HALF)] * 6, x), "(-1)*i*x"),
 ])
-def test_a_product_a_second_pass_would_change_is_not_marked(product):
+def test_merged_powers_are_flattened_and_merged_again(product, text):
     first = normalize(product)
-    assert normalize(_fresh(first)) != first
-    assert not first._normal
-    # nor is a sum or builtin normalize builds around it
+    assert first._normal
+    assert not any(isinstance(f, Product) for f in first.factors)
+    assert normalize(_fresh(first)) == first
+    assert to_text(first) == text
+    # nor does a sum or builtin normalize builds around it change again
     for inner in (first, normalize(add(product, y)), normalize(exp(product))):
         outer = mul(con(2), inner)
         assert normalize(outer) == normalize(_fresh(outer))

@@ -7,7 +7,7 @@ from importlib.resources import files
 
 import pytest
 
-from symred.analysis import defect, invariance_check
+from symred.analysis import classify_transversality, defect, invariance_check
 from symred.dsl import DslError, parse_workspace, workspace_from_entry, workspace_to_text
 from symred.fields import closure_check
 from symred.models import (
@@ -250,6 +250,12 @@ def test_closure_check_defaults_to_the_algebras_own_plan():
             assert algebra.plan == ws.algebra_plan(name)
             rep = closure_check(algebra, algebra)
             assert rep.ok, (model_id, name, rep.worst_residual)
+
+
+def test_analyses_default_to_the_algebras_own_plan():
+    # the default plan's t < 0 half starves g2's rank sampling as well
+    rep = classify_transversality(builtin("navier_stokes").algebras["g2"])
+    assert (rep.rank_xi1, rep.rank_xi2) == (3, 4)
 
 
 @pytest.mark.parametrize("model_id", sorted(MODEL_IDS))

@@ -94,3 +94,23 @@ def test_unary_minus():
 def test_parser_output_is_normalized():
     e = parse_expression("x*2*3")
     assert normalize(e) == e
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x^y + 1", "exponent must be a rational constant (line 1, column 5)"),
+    ("x^(1/0)", "exponent must be a rational constant (line 1, column 8)"),
+    ("x^sqrt(2)", "exponent must be a rational constant (line 1, column 10)"),
+    ("2 + besseli(y; x)", "besseli order must be rational (line 1, column 5)"),
+])
+def test_exponents_and_besseli_orders_must_fold_to_a_rational(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert str(err.value) == message
+
+
+def test_exponents_fold_as_normalize_does():
+    x = var("x")
+    assert parse_expression("x^(2*3 - 1/2)") == normalize(x ** Fraction(11, 2))
+    assert parse_expression("x^(i*i)") == normalize(x ** -1)
+    assert parse_expression("x^(2^(1/2)*2^(1/2))") == normalize(x ** 2)
+    assert parse_expression("besseli(0*y; x)") == normalize(besseli(0, x))
