@@ -138,6 +138,8 @@ def _scalar_power(z: complex, q: Fraction, real_domain: bool) -> complex:
     if q.denominator == 1:
         return z ** q.numerator
     if not real_domain:
+        # + 0.0 turns a -0.0 imaginary part into +0.0: principal branch
+        z = complex(z.real, z.imag + 0.0)
         return z ** float(q) if z != 0 else 0j if q > 0 else complex("nan")
     if not _is_real(z.real, z.imag) or z.real < 0:
         raise PointRejected("fractional power of a negative value")
@@ -242,7 +244,8 @@ class _Walk:
             if self.real_domain:
                 self.reject(~_is_real(*z) | (z[0] <= 0), "ln of a non-positive value")
         if e.name != "besseli":
-            return self.pointwise(z, _CMATH[e.name])
+            fn = _CMATH[e.name]
+            return self.pointwise(z, lambda w: fn(complex(w.real, w.imag + 0.0)))
         # bessel_i is looked up per call, so a wrapped one sees each call
         return self.pointwise(z, lambda w: bessel_i(e.order, w,
                                                     real_domain=self.real_domain))
@@ -253,8 +256,10 @@ def bessel_i(order: Fraction, z: complex, *, real_domain: bool = False) -> compl
 
     I_nu(z) = sum_m (z/2)^(2m+nu) / (m! Gamma(m+nu+1)).  Terms follow the
     exact ratio recurrence; truncation at 1e-17 relative.  |z| > 30 is
-    rejected rather than summed inaccurately.
+    rejected rather than summed inaccurately.  A -0.0 imaginary part
+    reads as +0.0, so a negative real z takes the principal branch.
     """
+    z = complex(z.real, z.imag + 0.0)
     if abs(z) > BESSEL_ARG_BOUND:
         raise PointRejected("besseli argument %.3g exceeds series bound" % abs(z))
     nu = float(order)

@@ -26,6 +26,7 @@ from symred.expr import (
     exp,
     ln,
     mul,
+    normalize,
     pow_,
     sqrt,
     var,
@@ -38,6 +39,7 @@ from symred.numeric import (
     instantiate_functions,
     substitute_functions,
 )
+from symred.sampling import SamplePlan, numeric_equiv
 
 x = var("x")
 
@@ -92,6 +94,20 @@ def test_negative_radicand_rejected_in_real_mode():
         evaluate(e, Binding({"x": -1.0}), real_domain=True)
     # complex mode takes the principal branch instead
     assert evaluate(e, Binding({"x": -1.0})) == pytest.approx(1j)
+
+
+def test_negative_zero_imaginary_part_takes_the_principal_branch():
+    # 1/(-2+0j) is -0.5-0j; its square root is still the principal +0.707i
+    inverse_root = Power(Power(x, Fraction(-1)), Fraction(1, 2))
+    assert evaluate(inverse_root, Binding({"x": -2.0})) == \
+        pytest.approx(1j * math.sqrt(0.5))
+    assert evaluate(ln(Power(x, Fraction(-1))), Binding({"x": -2.0})) == \
+        pytest.approx(cmath.log(-0.5))
+    assert bessel_i(Fraction(1, 3), complex(-1.0, -0.0)) == bessel_i(Fraction(1, 3), -1 + 0j)
+    # so a tree and its normal form agree on a complex plan
+    y = var("y")
+    tree = Power(Product((Power(con(-1), Fraction(-1)), y)), Fraction(3, 2))
+    assert numeric_equiv(tree, normalize(tree), SamplePlan(allow_complex=True))
 
 
 def test_log_domain():
@@ -196,6 +212,9 @@ def _python(e, values, real_domain, eps):
     def real(z):
         return z.imag == 0 or abs(z.imag) <= 1e-14 * abs(z.real)
 
+    def principal(z):
+        return complex(z.real, z.imag + 0.0)
+
     def walk(e):
         if isinstance(e, Constant):
             return complex(e.value)
@@ -215,7 +234,7 @@ def _python(e, values, real_domain, eps):
             if q.denominator == 1:
                 return base ** q.numerator
             if not real_domain:
-                return base ** float(q)
+                return principal(base) ** float(q)
             if not real(base) or base.real < 0 or (base.real == 0 and q < 0):
                 raise Rejected
             return complex(base.real ** float(q))
@@ -223,7 +242,7 @@ def _python(e, values, real_domain, eps):
         if e.name == "ln" and (abs(arg) <= eps or real_domain and not (
                 real(arg) and arg.real > 0)):
             raise Rejected
-        return getattr(cmath, {"ln": "log"}.get(e.name, e.name))(arg)
+        return getattr(cmath, {"ln": "log"}.get(e.name, e.name))(principal(arg))
 
     try:
         return _bits(walk(e))
