@@ -3,8 +3,14 @@ minors, defect, invariance, constant kernels and prolongation checks.
 
 Every rank here is a sampled rank: evaluated at random points, reduced
 with full pivoting, and maximized over points and seeds (ranks only drop
-on subvarieties, so the maximum is the generic value).  An analysis of
-an algebra given no plan samples on the algebra's own plan.
+on subvarieties, so the maximum is the generic value).
+
+Each object is sampled on the plan it carries.  The algebra's own
+matrices (Xi1, Xi2 and the weak minors) live on its (x, u) domain and
+sample on its plan.  Anything read on a candidate's graph under an
+algebra (Xi|c, Q|c, the minors on c) samples on `graph_plan`: the
+candidate's plan, completed by the algebra's domain.  A check of a
+candidate alone samples on the candidate's plan.
 """
 
 from __future__ import annotations
@@ -131,11 +137,11 @@ def _matrix_values(m: ExpressionMatrix, plan: SamplePlan):
         yield s.seed, np.array(vals, dtype=complex).reshape(m.shape), scale
 
 
-def generic_rank(m: ExpressionMatrix, plan: SamplePlan | None = None) -> RankReport:
+def generic_rank(m: ExpressionMatrix, plan: SamplePlan = SamplePlan()) -> RankReport:
     """Generic rank of a symbolic matrix by seeded sampling: every free
     variable (jet slots included) is drawn from the plan box."""
     ranks: dict[int, list[int]] = {}
-    for seed, numeric, mass in _matrix_values(m, plan or SamplePlan()):
+    for seed, numeric, mass in _matrix_values(m, plan):
         ranks.setdefault(seed, []).append(pivot_rank(numeric, scale=mass))
     observed = [r for seen in ranks.values() for r in seen]
     top = max(observed)
@@ -175,19 +181,27 @@ def substitute_matrix(m: ExpressionMatrix, c: CandidateSolution) -> ExpressionMa
         m.row_labels, m.col_labels, name="%s|%s" % (m.name, c.name))
 
 
-def classify_transversality(a: Algebra, plan: SamplePlan | None = None,
-                            candidate: CandidateSolution | None = None) -> TransversalityReport:
+def graph_plan(a: Algebra, c: CandidateSolution) -> SamplePlan:
+    """The plan for reading a's matrices on c's graph: c's plan, plus
+    a's domain for each variable c's box does not name; complex if
+    either plan is."""
+    return c.plan.with_(box={**a.plan.box, **c.plan.box},
+                        allow_complex=a.plan.allow_complex or c.plan.allow_complex)
+
+
+def classify_transversality(a: Algebra, candidate: CandidateSolution | None = None
+                            ) -> TransversalityReport:
     """Strong transversality iff rank Xi1 = rank Xi2 generically; with a
     candidate, weak transversality iff the ranks agree on its graph."""
-    plan = plan or a.plan
     xi1, xi2 = xi_matrices(a)
-    r1 = generic_rank(xi1, plan)
-    r2 = generic_rank(xi2, plan)
+    r1 = generic_rank(xi1, a.plan)
+    r2 = generic_rank(xi2, a.plan)
     report = TransversalityReport(
         a.name, r1.generic_rank, r2.generic_rank,
         "Strong" if r1.generic_rank == r2.generic_rank else "ViolatedStrong",
         non_generic=r1.non_generic or r2.non_generic)
     if candidate is not None:
+        plan = graph_plan(a, candidate)
         c1 = generic_rank(substitute_matrix(xi1, candidate), plan)
         c2 = generic_rank(substitute_matrix(xi2, candidate), plan)
         report.candidate = candidate.name
@@ -245,14 +259,14 @@ def _same_up_to_sign(fp1: tuple, fp2: tuple, scale: float) -> int | None:
     return None
 
 
-def weak_minors(a: Algebra, plan: SamplePlan | None = None) -> list[Expression]:
+def weak_minors(a: Algebra) -> list[Expression]:
     """The (rho+1) x (rho+1) minors of Xi2, rho = generic rank of Xi1.
 
     Setting these to zero is what weak transversality demands of a
     candidate class.  Identically-zero minors are dropped; duplicates up
     to sign are merged, keeping the first representative.
     """
-    plan = plan or a.plan
+    plan = a.plan
     xi1, xi2 = xi_matrices(a)
     rho = generic_rank(xi1, plan).generic_rank
     size = rho + 1
@@ -291,8 +305,9 @@ def weak_minors(a: Algebra, plan: SamplePlan | None = None) -> list[Expression]:
 
 
 def minors_on_candidate(minors: Sequence[Expression], c: CandidateSolution,
-                        plan: SamplePlan) -> tuple[float, bool]:
-    """(largest |minor| over the candidate's jet points, weak holds).
+                        a: Algebra) -> tuple[float, bool]:
+    """(largest |minor| over the candidate's jet points, weak holds), the
+    points drawn on graph_plan(a, c).
 
     Weak transversality holds iff that maximum is at most EQUIV_ABS,
     the bound numeric_equiv applies against zero.  No minors give 0.0
@@ -300,25 +315,24 @@ def minors_on_candidate(minors: Sequence[Expression], c: CandidateSolution,
     """
     if not minors:
         return 0.0, True
+    plan = graph_plan(a, c)
     points = sample_points(c, plan, minors)
     worst = max(max_abs_on_points(det, points, plan) for det in minors)
     return worst, worst <= EQUIV_ABS
 
 
-def weak_check_candidate(a: Algebra, c: CandidateSolution,
-                         plan: SamplePlan | None = None) -> bool:
+def weak_check_candidate(a: Algebra, c: CandidateSolution) -> bool:
     """True iff every weak minor vanishes on the candidate's jet points,
     as minors_on_candidate decides.
 
     Vacuously true when the minors cannot exist by dimension count
     (rank Xi2 can never exceed rank Xi1 then).
     """
-    plan = plan or a.plan
     try:
-        minors = weak_minors(a, plan)
+        minors = weak_minors(a)
     except AnalysisError:
         return True
-    return minors_on_candidate(minors, c, plan)[1]
+    return minors_on_candidate(minors, c, a)[1]
 
 
 @dataclass
@@ -347,19 +361,16 @@ class DefectReport:
         return out
 
 
-def defect(a: Algebra, c: CandidateSolution,
-           plan: SamplePlan | None = None) -> DefectReport:
+def defect(a: Algebra, c: CandidateSolution) -> DefectReport:
     """delta = generic rank of Q restricted to the candidate's graph.
 
     The genericity bound is m0 = min{s, q} with s the orbit dimension
     (generic rank of Xi2 on the unrestricted space).
     """
-    plan = plan or a.plan
-    q_matrix = characteristic_matrix(a)
-    restricted = substitute_matrix(q_matrix, c)
-    rank = generic_rank(restricted, plan)
+    restricted = substitute_matrix(characteristic_matrix(a), c)
+    rank = generic_rank(restricted, graph_plan(a, c))
     _, xi2 = xi_matrices(a)
-    s = generic_rank(xi2, plan).generic_rank
+    s = generic_rank(xi2, a.plan).generic_rank
     m0 = min(s, a.space.q)
     delta = rank.generic_rank
     if delta > m0:
@@ -374,14 +385,13 @@ def defect(a: Algebra, c: CandidateSolution,
                         rank.non_generic, rank)
 
 
-def invariance_check(a: Algebra, c: CandidateSolution,
-                     plan: SamplePlan | None = None) -> bool:
+def invariance_check(a: Algebra, c: CandidateSolution) -> bool:
     """True iff every characteristic vanishes on the candidate.
 
     Deliberately not implemented as defect() == 0: this is the second
     route of the dual check that rank 0 and entrywise vanishing agree.
     """
-    plan = plan or a.plan
+    plan = graph_plan(a, c)
     q_matrix = characteristic_matrix(a)
     for row in q_matrix.entries:
         for entry in row:
@@ -422,7 +432,6 @@ def _normalize_first_nonzero(v: np.ndarray) -> tuple[float, ...]:
 
 
 def constant_kernel_generators(a: Algebra, c: CandidateSolution,
-                               plan: SamplePlan | None = None,
                                named_combinations: Mapping[str, Sequence[float]] | None = None,
                                ) -> KernelReport:
     """Constant left-kernel of Q on the candidate: all v with v . Q = 0
@@ -432,12 +441,11 @@ def constant_kernel_generators(a: Algebra, c: CandidateSolution,
     B v = 0, solved by SVD with a 1e-8 relative singular-value cut.  The
     pointwise kernel dimension r - rank Q(point) is reported alongside.
     """
-    plan = plan or a.plan
     q_matrix = substitute_matrix(characteristic_matrix(a), c)
     blocks = []
     point_ranks = []
     mass_scale = 0.0
-    for _seed, numeric, mass in _matrix_values(q_matrix, plan):
+    for _seed, numeric, mass in _matrix_values(q_matrix, graph_plan(a, c)):
         blocks.append(numeric.T)
         point_ranks.append(pivot_rank(numeric, scale=mass))
         mass_scale = max(mass_scale, mass)
@@ -491,17 +499,16 @@ def max_abs_on_points(e: Expression, points: Sequence[JetPoint] | None,
     return worst
 
 
-def symmetry_check(system: Sequence[Expression], v, donor: CandidateSolution,
-                   plan: SamplePlan | None = None) -> bool:
+def symmetry_check(system: Sequence[Expression], v, donor: CandidateSolution) -> bool:
     """Does pr v annihilate the system on the donor solution's jet points?
 
-    The points are drawn to read the system (sample_points).  The donor
+    The points are drawn on the donor's plan to read the system.  The donor
     must itself satisfy the system to RESIDUAL_TOL, otherwise the check
     would be vacuous; that precondition failing is an error, not a False.
     """
     from .fields import apply_prolonged
 
-    plan = plan or SamplePlan()
+    plan = donor.plan
     points = sample_points(donor, plan, system)
     for e in system:
         if max_abs_on_points(e, points, plan) >= RESIDUAL_TOL:

@@ -15,6 +15,7 @@ symmetry (symcheck).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,16 +26,13 @@ from .analysis import (
     classify_transversality,
     constant_kernel_generators,
     defect,
-    max_abs_on_points,
     minors_on_candidate,
     symmetry_check,
     weak_minors,
 )
 from .dsl import Workspace, load_workspace, workspace_from_entry, workspace_to_text
 from .expr import SymredError, to_text
-from .jets import sample_points
-from .models import MODEL_IDS, builtin, resolve_candidate
-from .sampling import SamplePlan
+from .models import MODEL_IDS, builtin, residual, resolve_candidate
 
 USAGE_ERROR, FLAGGED = 1, 2
 
@@ -120,7 +118,9 @@ def _load(args) -> Workspace:
     return load_workspace(name)
 
 
-def _tuned(plan: SamplePlan, args) -> SamplePlan:
+def _tuned(obj, args):
+    """obj (an algebra or candidate) with --seed and --samples applied to
+    the plan it carries."""
     changes = {}
     if args.seed is not None:
         if args.seed < 0:
@@ -133,7 +133,7 @@ def _tuned(plan: SamplePlan, args) -> SamplePlan:
         changes["min_accepted"] = max(4, int(0.6 * args.samples))
     if args.tol is not None and not 0 < args.tol < math.inf:
         raise _UsageError("--tol must be positive and finite, got %g" % args.tol)
-    return plan.with_(**changes) if changes else plan
+    return dataclasses.replace(obj, plan=obj.plan.with_(**changes)) if changes else obj
 
 
 def _algebra(ws: Workspace, name: str):
@@ -144,22 +144,16 @@ def _algebra(ws: Workspace, name: str):
                           % (name, ", ".join(sorted(ws.algebras)) or "none"))
 
 
-def _candidate(ws: Workspace, name: str, args):
-    """(workspace, candidate, tuned plan).  A pinned candidate comes with
-    the workspace parsed at its pinned params, whose system it meets."""
-    ws, cand, plan = resolve_candidate(ws, name, None)
-    return ws, cand, _tuned(plan, args)
-
-
 def _with_algebra(args):
-    """(workspace, algebra, candidate or None, tuned plan) for --algebra
+    """(workspace, algebra, candidate or None), both tuned, for --algebra
     commands; a pinned candidate meets the algebra at its own params."""
     ws = _load(args)
     alg = _algebra(ws, args.algebra)
-    if args.candidate is None:
-        return ws, alg, None, _tuned(alg.plan, args)
-    ws, cand, plan = _candidate(ws, args.candidate, args)
-    return ws, ws.algebras[args.algebra], cand, plan
+    cand = None
+    if args.candidate is not None:
+        ws, cand = resolve_candidate(ws, args.candidate)
+        alg, cand = ws.algebras[args.algebra], _tuned(cand, args)
+    return ws, _tuned(alg, args), cand
 
 
 def _emit(args, report: dict, flagged: bool) -> int:
@@ -183,8 +177,8 @@ def _emit(args, report: dict, flagged: bool) -> int:
 # commands
 
 def _cmd_classify(args) -> int:
-    _, alg, cand, plan = _with_algebra(args)
-    rep = classify_transversality(alg, plan, cand)
+    _, alg, cand = _with_algebra(args)
+    rep = classify_transversality(alg, cand)
     strong = "HOLDS" if rep.status == "Strong" else "VIOLATED"
     print("algebra %s: rank Xi1=%d, rank Xi2=%d, strong transversality %s"
           % (alg.name, rep.rank_xi1, rep.rank_xi2, strong))
@@ -195,8 +189,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_defect(args) -> int:
-    _, alg, cand, plan = _with_algebra(args)
-    rep = defect(alg, cand, plan)
+    _, alg, cand = _with_algebra(args)
+    rep = defect(alg, cand)
     print("generators: %s" % " ".join(f.name for f in alg.fields))
     print("defect delta=%d (m0=%d, orbit rank s=%d): %s"
           % (rep.delta, rep.m0, rep.orbit_rank, rep.classification))
@@ -205,11 +199,10 @@ def _cmd_defect(args) -> int:
 
 def _cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else 1e-8
-    ws, cand, plan = _candidate(_load(args), args.candidate, args)
+    ws, cand = resolve_candidate(_load(args), args.candidate)
+    cand = _tuned(cand, args)
     system = ws.system(args.system)
-    points = sample_points(cand, plan, system.equations)
-    values = {name: max_abs_on_points(e, points, plan)
-              for name, e in zip(system.equation_names, system.equations)}
+    values = residual(ws, cand, system.name)
     worst = max(values.values())
     for name, value in values.items():
         print("%-12s %.6e" % (name, value))
@@ -222,9 +215,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_minors(args) -> int:
-    _, alg, cand, plan = _with_algebra(args)
+    _, alg, cand = _with_algebra(args)
     try:
-        minors = weak_minors(alg, plan)
+        minors = weak_minors(alg)
     except AnalysisError as err:
         print("no minors: %s" % err)
         return _emit(args, {"minors": [], "note": str(err)}, False)
@@ -234,7 +227,7 @@ def _cmd_minors(args) -> int:
     report = {"minors": [to_text(d) for d in minors]}
     holds = True
     if cand is not None:
-        worst, holds = minors_on_candidate(minors, cand, plan)
+        worst, holds = minors_on_candidate(minors, cand, alg)
         print("max |minor| on %s: %.6e -> weak transversality %s"
               % (cand.name, worst, "HOLDS" if holds else "FAILS"))
         report["candidate"] = cand.name
@@ -244,9 +237,9 @@ def _cmd_minors(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    ws, alg, cand, plan = _with_algebra(args)
+    ws, alg, cand = _with_algebra(args)
     hints = ws.kernel_hints.get(args.candidate, {}).get(args.algebra)
-    rep = constant_kernel_generators(alg, cand, plan, named_combinations=hints)
+    rep = constant_kernel_generators(alg, cand, named_combinations=hints)
     print("generators: %s" % " ".join(rep.generator_order))
     print("pointwise kernel dimension: %d" % rep.pointwise_kernel_dim)
     print("constant kernel dimension: %d" % len(rep.constant_kernel))
@@ -258,14 +251,15 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_symcheck(args) -> int:
-    ws, cand, plan = _candidate(_load(args), args.candidate, args)
+    ws, cand = resolve_candidate(_load(args), args.candidate)
+    cand = _tuned(cand, args)
     system = ws.system(args.system)
     try:
         field = ws.fields[args.field]
     except KeyError:
         raise _UsageError("no field %r; available: %s"
                           % (args.field, ", ".join(sorted(ws.fields)) or "none"))
-    ok = symmetry_check(system.equations, field, cand, plan)
+    ok = symmetry_check(system.equations, field, cand)
     print("pr %s annihilates %s on solution %s: %s"
           % (field.name, system.name, cand.name, "yes" if ok else "NO"))
     report = {"system": system.name, "field": field.name,

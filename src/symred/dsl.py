@@ -31,8 +31,8 @@ diffed against the library.
 `eq LHS = RHS` stores the residual LHS - RHS; an equation without a
 `name:` is eq1, eq2, ... by position.  A param name stands for its exact
 rational value wherever it occurs, exponents included.  `domain` and
-`complex` attach a sampling plan to the candidate or algebra they
-appear in; in the space block they set the plan of every block that
+`complex` set the sampling plan the candidate or algebra they appear in
+carries; in the space block they set the plan of every block that
 declares none.  Resolving a pinned candidate by name parses the text
 again at the pinned values.  func and param names share one name space
 with the space's variables.  Each block item is given once: a second
@@ -98,9 +98,9 @@ class Workspace:
 
     params holds every param by name, literal and derived; overrides are
     the literal values the text was parsed with, and `with_params` parses
-    it again with more.  plans holds the candidates' own plans; an
-    algebra carries its plan itself.  `equations` and `equation_names`
-    read the workspace's only system.
+    it again with more.  Each candidate and algebra carries its own
+    sampling plan.  `equations` and `equation_names` read the
+    workspace's only system.
     """
 
     space: VariableSpace
@@ -111,8 +111,6 @@ class Workspace:
     fields: dict[str, VectorField] = field(default_factory=dict)
     algebras: dict[str, Algebra] = field(default_factory=dict)
     candidates: dict[str, CandidateSolution] = field(default_factory=dict)
-    plans: dict[str, SamplePlan] = field(default_factory=dict)
-    default_plan: SamplePlan = field(default_factory=SamplePlan)
     solutions: set[str] = field(default_factory=set)
     candidate_params: dict[str, dict[str, Fraction]] = field(default_factory=dict)
     kernel_hints: dict[str, dict[str, dict[str, tuple[float, ...]]]] = \
@@ -124,10 +122,6 @@ class Workspace:
     @property
     def id(self) -> str:
         return self.source.removeprefix("builtin:")
-
-    def plan_for(self, name: str | None = None) -> SamplePlan:
-        """The plan declared for a candidate, else the default."""
-        return self.plans.get(name, self.default_plan)
 
     def algebra_plan(self, name: str) -> SamplePlan:
         return self.algebras[name].plan
@@ -417,8 +411,7 @@ def parse_workspace(text: str, source: str = "<workspace>",
     if space_body is None:
         raise DslError("%s: no space declaration" % source)
     space, default_plan = _parse_space(space_body, source)
-    ws = Workspace(space=space, default_plan=default_plan, source=source,
-                   text=text, overrides=overrides)
+    ws = Workspace(space=space, source=source, text=text, overrides=overrides)
 
     # func and param names share one name space with the variables
     taken = {v: "independent" for v in space.independents}
@@ -507,7 +500,7 @@ def parse_workspace(text: str, source: str = "<workspace>",
                         members.append(mname)
                 else:
                     plan_items.append(stmt)
-            plan = _plan(plan_items, space, where, ws.default_plan)
+            plan = _plan(plan_items, space, where, default_plan)
             missing = [mname for mname in members if mname not in ws.fields]
             if missing:
                 raise DslError("%s references undeclared fields %s"
@@ -548,10 +541,9 @@ def parse_workspace(text: str, source: str = "<workspace>",
                                    % (where, stmt))
                 _once(assignments, target, where)
                 assignments[target] = parse(rhs)
-            ws.candidates[name] = CandidateSolution(space, assignments,
-                                                    tuple(loci), name=name)
-            if plan:
-                ws.plans[name] = SamplePlan(**plan)
+            ws.candidates[name] = CandidateSolution(
+                space, assignments, tuple(loci), name=name,
+                plan=SamplePlan(**plan) if plan else default_plan)
         else:
             raise DslError("%s: unknown declaration %r" % (source, kind))
     return ws
@@ -566,21 +558,15 @@ def workspace_from_entry(ws: Workspace) -> Workspace:
     """The export view of a workspace: what `models --export` prints.
 
     Candidates pinned to other param values are dropped, since they fail
-    this system, and each kept candidate carries its effective plan.
+    this system; each kept candidate and algebra keeps its plan.
     Params, pins, solution marks and kernel hints are not part of the
     view, and the text omits equation names.
     """
-    view = Workspace(space=ws.space, functions=ws.functions, systems=ws.systems,
+    return Workspace(space=ws.space, functions=ws.functions, systems=ws.systems,
                      eq_names=ws.eq_names, fields=ws.fields, algebras=ws.algebras,
+                     candidates={name: cand for name, cand in ws.candidates.items()
+                                 if ws.holds_here(name)},
                      source=ws.source)
-    for name, cand in ws.candidates.items():
-        if not ws.holds_here(name):
-            continue
-        view.candidates[name] = cand
-        plan = ws.plan_for(name)
-        if plan.box or plan.allow_complex:
-            view.plans[name] = plan
-    return view
 
 
 def _fmt_interval(span: tuple[float, float]) -> str:
@@ -631,6 +617,6 @@ def workspace_to_text(ws: Workspace) -> str:
                 out.append("    %s = %s;" % (target, to_text(cand.assignments[target])))
         for locus in cand.excluded_loci:
             out.append("    exclude %s;" % to_text(locus))
-        out.extend(_plan_lines(ws.plan_for(name)))
+        out.extend(_plan_lines(cand.plan))
         out.append("}")
     return "\n".join(out) + "\n"

@@ -7,7 +7,7 @@ derivative list stored sorted, so mixed partials have one spelling.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -157,13 +157,16 @@ class CandidateSolution:
 
     assignments may cover a subset of the dependents; operations that
     need a missing one raise.  excluded_loci are expressions in the
-    independents whose small values mark points to reject.
+    independents whose small values mark points to reject.  plan is
+    where the candidate's graph is sampled, as an Algebra carries the
+    plan of its own domain.
     """
 
     space: VariableSpace
     assignments: Mapping[str, Expression]
     excluded_loci: tuple[Expression, ...] = ()
     name: str = "candidate"
+    plan: SamplePlan = field(default_factory=SamplePlan)
 
     def __post_init__(self):
         object.__setattr__(self, "assignments", dict(self.assignments))

@@ -126,14 +126,15 @@ def draw_params(model_id: str, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 # residual engine
 
-def resolve_candidate(ws: Workspace, candidate, plan: SamplePlan | None = None):
-    """(workspace, candidate, plan) for a candidate name or object.
+def resolve_candidate(ws: Workspace, candidate) -> tuple[Workspace, CandidateSolution]:
+    """(workspace, candidate) for a candidate name or object; the
+    candidate carries the plan it is sampled on.
 
     A candidate pinned to other param values resolves against the
     workspace parsed again at those values.
     """
     if isinstance(candidate, CandidateSolution):
-        return ws, candidate, plan or ws.default_plan
+        return ws, candidate
     if candidate is None:
         raise ModelError("a candidate name or CandidateSolution is required")
     if not ws.holds_here(candidate):
@@ -143,21 +144,27 @@ def resolve_candidate(ws: Workspace, candidate, plan: SamplePlan | None = None):
     except KeyError:
         raise ModelError("%s has no candidate %r; available: %s"
                          % (ws.id, candidate, ", ".join(sorted(ws.candidates)) or "none"))
-    return ws, cand, plan or ws.plan_for(candidate)
+    return ws, cand
 
 
-def residual(ws: Workspace, candidate=None, plan: SamplePlan | None = None) -> dict:
-    """Per-equation max |residual| of the candidate over accepted samples."""
-    ws, cand, plan = resolve_candidate(ws, candidate, plan)
-    system = ws.system()
-    points = sample_points(cand, plan, system.equations)
-    return {name: max_abs_on_points(eq, points, plan)
-            for name, eq in zip(system.equation_names, system.equations)}
+def residual(ws: Workspace, candidate=None, system: str | None = None) -> dict:
+    """Per-equation max |residual| of the candidate over accepted samples
+    of its plan, on the named system (default: the only one)."""
+    ws, cand = resolve_candidate(ws, candidate)
+    system = ws.system(system)
+    return _max_on_graph(cand, dict(zip(system.equation_names, system.equations)))
 
 
-def vnls_residual(candidate=None, plan: SamplePlan | None = None) -> dict:
+def _max_on_graph(cand: CandidateSolution, exprs: Mapping[str, Expression]) -> dict:
+    """Largest |e| of each named expression over the candidate's jet
+    points, drawn on its plan."""
+    points = sample_points(cand, cand.plan, exprs.values())
+    return {name: max_abs_on_points(e, points, cand.plan) for name, e in exprs.items()}
+
+
+def vnls_residual(candidate=None) -> dict:
     """Residual of the three-component Schrodinger system in complex form."""
-    return residual(builtin("vnls3"), candidate or "printed", plan)
+    return residual(builtin("vnls3"), candidate or "printed")
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +182,11 @@ def _if6_amplitude(w: Expression, wt: Expression, k: Fraction) -> Expression:
     return sqrt(mul(con(-1 / k), w * w + wt))
 
 
-def _ode_plan(plan, lo, hi, **extra):
-    if plan is not None:
-        return plan
-    return SamplePlan(box={"t": ((lo, hi),)}, **extra)
-
-
-def _check_k2(params: Mapping, plan: SamplePlan | None) -> dict:
+def _check_k2(params: Mapping) -> dict:
     p = {"c1": Fraction(1), "c2": Fraction(1), "lead": Fraction(4)}
     p.update({n: Fraction(v) for n, v in params.items()})
     k = Fraction(-2)
-    plan = _ode_plan(plan, 0.6, 2.0)
+    plan = SamplePlan(box={"t": ((0.6, 2.0),)})
     w = parse_expression("(lead*t^3 + c1)/(t^4 + c1*t + c2)", None, p)
     amp = parse_expression("6^(1/2)*(t^2/(t^4 + c1*t + c2))^(1/2)", None, p)
     wt = differentiate(w, "t")
@@ -199,11 +200,11 @@ def _check_k2(params: Mapping, plan: SamplePlan | None) -> dict:
     return out
 
 
-def _check_k1(params: Mapping, plan: SamplePlan | None) -> dict:
+def _check_k1(params: Mapping) -> dict:
     p = {"c1": Fraction(1, 2), "c2": Fraction(1)}
     p.update({n: Fraction(v) for n, v in params.items()})
     k = Fraction(-1)
-    plan = _ode_plan(plan, 0.5, 1.5)
+    plan = SamplePlan(box={"t": ((0.5, 1.5),)})
     w = parse_expression("c1*t^2*(besseli(-5/6; (c1/3)*t^3) + c2*besseli(5/6; (c1/3)*t^3))"
                          "/(besseli(1/6; (c1/3)*t^3) + c2*besseli(-1/6; (c1/3)*t^3))",
                          None, p)
@@ -223,13 +224,13 @@ def _check_k1(params: Mapping, plan: SamplePlan | None) -> dict:
     return out
 
 
-def _check_general(params: Mapping, plan: SamplePlan | None) -> dict:
+def _check_general(params: Mapping) -> dict:
     p = {"k": Fraction(-3, 2)}
     p.update({n: Fraction(v) for n, v in params.items()})
     k = p["k"]
     if k == 0 or k == 1:
         raise ModelError("degenerate k")
-    plan = _ode_plan(plan, 0.5, 2.0, count=40, min_accepted=10)
+    plan = SamplePlan(box={"t": ((0.5, 2.0),)}, count=40, min_accepted=10)
     w_sym = FunctionSymbol("W", ("t",))
     t = var("t")
     w = apply_symbol(w_sym, t)
@@ -253,10 +254,10 @@ def _check_general(params: Mapping, plan: SamplePlan | None) -> dict:
     cand = CandidateSolution(ws.space, {
         "u1": parse_expression("x/t"), "u2": parse_expression("y/t"),
         "u3": normalize(mul(z, w)), "a": normalize(mul(z, amp)),
-    }, (parse_expression("t"),), name="IF5_reduced")
-    momentum = [eq for name, eq in zip(ws.equation_names, ws.equations) if name != "sound"]
-    points = sample_points(cand, plan, momentum)
-    out["system"] = max(max_abs_on_points(eq, points, plan) for eq in momentum)
+    }, (parse_expression("t"),), name="IF5_reduced", plan=plan)
+    momentum = {name: eq for name, eq in zip(ws.equation_names, ws.equations)
+                if name != "sound"}
+    out["system"] = max(_max_on_graph(cand, momentum).values())
     return out
 
 
@@ -264,8 +265,7 @@ _ODE_CHECKS = {"IF_k2": _check_k2, "IF9_k1": _check_k1,
                "IF7_general": _check_general}
 
 
-def reduced_ode_check(kind: str, params: Mapping | None = None,
-                      plan: SamplePlan | None = None) -> dict:
+def reduced_ode_check(kind: str, params: Mapping | None = None) -> dict:
     """Certify a reduced ODE closed form and its assembled fluid candidate.
 
     IF_k2 accepts c1, c2 and a fault-injection knob `lead` (the cubic
@@ -278,29 +278,26 @@ def reduced_ode_check(kind: str, params: Mapping | None = None,
     except KeyError:
         raise ModelError("unknown reduced ODE kind %r; available: %s"
                          % (kind, ", ".join(sorted(_ODE_CHECKS))))
-    return check(params or {}, plan)
+    return check(params or {})
 
 
 # ---------------------------------------------------------------------------
 # derived constraint systems (the example8_* candidates and IF12)
 
-def _check_e83_e86(candidate, plan) -> dict:
-    ws, cand, plan2 = resolve_candidate(builtin("euler"), candidate or "example8_euler", plan)
+def _check_e83_e86(candidate) -> dict:
+    ws, cand = resolve_candidate(builtin("euler"), candidate or "example8_euler")
     constraints = {name: parse_expression(text, ws.functions, ws.params) for name, text in (
         ("E83", "t^2*d(p,x) + k*km1*x"),
         ("E84", "t^2*d(p,y) + k*km1*y"),
         ("E85", "d(u3,z) + 2*k/t"),
         ("E86", "d(u3,t) + u3*d(u3,z) + (k/t)*(x*d(u3,x) + y*d(u3,y)) + d(p,z)"),
     )}
-    points = sample_points(cand, plan2, [*constraints.values(), *ws.equations])
-    out = {name: max_abs_on_points(e, points, plan2)
-           for name, e in constraints.items()}
-    out["system"] = max(max_abs_on_points(eq, points, plan2)
-                        for eq in ws.equations)
+    eqs = dict(zip(ws.equation_names, ws.equations))
+    out = _max_on_graph(cand, {**constraints, **eqs})
+    out["system"] = max(out.pop(name) for name in eqs)
 
     # on the weak class (u3, p arbitrary) the Euler system is equivalent
     # to the constraint system; checked identity by identity
-    eqs = dict(zip(ws.equation_names, ws.equations))
     t = var("t")
     pairs = {
         "equiv_x": normalize(eqs["momentum_x"] * t * t - constraints["E83"]),
@@ -308,15 +305,11 @@ def _check_e83_e86(candidate, plan) -> dict:
         "equiv_z": normalize(eqs["momentum_z"] - constraints["E86"]),
         "equiv_div": normalize(eqs["continuity"] - constraints["E85"]),
     }
-    cls_points = sample_points(ws.candidates["example8_class"], ws.default_plan,
-                               pairs.values())
-    for name, e in pairs.items():
-        out[name] = max_abs_on_points(e, cls_points, ws.default_plan)
-    return out
+    return out | _max_on_graph(ws.candidates["example8_class"], pairs)
 
 
-def _check_if12(candidate, plan) -> dict:
-    ws, cand, plan2 = resolve_candidate(builtin("isentropic"), candidate or "IF11", plan)
+def _check_if12(candidate) -> dict:
+    ws, cand = resolve_candidate(builtin("isentropic"), candidate or "IF11")
 
     def parse(text):
         return parse_expression(text, ws.functions, ws.params)
@@ -328,9 +321,7 @@ def _check_if12(candidate, plan) -> dict:
                         " + k*a*d(a,z)"),
         "IF12_t": parse("d(a,t) + u3*d(a,z) + (a/k)*(2/t + d(u3,z))"),
     }
-    points = sample_points(cand, plan2, system.values())
-    out = {name: max_abs_on_points(e, points, plan2)
-           for name, e in system.items()}
+    out = _max_on_graph(cand, system)
 
     eqs = dict(zip(ws.equation_names, ws.equations))
     pairs = {
@@ -340,14 +331,11 @@ def _check_if12(candidate, plan) -> dict:
         "equiv_4": normalize(eqs["sound"] - system["IF12_t"]
                              - parse("(x/t)*d(a,x) + (y/t)*d(a,y)")),
     }
-    cls_points = sample_points(ws.candidates["IF4_class"], ws.default_plan, pairs.values())
-    for name, e in pairs.items():
-        out[name] = max_abs_on_points(e, cls_points, ws.default_plan)
-    return out
+    return out | _max_on_graph(ws.candidates["IF4_class"], pairs)
 
 
-def _check_lns(candidate, plan) -> dict:
-    ws, cand, _ = resolve_candidate(builtin("navier_stokes"), candidate or "example8_ns", plan)
+def _check_lns(candidate) -> dict:
+    ws, cand = resolve_candidate(builtin("navier_stokes"), candidate or "example8_ns")
     alpha = parse_expression("c3*x*y", None, ws.params)
     t, x, y = var("t"), var("x"), var("y")
     lns = normalize(differentiate(alpha, "t")
@@ -357,8 +345,8 @@ def _check_lns(candidate, plan) -> dict:
                     - con(ws.params["nu"])
                     * (differentiate(differentiate(alpha, "x"), "x")
                        + differentiate(differentiate(alpha, "y"), "y")))
-    out = {"LNS": max_abs_on_points(lns, None, plan or ws.default_plan)}
-    out["system"] = max(residual(ws, cand, plan).values())
+    out = {"LNS": max_abs_on_points(lns, None, cand.plan)}
+    out["system"] = max(residual(ws, cand).values())
     return out
 
 
@@ -366,8 +354,7 @@ _CONSTRAINT_CHECKS = {"E83_E86": _check_e83_e86, "IF12": _check_if12,
                       "LNS": _check_lns}
 
 
-def derived_constraint_check(constraint_id: str, candidate=None,
-                             plan: SamplePlan | None = None) -> dict:
+def derived_constraint_check(constraint_id: str, candidate=None) -> dict:
     """Residuals of an intermediate constraint system plus the identities
     tying it to the full system on the corresponding weak class."""
     try:
@@ -375,7 +362,7 @@ def derived_constraint_check(constraint_id: str, candidate=None,
     except KeyError:
         raise ModelError("unknown constraint id %r; available: %s"
                          % (constraint_id, ", ".join(sorted(_CONSTRAINT_CHECKS))))
-    return check(candidate, plan)
+    return check(candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +402,14 @@ def _fd_jet_gap(cand: CandidateSolution, point: JetPoint, plan: SamplePlan) -> f
     return worst
 
 
-def discrepancy_report(ws: Workspace, candidate=None,
-                       plan: SamplePlan | None = None, tol: float = 1e-6) -> dict:
+def discrepancy_report(ws: Workspace, candidate=None, tol: float = 1e-6) -> dict:
     """Locate the first equation a candidate fails and the dominant term.
 
     The finite-difference leg distinguishes a wrong printed formula
     (small jet gap, large residual) from a differentiation defect.
     """
-    ws, cand, plan = resolve_candidate(ws, candidate, plan)
+    ws, cand = resolve_candidate(ws, candidate)
+    plan = cand.plan
     points = sample_points(cand, plan, ws.equations)
     residuals = {}
     failing = None

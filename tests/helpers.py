@@ -1,10 +1,13 @@
 """Shared test oracles: random expression trees, finite differences and
-a brute-force minor rank.  Everything is seeded; no test depends on
-global RNG state."""
+a brute-force minor rank, plus the benchmark's CLI job list.  Everything
+is seeded; no test depends on global RNG state."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -150,3 +153,13 @@ def max_abs_sampled(e: Expression, plan) -> float:
             worst = max(worst, abs(value))
         assert accepted >= plan.min_accepted, (seed, accepted)
     return worst
+
+
+def perfbench_jobs():
+    """perfbench/jobs.py, read by path: the documented CLI commands."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_jobs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module

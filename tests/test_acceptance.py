@@ -9,6 +9,7 @@ artifact written to acceptance_artifacts/ must pinpoint the failure.
 
 import json
 import pathlib
+from dataclasses import replace
 from fractions import Fraction
 
 from symred.analysis import (
@@ -70,25 +71,25 @@ def test_c01_rotation_algebra_ranks():
 def test_c02_weak_class_and_rigid_rotation():
     entry = builtin("navier_stokes")
     rot3 = entry.algebras["rot3"]
-    _, sl1, plan = resolve_candidate(entry, "Sl1", entry.plan_for("Sl1"))
+    _, sl1 = resolve_candidate(entry, "Sl1")
     worst = 0.0
     for det in weak_minors(rot3):
         restricted = substitute_candidate(det, sl1)
-        worst = max(worst, max_abs_sampled(restricted, plan))
+        worst = max(worst, max_abs_sampled(restricted, sl1.plan))
     assert worst < 1e-10
 
-    _, fp, fp_plan = resolve_candidate(entry, "fp", entry.plan_for("fp"))
-    assert defect(rot3, fp, fp_plan).delta == 0
+    _, fp = resolve_candidate(entry, "fp")
+    assert defect(rot3, fp).delta == 0
 
-    _, sol, sol_plan = resolve_candidate(entry, "sol", entry.plan_for("sol"))
-    rep = residual(entry, "sol", sol_plan)
+    _, sol = resolve_candidate(entry, "sol")
+    rep = residual(entry, sol)
     assert max(rep.values()) < 1e-8
     laps = [parse_expression("d(%s,x,x) + d(%s,y,y) + d(%s,z,z)" % (u, u, u))
             for u in ("u1", "u2", "u3")]
-    points = sample_points(sol, sol_plan, laps)
+    points = sample_points(sol, sol.plan, laps)
     assert len(points) >= 36
     for lap in laps:
-        assert max_abs_on_points(lap, points, sol_plan) < 1e-8
+        assert max_abs_on_points(lap, points, sol.plan) < 1e-8
 
 
 def test_c03_two_parameter_class_random_constants():
@@ -97,9 +98,8 @@ def test_c03_two_parameter_class_random_constants():
         entry = builtin("navier_stokes", params=params)
         rep = residual(entry, "S25S26")
         assert max(rep.values()) < 1e-8, (seed, params, rep)
-        _, cand, plan = resolve_candidate(entry, "S25S26",
-                                          entry.plan_for("S25S26"))
-        assert invariance_check(entry.algebras["g2"], cand, plan)
+        _, cand = resolve_candidate(entry, "S25S26")
+        assert invariance_check(entry.algebras["g2"], cand)
 
 
 def test_c04_k_minus_two_closed_forms():
@@ -129,28 +129,28 @@ def test_c06_vnls_defect_and_rotation_invariance():
     assert max(rep.values()) < 1e-8
 
     entry = builtin("vnls3")
-    _, cand, plan = resolve_candidate(entry, "printed",
-                                      entry.plan_for("printed"))
+    _, cand = resolve_candidate(entry, "printed")
+    sub_se = entry.algebras["subSE"]
     frozen = MANIFEST["measured"]["vnls3_printed_subSE_defect"]
     for seeds in ((0, 1, 2), (7, 8, 9), (40, 41, 42)):
-        drep = defect(entry.algebras["subSE"], cand, plan.with_(seeds=seeds))
+        drep = defect(replace(sub_se, plan=sub_se.plan.with_(seeds=seeds)),
+                      replace(cand, plan=cand.plan.with_(seeds=seeds)))
         assert drep.delta == frozen, (seeds, drep.delta)
     assert MANIFEST["measured"]["vnls3_printed_subSE_m0"] == 3
 
-    _, zero_t0, zplan = resolve_candidate(entry, "t0_zero",
-                                          entry.plan_for("t0_zero"))
-    zrep = defect(entry.algebras["rot"], zero_t0, zplan)
+    _, zero_t0 = resolve_candidate(entry, "t0_zero")
+    zrep = defect(entry.algebras["rot"], zero_t0)
     assert zrep.delta == 0
     assert zrep.classification == "Invariant"
 
 
 def test_c07_partially_invariant_class_kernel():
     entry = builtin("isentropic")
-    _, cand, plan = resolve_candidate(entry, "IF11", entry.plan_for("IF11"))
-    assert defect(entry.algebras["gal_p3"], cand, plan).delta == 1
+    _, cand = resolve_candidate(entry, "IF11")
+    assert defect(entry.algebras["gal_p3"], cand).delta == 1
 
     hints = entry.kernel_hints["IF11"]["full12"]
-    rep = constant_kernel_generators(entry.algebras["full12"], cand, plan,
+    rep = constant_kernel_generators(entry.algebras["full12"], cand,
                                      named_combinations=hints)
     assert rep.pointwise_kernel_dim == 8
     assert len(rep.constant_kernel) == 1
@@ -160,24 +160,25 @@ def test_c07_partially_invariant_class_kernel():
 def test_c08_translation_pair_on_first_order_system():
     entry = builtin("laplace_fo")
     assert classify_transversality(entry.algebras["tr2"]).status == "Strong"
-    _, sle, plan = resolve_candidate(entry, "SLE", entry.plan_for("SLE"))
-    assert defect(entry.algebras["tr2"], sle, plan).delta == 1
-    _, const, cplan = resolve_candidate(entry, "const", entry.plan_for("const"))
-    assert defect(entry.algebras["tr2"], const, cplan).delta == 0
+    _, sle = resolve_candidate(entry, "SLE")
+    assert defect(entry.algebras["tr2"], sle).delta == 1
+    _, const = resolve_candidate(entry, "const")
+    assert defect(entry.algebras["tr2"], const).delta == 0
 
 
 def test_c09_galilei_class_and_printed_solution():
     entry = builtin("euler")
     assert classify_transversality(entry.algebras["gal3"]).status == "Strong"
-    _, e1e2, plan = resolve_candidate(entry, "E1E2", entry.plan_for("E1E2"))
-    assert defect(entry.algebras["gal3"], e1e2, plan).delta == 2
+    _, e1e2 = resolve_candidate(entry, "E1E2")
+    assert defect(entry.algebras["gal3"], e1e2).delta == 2
 
     # three seeds = three independent opaque-F instantiations
-    printed_plan = entry.plan_for("SE_printed").with_(seeds=(0, 1, 2))
-    rep = residual(entry, "SE_printed", printed_plan)
+    printed = entry.candidates["SE_printed"]
+    printed = replace(printed, plan=printed.plan.with_(seeds=(0, 1, 2)))
+    rep = residual(entry, printed)
     worst = max(rep.values())
     if worst >= 1e-6:
-        report = discrepancy_report(entry, "SE_printed", printed_plan)
+        report = discrepancy_report(entry, printed)
         artifacts = HERE / "acceptance_artifacts"
         artifacts.mkdir(exist_ok=True)
         out = artifacts / "example7_discrepancy.json"
@@ -204,8 +205,8 @@ def test_c10_derived_constraint_systems():
 
 def test_c11_reduced_system_equivalence():
     entry = builtin("isentropic")
-    shared = sample_points(entry.candidates["IF4_class"], entry.default_plan,
-                           entry.equations)
+    if4_class = entry.candidates["IF4_class"]
+    shared = sample_points(if4_class, if4_class.plan, entry.equations)
     assert len(shared) >= 20
     rep = derived_constraint_check("IF12")
     for key in ("equiv_1", "equiv_2", "equiv_3", "equiv_4"):

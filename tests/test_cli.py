@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from helpers import perfbench_jobs
+from symred.analysis import classify_transversality, constant_kernel_generators, defect
 from symred.cli import main
+from symred.models import builtin, resolve_candidate
 
 
 def run(capsys, *argv):
@@ -321,3 +324,53 @@ candidate c { u = 1; param k = 0; solution; }
     assert code == 0
     assert "rank Xi1=0, rank Xi2=0" in out
     assert "candidate c: weak transversality HOLDS" in out
+
+
+G2_DEFECTS = {"sol": 3, "Sl1": 4, "fp": 3, "example8_ns": 2}
+
+
+@pytest.mark.parametrize("candidate", sorted(G2_DEFECTS))
+def test_an_algebra_with_its_own_domain_meets_a_candidate(capsys, candidate):
+    # g2 samples t in (0.5, 2), where its t^(5/3) coefficients are real;
+    # its own ranks read there, and so does each candidate's graph
+    code, out = run(capsys, "classify", "builtin:navier_stokes", "--algebra", "g2",
+                    "--candidate", candidate)
+    assert code == 0
+    assert "rank Xi1=3, rank Xi2=4" in out
+    weak = "HOLDS" if candidate == "example8_ns" else "FAILS"
+    assert "candidate %s: weak transversality %s" % (candidate, weak) in out
+    code, out = run(capsys, "defect", "builtin:navier_stokes", "--algebra", "g2",
+                    "--candidate", candidate)
+    assert code == 0
+    assert "defect delta=%d (m0=4, orbit rank s=4)" % G2_DEFECTS[candidate] in out
+    code, out = run(capsys, "minors", "builtin:navier_stokes", "--algebra", "g2",
+                    "--candidate", candidate)
+    assert code == (0 if weak == "HOLDS" else 2)
+    assert "-> weak transversality %s" % weak in out
+
+
+ANALYSIS_JOBS = [job for job in perfbench_jobs().CLI_DEFAULT
+                 if job.argv[0] in ("classify", "defect", "kernel")
+                 and job.argv[1].startswith("builtin:")]
+
+
+@pytest.mark.parametrize("job", ANALYSIS_JOBS, ids=lambda job: job.name)
+def test_the_cli_report_is_the_api_report(capsys, tmp_path, job):
+    command, workspace, *flags = job.argv
+    opts = dict(zip(flags[::2], flags[1::2]))
+    code, _ = run(capsys, *job.argv, "--json", str(tmp_path / "out.json"))
+    assert code == job.code
+    report = json.loads((tmp_path / "out.json").read_text())["report"]
+
+    ws, cand = builtin(workspace.removeprefix("builtin:")), None
+    if "--candidate" in opts:
+        ws, cand = resolve_candidate(ws, opts["--candidate"])
+    alg = ws.algebras[opts["--algebra"]]
+    if command == "classify":
+        api = classify_transversality(alg, cand)
+    elif command == "defect":
+        api = defect(alg, cand)
+    else:
+        hints = ws.kernel_hints.get(opts["--candidate"], {}).get(opts["--algebra"])
+        api = constant_kernel_generators(alg, cand, named_combinations=hints)
+    assert report == json.loads(json.dumps(api.to_dict()))

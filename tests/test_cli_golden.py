@@ -8,27 +8,18 @@ Regenerate the record (only for a change that means to alter output):
 """
 
 import contextlib
-import importlib.util
 import io
 import json
 import sys
 from pathlib import Path
 
+from helpers import perfbench_jobs
 from symred.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-JOBS = ROOT / "perfbench" / "jobs.py"
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 SEED = 7
 WORK = "<work>"
-
-
-def _jobs():
-    spec = importlib.util.spec_from_file_location("_perfbench_jobs", JOBS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look the module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def _run(argv):
@@ -41,7 +32,7 @@ def _run(argv):
 def record(work: Path) -> dict:
     """Every cli-default job's exit code, stdout, stderr and --json text;
     file jobs read the euler.sr that `models --export euler` writes."""
-    jobs = _jobs()
+    jobs = perfbench_jobs()
     work.mkdir(parents=True, exist_ok=True)
     results = {}
     for job in jobs.CLI_DEFAULT:

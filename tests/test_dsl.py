@@ -49,7 +49,7 @@ def test_parse_demo_workspace():
     assert set(ws.algebras) == {"turn"}
     assert len(ws.algebras["turn"].fields) == 1
     assert set(ws.candidates) == {"radial"}
-    assert ws.plan_for("radial").box["x"] == ((0.5, 2.0),)
+    assert ws.candidates["radial"].plan.box["x"] == ((0.5, 2.0),)
 
 
 def test_eq_rhs_moves_to_lhs():
@@ -76,7 +76,7 @@ def test_complex_candidate_plan():
 space s { independent t; dependent u; order 1; }
 candidate c { u = i*t; complex; domain t (1, 2); }
 """, source="t")
-    plan = ws.plan_for("c")
+    plan = ws.candidates["c"].plan
     assert plan.allow_complex
     assert plan.box["t"] == ((1.0, 2.0),)
 
@@ -100,7 +100,7 @@ algebra g { fields f; domain t (1, 2); }
 candidate g { u = t; domain t (3, 4); }
 """, source="t")
     assert ws.algebra_plan("g").box["t"] == ((1.0, 2.0),)
-    assert ws.plan_for("g").box["t"] == ((3.0, 4.0),)
+    assert ws.candidates["g"].plan.box["t"] == ((3.0, 4.0),)
 
 
 @pytest.mark.parametrize("space, block, message", [
@@ -241,7 +241,8 @@ def test_export_round_trip(model_id):
     for name, alg in ws.algebras.items():
         assert [f.name for f in ws2.algebras[name].fields] == \
             [f.name for f in alg.fields]
-    assert ws2.plans == ws.plans
+    assert {name: c.plan for name, c in ws2.candidates.items()} == \
+        {name: c.plan for name, c in ws.candidates.items()}
     # a second serialization is byte-stable
     assert workspace_to_text(ws2) == text
 
@@ -261,7 +262,7 @@ def test_export_omits_candidates_pinned_to_other_parameters():
 def test_workspace_from_entry_shares_plans():
     entry = builtin("vnls3")
     ws = workspace_from_entry(entry)
-    plan = ws.plan_for("printed")
+    plan = ws.candidates["printed"].plan
     assert plan.allow_complex
     assert "t" in plan.box
 
@@ -351,13 +352,11 @@ algebra a { fields f; }
 algebra b { fields f; domain t (3, 4); }
 candidate c { u = t; }
 """, source="t")
-    default = ws.default_plan
+    default = ws.candidates["c"].plan
     assert default.allow_complex and default.box["t"] == ((1.0, 2.0),)
-    assert ws.plan_for("c") == default and ws.plan_for(None) == default
     assert ws.algebra_plan("a") == default
     assert ws.algebra_plan("b").box == {"t": ((3.0, 4.0),)}
     assert not ws.algebra_plan("b").allow_complex
-    assert ws.plans == {}
 
 
 @pytest.mark.parametrize("hint", ["kernel tr T*P;", "kernel tr T + 1;", "kernel ghost T;",

@@ -3,11 +3,18 @@ solutions, closure of every algebra, the defect table, reduced-ODE and
 derived-constraint checks, and the diagnostic report."""
 
 import math
+from dataclasses import replace
 from importlib.resources import files
 
 import pytest
 
-from symred.analysis import classify_transversality, defect, invariance_check
+from symred.analysis import (
+    classify_transversality,
+    defect,
+    graph_plan,
+    invariance_check,
+    weak_check_candidate,
+)
 from symred.dsl import DslError, parse_workspace, workspace_from_entry, workspace_to_text
 from symred.fields import closure_check
 from symred.models import (
@@ -91,17 +98,16 @@ DEFECT_TABLE = [
                          ids=["%s-%s-%s" % row[:3] for row in DEFECT_TABLE])
 def test_defect_table(model_id, algebra, candidate, delta, label):
     entry = builtin(model_id)
-    entry, cand, plan = resolve_candidate(entry, candidate,
-                                          entry.plan_for(candidate))
-    rep = defect(entry.algebras[algebra], cand, plan)
+    entry, cand = resolve_candidate(entry, candidate)
+    rep = defect(entry.algebras[algebra], cand)
     assert rep.delta == delta
     assert rep.classification == label
 
 
 def test_defect_report_fields():
     entry = builtin("isentropic")
-    entry, cand, plan = resolve_candidate(entry, "IF11", entry.plan_for("IF11"))
-    rep = defect(entry.algebras["gal_p3"], cand, plan)
+    entry, cand = resolve_candidate(entry, "IF11")
+    rep = defect(entry.algebras["gal_p3"], cand)
     assert rep.m0 == 4
     assert rep.algebra == "gal_p3"
     assert rep.candidate == "IF11"
@@ -109,10 +115,10 @@ def test_defect_report_fields():
 
 def test_invariance_check_on_library():
     ns = builtin("navier_stokes")
-    _, cand, plan = resolve_candidate(ns, "S25S26", ns.plan_for("S25S26"))
-    assert invariance_check(ns.algebras["g2"], cand, plan)
-    _, cand2, plan2 = resolve_candidate(ns, "sol", ns.plan_for("sol"))
-    assert not invariance_check(ns.algebras["g2"], cand2, plan2)
+    _, cand = resolve_candidate(ns, "S25S26")
+    assert invariance_check(ns.algebras["g2"], cand)
+    _, cand2 = resolve_candidate(ns, "sol")
+    assert not invariance_check(ns.algebras["g2"], cand2)
 
 
 def test_random_parameter_draws_still_certify():
@@ -210,15 +216,14 @@ def test_trivial_residual_value():
 
 def test_resolve_candidate_applies_candidate_params():
     entry = builtin("isentropic")
-    entry2, cand, plan = resolve_candidate(entry, "example3_k_minus2",
-                                           entry.plan_for("example3_k_minus2"))
+    entry2, cand = resolve_candidate(entry, "example3_k_minus2")
     assert entry2.params["k"] == -2
     # the sound-speed amplitude is sqrt(6)*z*sqrt(t^2/(1+t+t^4))
     from symred.numeric import Binding, evaluate
     a = evaluate(cand.assignments["a"],
                  Binding({"t": 1.0, "x": 0.0, "y": 0.0, "z": 1.0}))
     assert abs(a - math.sqrt(6.0) / math.sqrt(3.0)) < 1e-12
-    assert plan.box["t"] == ((0.6, 2.0),)
+    assert cand.plan.box["t"] == ((0.6, 2.0),)
 
 
 def test_discrepancy_report_pinpoints_failure():
@@ -238,7 +243,8 @@ def test_discrepancy_report_pinpoints_failure():
 def test_residual_accepts_plan_override():
     entry = builtin("laplace_fo")
     plan = SamplePlan(count=12, min_accepted=6, seeds=(9, 10, 11))
-    assert _worst(residual(entry, candidate="SLE", plan=plan)) < 1e-8
+    sle = replace(entry.candidates["SLE"], plan=plan)
+    assert _worst(residual(entry, candidate=sle)) < 1e-8
 
 
 def test_closure_check_defaults_to_the_algebras_own_plan():
@@ -256,6 +262,30 @@ def test_analyses_default_to_the_algebras_own_plan():
     # the default plan's t < 0 half starves g2's rank sampling as well
     rep = classify_transversality(builtin("navier_stokes").algebras["g2"])
     assert (rep.rank_xi1, rep.rank_xi2) == (3, 4)
+
+
+@pytest.mark.parametrize("candidate", ["sol", "Sl1", "fp", "example8_ns"])
+def test_weak_status_under_g2_agrees_with_the_minors(candidate):
+    ns = builtin("navier_stokes")
+    g2, cand = ns.algebras["g2"], ns.candidates[candidate]
+    rep = classify_transversality(g2, cand)
+    assert (rep.rank_xi1, rep.rank_xi2) == (3, 4)
+    assert (rep.weak_status == "WeakHolds") == weak_check_candidate(g2, cand)
+
+
+def test_a_graph_is_read_on_the_candidates_plan_completed_by_the_algebras():
+    ws = parse_workspace("""
+space s { independent x t; dependent u; order 1; }
+field P { xi = [1, 0]; phi = [0]; }
+algebra a { fields P; domain t (1, 2); domain x (3, 4); complex; }
+algebra b { fields P; }
+candidate c { u = x; domain x (5, 6); }
+""", source="t")
+    cand = ws.candidates["c"]
+    plan = graph_plan(ws.algebras["a"], cand)
+    assert plan.box == {"t": ((1.0, 2.0),), "x": ((5.0, 6.0),)} and plan.allow_complex
+    assert plan.count == cand.plan.count and plan.seeds == cand.plan.seeds
+    assert graph_plan(ws.algebras["b"], cand) == cand.plan
 
 
 @pytest.mark.parametrize("model_id", sorted(MODEL_IDS))
@@ -286,9 +316,9 @@ def test_pinned_candidates_resolve_against_their_own_params():
     ws = parse_workspace(PINNED, source="pins.sr")
     assert ws.candidate_params == {"grow": {"k": 1}, "decay": {"k": -1}}
     assert ws.kernel_hints == {"decay": {"tr": {"T + k*P": (1.0, 1.0)}}}
-    same, _, _ = resolve_candidate(ws, "grow")
+    same, _ = resolve_candidate(ws, "grow")
     assert same is ws
-    again, _, _ = resolve_candidate(ws, "decay")
+    again, _ = resolve_candidate(ws, "decay")
     assert again.params["k"] == -1
     assert again.kernel_hints["decay"]["tr"]["T + k*P"] == (-1.0, 1.0)
     assert _worst(residual(ws, "grow")) < 1e-12
