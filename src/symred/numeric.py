@@ -256,10 +256,8 @@ def bessel_i(order: Fraction, z: complex, *, real_domain: bool = False) -> compl
 
     I_nu(z) = sum_m (z/2)^(2m+nu) / (m! Gamma(m+nu+1)).  Terms follow the
     exact ratio recurrence; truncation at 1e-17 relative.  |z| > 30 is
-    rejected rather than summed inaccurately.  A -0.0 imaginary part
-    reads as +0.0, so a negative real z takes the principal branch.
+    rejected rather than summed inaccurately.
     """
-    z = complex(z.real, z.imag + 0.0)
     if abs(z) > BESSEL_ARG_BOUND:
         raise PointRejected("besseli argument %.3g exceeds series bound" % abs(z))
     nu = float(order)

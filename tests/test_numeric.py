@@ -103,6 +103,7 @@ def test_negative_zero_imaginary_part_takes_the_principal_branch():
         pytest.approx(1j * math.sqrt(0.5))
     assert evaluate(ln(Power(x, Fraction(-1))), Binding({"x": -2.0})) == \
         pytest.approx(cmath.log(-0.5))
+    # z/2 already reads a negative real z's -0.0 as +0.0; z*0.5 would not
     assert bessel_i(Fraction(1, 3), complex(-1.0, -0.0)) == bessel_i(Fraction(1, 3), -1 + 0j)
     # so a tree and its normal form agree on a complex plan
     y = var("y")
