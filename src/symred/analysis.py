@@ -16,7 +16,7 @@ candidate alone samples on the candidate's plan.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -84,22 +84,33 @@ def pivot_rank(matrix: np.ndarray, scale: float | None = None) -> int:
     return rank
 
 
+class _Report:
+    """Base of the reports below: to_dict writes each dataclass field
+    under its own name, ready for json.dumps(sort_keys=True)."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    # mapping keys become text (seed 10 sorts before seed 8), sequences
+    # become lists, a nested report is written the same way
+    if isinstance(value, _Report):
+        return value.to_dict()
+    if isinstance(value, Mapping):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
 @dataclass
-class RankReport:
+class RankReport(_Report):
     matrix_id: str
     ranks: dict[int, list[int]]            # seed -> rank at each accepted point
     generic_rank: int
     tolerance: float
     non_generic: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "matrix_id": self.matrix_id,
-            "ranks": {str(seed): list(r) for seed, r in sorted(self.ranks.items())},
-            "generic_rank": self.generic_rank,
-            "tolerance": self.tolerance,
-            "non_generic": self.non_generic,
-        }
 
 
 def _value_and_mass(e: Expression, at) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +161,7 @@ def generic_rank(m: ExpressionMatrix, plan: SamplePlan = SamplePlan()) -> RankRe
 
 
 @dataclass
-class TransversalityReport:
+class TransversalityReport(_Report):
     algebra: str
     rank_xi1: int
     rank_xi2: int
@@ -160,19 +171,6 @@ class TransversalityReport:
     rank_xi1_on_candidate: int | None = None
     rank_xi2_on_candidate: int | None = None
     non_generic: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "rank_xi1": self.rank_xi1,
-            "rank_xi2": self.rank_xi2,
-            "status": self.status,
-            "weak_status": self.weak_status,
-            "candidate": self.candidate,
-            "rank_xi1_on_candidate": self.rank_xi1_on_candidate,
-            "rank_xi2_on_candidate": self.rank_xi2_on_candidate,
-            "non_generic": self.non_generic,
-        }
 
 
 def substitute_matrix(m: ExpressionMatrix, c: CandidateSolution) -> ExpressionMatrix:
@@ -263,8 +261,9 @@ def weak_minors(a: Algebra) -> list[Expression]:
     """The (rho+1) x (rho+1) minors of Xi2, rho = generic rank of Xi1.
 
     Setting these to zero is what weak transversality demands of a
-    candidate class.  Identically-zero minors are dropped; duplicates up
-    to sign are merged, keeping the first representative.
+    candidate class.  Identically-zero minors and repeats of an earlier
+    tree are dropped; duplicates up to sign are merged, keeping the
+    first representative.
     """
     plan = a.plan
     xi1, xi2 = xi_matrices(a)
@@ -275,11 +274,12 @@ def weak_minors(a: Algebra) -> list[Expression]:
         raise AnalysisError(
             "rank Xi1 = %d already equals the minimal dimension of Xi2; "
             "no larger minors exist" % rho)
-    minors = []
+    minors, seen = [], set()
     for rows in itertools.combinations(range(rows_n), size):
         for cols in itertools.combinations(range(cols_n), size):
             det = _symbolic_minor(xi2, rows, cols)
-            if det != ZERO:
+            if det != ZERO and det not in seen:
+                seen.add(det)
                 minors.append(det)
     if not minors:
         return []
@@ -336,7 +336,7 @@ def weak_check_candidate(a: Algebra, c: CandidateSolution) -> bool:
 
 
 @dataclass
-class DefectReport:
+class DefectReport(_Report):
     algebra: str
     candidate: str
     delta: int
@@ -344,21 +344,7 @@ class DefectReport:
     orbit_rank: int                 # generic rank of Xi2 (orbit dimension s)
     classification: str             # Invariant | PartiallyInvariant | Generic
     non_generic: bool
-    rank_report: RankReport | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "algebra": self.algebra,
-            "candidate": self.candidate,
-            "delta": self.delta,
-            "m0": self.m0,
-            "orbit_rank": self.orbit_rank,
-            "classification": self.classification,
-            "non_generic": self.non_generic,
-        }
-        if self.rank_report is not None:
-            out["rank_report"] = self.rank_report.to_dict()
-        return out
+    rank_report: RankReport         # the rank of Q on the candidate's graph
 
 
 def defect(a: Algebra, c: CandidateSolution) -> DefectReport:
@@ -402,7 +388,7 @@ def invariance_check(a: Algebra, c: CandidateSolution) -> bool:
 
 
 @dataclass
-class KernelReport:
+class KernelReport(_Report):
     algebra: str
     candidate: str
     generator_order: tuple[str, ...]
@@ -410,17 +396,6 @@ class KernelReport:
     constant_kernel: list[tuple[float, ...]]   # rows, first nonzero = 1
     matched_combination: str | None
     non_generic: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "candidate": self.candidate,
-            "generator_order": list(self.generator_order),
-            "pointwise_kernel_dim": self.pointwise_kernel_dim,
-            "constant_kernel": [list(v) for v in self.constant_kernel],
-            "matched_combination": self.matched_combination,
-            "non_generic": self.non_generic,
-        }
 
 
 def _normalize_first_nonzero(v: np.ndarray) -> tuple[float, ...]:

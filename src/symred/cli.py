@@ -63,10 +63,6 @@ def _build_parser() -> _Parser:
                        help="base seed; three consecutive seeds are used")
         p.add_argument("--samples", type=int, default=None,
                        help="points per seed")
-        p.add_argument("--tol", type=float, default=None,
-                       help="residual tolerance where the command verifies"
-                            " values (rank pivots use scale-aware internal"
-                            " tolerances)")
         p.add_argument("--json", dest="json_path", default=None,
                        help="also write the report as JSON to this path")
 
@@ -82,6 +78,10 @@ def _build_parser() -> _Parser:
     common(p, candidate_required=True, algebra=False)
     p.add_argument("--system", default=None,
                    help="system name, for workspaces with several")
+    p.add_argument("--tol", type=float, default=None,
+                   help="residual tolerance where the command verifies"
+                        " values (rank pivots use scale-aware internal"
+                        " tolerances)")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("minors", help="weak transversality minors of Xi2")
@@ -103,7 +103,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--export", default=None, metavar="ID",
                    help="print the DSL text of one built-in entry")
     p.add_argument("--json", dest="json_path", default=None)
-    p.set_defaults(handler=_cmd_models, seed=None, samples=None, tol=None)
+    p.set_defaults(handler=_cmd_models, seed=None, samples=None)
 
     return parser
 
@@ -131,8 +131,6 @@ def _tuned(obj, args):
             raise _UsageError("--samples must be at least 4, got %d" % args.samples)
         changes["count"] = args.samples
         changes["min_accepted"] = max(4, int(0.6 * args.samples))
-    if args.tol is not None and not 0 < args.tol < math.inf:
-        raise _UsageError("--tol must be positive and finite, got %g" % args.tol)
     return dataclasses.replace(obj, plan=obj.plan.with_(**changes)) if changes else obj
 
 
@@ -164,7 +162,7 @@ def _emit(args, report: dict, flagged: bool) -> int:
             "workspace": getattr(args, "workspace", None),
             "seed": args.seed,
             "samples": args.samples,
-            "tol": args.tol,
+            "tol": getattr(args, "tol", None),
             "flagged": flagged,
             "report": report,
         }
@@ -198,9 +196,11 @@ def _cmd_defect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-8
     ws, cand = resolve_candidate(_load(args), args.candidate)
     cand = _tuned(cand, args)
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        raise _UsageError("--tol must be positive and finite, got %g" % args.tol)
+    tol = args.tol if args.tol is not None else 1e-8
     system = ws.system(args.system)
     values = residual(ws, cand, system.name)
     worst = max(values.values())

@@ -194,45 +194,34 @@ def _blocks(text: str, source: str):
         i = close + 1
 
 
-def _statements(body: str):
-    out = []
-    depth = 0
-    current = []
-    for ch in body:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == ";" and depth == 0:
-            stmt = "".join(current).strip()
-            if stmt:
-                out.append(stmt)
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        raise DslError("statement %r is missing its ';'" % tail[:40])
-    return out
-
-
-def _split_list(text: str) -> list[str]:
-    # comma split at bracket depth zero; expression commas stay intact
+def _split(text: str, sep: str) -> tuple[list[str], str]:
+    """(pieces ended by sep at bracket depth zero, the tail after the
+    last one), each stripped; expression commas stay intact."""
     parts, depth, current = [], 0, []
     for ch in text:
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if ch == "," and depth == 0:
+        if ch == sep and depth == 0:
             parts.append("".join(current).strip())
             current = []
         else:
             current.append(ch)
-    last = "".join(current).strip()
-    if last:
-        parts.append(last)
-    return parts
+    return parts, "".join(current).strip()
+
+
+def _statements(body: str) -> list[str]:
+    stmts, tail = _split(body, ";")
+    if tail:
+        raise DslError("statement %r is missing its ';'" % tail[:40])
+    return [stmt for stmt in stmts if stmt]
+
+
+def _split_list(text: str) -> list[str]:
+    # empty middle entries stay (and fail to parse); a trailing comma is fine
+    parts, last = _split(text, ",")
+    return parts + [last] if last else parts
 
 
 def _once(held, item: str, where: str, label: str | None = None):

@@ -26,7 +26,7 @@ from .expr import (
     rewrite,
 )
 from .parser import jet_name, split_jet_name
-from .sampling import SamplePlan, sampled, shared_instantiation
+from .sampling import EPS_SING, SamplePlan, sampled, shared_instantiation
 
 
 class JetError(SymredError, ValueError):
@@ -242,7 +242,7 @@ def sample_points(c: CandidateSolution, plan: SamplePlan,
 
     Every jet slot up to max(1, jet_order of exprs) is sampled.  Rejects
     points where any excluded locus or encountered denominator is within
-    eps_sing of zero.  min_accepted applies per seed.
+    EPS_SING of zero.  min_accepted applies per seed.
     """
     space = c.space
     order = max(1, jet_order(space, exprs))
@@ -261,7 +261,7 @@ def sample_points(c: CandidateSolution, plan: SamplePlan,
         # once per seed: differentiate the instantiated right-hand sides
         for locus in ready[:n_loci]:
             value = at(locus)
-            live &= ~(np.hypot(value.real, value.imag) <= plan.eps_sing)
+            live &= ~(np.hypot(value.real, value.imag) <= EPS_SING)
         columns = {name: at(derivative(ready[i], dvars)).tolist()
                    for name, i, dvars in slots}
         return [dict(zip(columns, row)) for row in zip(*columns.values())]

@@ -41,7 +41,7 @@ from .jets import (
 )
 from .numeric import Binding, PointRejected, evaluate, substitute_functions
 from .parser import parse_expression
-from .sampling import SamplePlan, sampled
+from .sampling import EPS_SING, SamplePlan, sampled
 
 __all__ = [
     "MODEL_IDS",
@@ -370,7 +370,7 @@ def derived_constraint_check(constraint_id: str, candidate=None) -> dict:
 
 def _central_difference(e: Expression, values: dict, axes, plan, h=1e-4):
     if not axes:
-        return evaluate(e, Binding(values), eps_sing=plan.eps_sing,
+        return evaluate(e, Binding(values), eps_sing=EPS_SING,
                         real_domain=not plan.allow_complex)
     axis, rest = axes[0], axes[1:]
     step = h * max(1.0, abs(values[axis]))
@@ -437,7 +437,7 @@ def discrepancy_report(ws: Workspace, candidate=None, tol: float = 1e-6) -> dict
     rows = []
     for term in terms:
         try:
-            value = evaluate(term, b, eps_sing=plan.eps_sing,
+            value = evaluate(term, b, eps_sing=EPS_SING,
                              real_domain=not plan.allow_complex)
         except PointRejected:
             value = complex("nan")

@@ -40,6 +40,7 @@ EQUIV_REL = 1e-9
 
 DEFAULT_INTERVALS = ((-2.0, -0.5), (0.5, 2.0))
 DEFAULT_SEEDS = (101, 211, 331)
+EPS_SING = 1e-6    # rejection radius around excluded loci and denominators
 
 
 class SamplingError(SymredError, RuntimeError):
@@ -51,16 +52,15 @@ class SamplePlan:
     """Where and how densely to sample.
 
     box maps variable names to interval unions ((lo, hi), ...); names
-    not listed use DEFAULT_INTERVALS.  eps_sing is the rejection radius
-    around excluded loci and denominators.  allow_complex switches the
-    evaluator from real-domain guards to principal branches.
+    not listed use DEFAULT_INTERVALS.  Points within EPS_SING of an
+    excluded locus or a denominator are rejected.  allow_complex switches
+    the evaluator from real-domain guards to principal branches.
     """
 
     box: Mapping[str, tuple[tuple[float, float], ...]] = field(default_factory=dict)
     count: int = 20
     min_accepted: int = 12
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    eps_sing: float = 1e-6
     allow_complex: bool = False
 
     def __post_init__(self):
@@ -179,7 +179,7 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
 
         def at(e):
             try:
-                return evaluate(e, b, eps_sing=plan.eps_sing, real_domain=real_domain)
+                return evaluate(e, b, eps_sing=EPS_SING, real_domain=real_domain)
             except PointRejected as r:
                 live[r.rejected] = False
                 return r.values

@@ -30,7 +30,7 @@ from symred.expr import (
     var,
 )
 from symred.numeric import Binding, PointRejected, evaluate
-from symred.sampling import draw_values, shared_instantiation
+from symred.sampling import EPS_SING, draw_values, shared_instantiation
 
 VARS = ("x", "y", "z")
 
@@ -145,7 +145,7 @@ def max_abs_sampled(e: Expression, plan) -> float:
             values = draw_values(names, plan, seed, index)
             try:
                 value = evaluate(e, Binding(values, functions),
-                                 eps_sing=plan.eps_sing,
+                                 eps_sing=EPS_SING,
                                  real_domain=not plan.allow_complex)
             except PointRejected:
                 continue

@@ -171,6 +171,20 @@ def test_json_envelope_byte_identical(capsys, tmp_path):
     assert first.read_text().endswith("\n")
 
 
+def test_json_seed_keys_sort_as_text(capsys, tmp_path):
+    # --seed 8 samples seeds 8, 9, 10; written as text keys under
+    # sort_keys, "10" comes first
+    path = tmp_path / "line.sr"
+    path.write_text(LINE_SR % (LINE_SPACE, "1", "(1, 2)"))
+    out = tmp_path / "out.json"
+    code, _ = run(capsys, "defect", str(path), "--algebra", "a", "--candidate", "c",
+                  "--seed", "8", "--json", str(out))
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["tol"] is None
+    assert list(payload["report"]["rank_report"]["ranks"]) == ["10", "8", "9"]
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["classify", "builtin:navier_stokes"]) == 1          # no algebra
     capsys.readouterr()
@@ -196,6 +210,14 @@ algebra a { fields v; }
 candidate c { u = 1; domain x %s; }
 """
 VERIFY_C = ("verify", "{sr}", "--candidate", "c")
+# only verify reads --tol; the other commands reject it as an unknown flag
+TOL_IGNORED = [
+    ("classify", "{sr}", "--algebra", "a"),
+    ("defect", "{sr}", "--algebra", "a", "--candidate", "c"),
+    ("minors", "{sr}", "--algebra", "a"),
+    ("kernel", "{sr}", "--algebra", "a", "--candidate", "c"),
+    ("symcheck", "{sr}", "--field", "v", "--candidate", "c"),
+]
 
 
 @pytest.mark.parametrize("space, xi, domain, argv", [
@@ -213,11 +235,13 @@ VERIFY_C = ("verify", "{sr}", "--candidate", "c")
     (LINE_SPACE, "1", "(1, 2); }\nalgebra b { fields v; domain q (1, 2)",
      ("classify", "{sr}", "--algebra", "b")),
     (LINE_SPACE, "1", "(1, 2); u = x", VERIFY_C),
+    *((LINE_SPACE, "1", "(1, 2)", argv + ("--tol", "1e-6")) for argv in TOL_IGNORED),
 ], ids=["field-uses-jet-coordinate", "samples-below-4", "domain-empty",
         "domain-not-a-number", "domain-not-a-pair", "order-not-a-number",
         "order-missing", "seed-negative", "tol-not-a-number",
         "domain-outside-the-space", "algebra-domain-outside-the-space",
-        "candidate-assigns-twice"])
+        "candidate-assigns-twice",
+        *("tol-on-%s" % argv[0] for argv in TOL_IGNORED)])
 def test_errors_exit_one_with_one_line(capsys, tmp_path, space, xi, domain, argv):
     path = tmp_path / "line.sr"
     path.write_text(LINE_SR % (space, xi, domain))
