@@ -1,6 +1,8 @@
 """Byte identity of the documented commands: the benchmark's cli-default
-jobs, run in-process at --seed 7, must print, exit and write --json
-exactly as recorded in cli_golden.json.
+jobs, and its cli-dense jobs at their --samples, run in-process at
+--seed 7, must print, exit and write --json exactly as recorded in
+cli_golden.json.  A dense job is recorded under its name prefixed by
+"dense.".
 
 Regenerate the record (only for a change that means to alter output):
 
@@ -30,14 +32,17 @@ def _run(argv):
 
 
 def record(work: Path) -> dict:
-    """Every cli-default job's exit code, stdout, stderr and --json text;
-    file jobs read the euler.sr that `models --export euler` writes."""
+    """Every cli-default and cli-dense job's exit code, stdout, stderr
+    and --json text; file jobs read the euler.sr that
+    `models --export euler` writes."""
     jobs = perfbench_jobs()
     work.mkdir(parents=True, exist_ok=True)
     results = {}
-    for job in jobs.CLI_DEFAULT:
-        argv = job.command(SEED, str(work), None)
-        json_path = work / (job.name + ".json")
+    runs = [(job.name, job, None) for job in jobs.CLI_DEFAULT]
+    runs += [("dense." + job.name, job, jobs.DENSE_SAMPLES) for job in jobs.CLI_DENSE]
+    for name, job, samples in runs:
+        argv = job.command(SEED, str(work), samples)
+        json_path = work / (name + ".json")
         exporting = job is jobs.EXPORT_EULER
         code, out, err = _run(argv if exporting else argv + ["--json", str(json_path)])
         if exporting:
@@ -47,7 +52,7 @@ def record(work: Path) -> dict:
             doc = json_path.read_text(encoding="utf-8") if json_path.exists() else None
         if doc is not None:
             doc = doc.replace(json.dumps(str(work))[1:-1], WORK)
-        results[job.name] = {"code": code, "stdout": out, "stderr": err, "json": doc}
+        results[name] = {"code": code, "stdout": out, "stderr": err, "json": doc}
     return results
 
 
