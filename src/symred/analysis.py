@@ -427,7 +427,9 @@ def constant_kernel_generators(a: Algebra, c: CandidateSolution,
     stacked = np.vstack(blocks)
     if np.max(np.abs(stacked.imag)) < 1e-12 * max(1.0, np.max(np.abs(stacked.real))):
         stacked = stacked.real
-    _, sigma, vt = np.linalg.svd(stacked)
+    # only V is read: U is built thin, except for a wide B, whose rows
+    # of V past len(sigma) the full decomposition supplies
+    _, sigma, vt = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
     if sigma.size and max(sigma[0], mass_scale) > 0:
         null_mask = sigma <= KERNEL_SVD_REL_TOL * max(sigma[0], mass_scale)
     else:

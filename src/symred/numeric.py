@@ -6,6 +6,12 @@ that every value is bit for bit what Python complex numbers give.
 Singular or out-of-domain points raise PointRejected, which names them,
 and the sampling layer discards them; genuine usage errors raise
 EvaluationError.
+
+Each Binding keeps one memo of subtree results: every distinct subtree
+is walked once on the binding's points, and later evaluations through
+the same binding reuse its columns and replay its rejections.  A memo
+entry serves while the points still live are among those live when it
+was made, so it stays exact while the binding's live mask only shrinks.
 """
 
 from __future__ import annotations
@@ -70,13 +76,24 @@ class Binding:
 
     values maps names to numbers or to columns, 1-D arrays with one
     entry per point; a number holds at every point.  live, if given,
-    masks the points to evaluate.  functions maps each FunctionSymbol
-    to an Expression in the symbol's formal argument names only.
+    masks the points to evaluate; callers may clear entries between
+    evaluations but never set them again.  functions maps each
+    FunctionSymbol to an Expression in the symbol's formal argument
+    names only.  values and functions must not change once evaluate
+    has seen the binding: it keeps their columns and a subtree memo.
     """
 
     values: Mapping[str, complex] = field(default_factory=dict)
     functions: Mapping[FunctionSymbol, Expression] = field(default_factory=dict)
     live: np.ndarray | None = None
+
+    @functools.cached_property
+    def _shared(self):
+        # the point count, whether any value is a column, each value as
+        # a (re, im) pair of columns, and one subtree memo per guard setting
+        columns = [len(v) for v in self.values.values() if np.ndim(v)]
+        n = len(self.live) if self.live is not None else columns[0] if columns else 1
+        return n, bool(columns), {name: _pair(v, n) for name, v in self.values.items()}, {}
 
 
 def evaluate(e: Expression, b: Binding, *, eps_sing: float = POLE_EPS,
@@ -90,13 +107,18 @@ def evaluate(e: Expression, b: Binding, *, eps_sing: float = POLE_EPS,
     and negative besseli arguments instead of taking principal branches.
     If any point evaluated is rejected, PointRejected is raised; its
     values are meaningless at the rejected points and outside b.live.
+
+    Subtrees already walked through b for the same guards are not walked
+    again: their columns are reused and their rejections replayed, so the
+    result and the rejected mask are those of a fresh walk.  That holds
+    as long as b.live only shrinks between calls.
     """
-    columns = [len(v) for v in b.values.values() if np.ndim(v)]
-    n = len(b.live) if b.live is not None else columns[0] if columns else 1
+    n, columns, pairs, memos = b._shared
     todo = np.ones(n, dtype=bool) if b.live is None else b.live
-    walk = _Walk(b.functions, todo.copy(), eps_sing, real_domain)
+    memo = memos.setdefault((eps_sing, real_domain), {})
+    walk = _Walk(b.functions, todo.copy(), eps_sing, real_domain, pairs, memo)
     with np.errstate(all="ignore"):
-        re, im = walk.node(e, {name: _pair(v, n) for name, v in b.values.items()})
+        re, im = walk.node(e, pairs)
     if columns or b.live is not None:
         out = np.empty(n, dtype=complex)
         out.real, out.imag = re, im
@@ -110,6 +132,11 @@ def evaluate(e: Expression, b: Binding, *, eps_sing: float = POLE_EPS,
 def _pair(v, n):
     v = np.asarray(v, dtype=complex)
     return (v.real, v.imag) if v.ndim else (np.full(n, v.real), np.full(n, v.imag))
+
+
+def _bits(mask):
+    """The set bits of a boolean column as one Python int."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def _is_real(re, im):
@@ -157,16 +184,29 @@ class _Walk:
     The arithmetic runs over all n entries.  The guards and the per-point
     calls see only the live points, which are exactly the points that a
     walk taking one point at a time would still be evaluating there.
+
+    Each rejection is logged as (points cleared, reason).  A subtree
+    walked on the top-level values is memoized with its columns, the
+    live points it started from (as bits) and its part of the log.  A
+    later visit whose live points are among those replays that log
+    through reject instead of walking: the guards would clear the same
+    points for the same reasons, and the other live points' columns are
+    the same.  Variables are not memoized, and neither is anything under
+    a FunctionApp's local values.
     """
 
-    def __init__(self, functions, live, eps, real_domain):
+    def __init__(self, functions, live, eps, real_domain, top, memo):
         self.functions, self.live, self.n = functions, live, len(live)
         self.eps, self.real_domain, self.reason = eps, real_domain, None
+        self.top, self.memo, self.bits, self.log = top, memo, _bits(live), []
 
     def reject(self, bad, reason):
-        if (self.live & bad).any():
+        bad = self.live & bad
+        if bad.any():
             self.live &= ~bad
+            self.bits &= ~_bits(bad)
             self.reason = reason
+            self.log.append((bad, reason))
 
     def pointwise(self, z, fn):
         """fn on each live point's Python complex; a point where it
@@ -179,12 +219,25 @@ class _Walk:
             except EvaluationError:
                 raise
             except (PointRejected, ArithmeticError, ValueError) as exc:
-                self.live[i], self.reason = False, str(exc)
+                self.reject(np.arange(self.n) == i, str(exc))
                 continue
             out[0][i], out[1][i] = w.real, w.imag
         return out
 
     def node(self, e, values):
+        if values is not self.top or isinstance(e, Variable):
+            return self.walk(e, values)
+        hit = self.memo.get(e)
+        if hit is not None and not self.bits & ~hit[1]:
+            for bad, reason in hit[2]:
+                self.reject(bad, reason)
+            return hit[0]
+        bits, start = self.bits, len(self.log)
+        out = self.walk(e, values)
+        self.memo[e] = out, bits, self.log[start:]
+        return out
+
+    def walk(self, e, values):
         n = self.n
         if isinstance(e, (Constant, ImaginaryUnit)):
             c = complex(e.value) if isinstance(e, Constant) else 1j

@@ -163,6 +163,20 @@ def test_constant_kernel_of_redundant_generators():
     assert rep.pointwise_kernel_dim == 1
 
 
+def test_constant_kernel_with_fewer_rows_than_generators():
+    # one seed of 4 points and q = 1 stack a 4 x 5 B: the kernel vector
+    # comes from V's row past the four singular values
+    fields = (_field(("1", "0"), ("0",), "tx"), _field(("0", "1"), ("0",), "ty"),
+              _field(("y", "-x"), ("0",), "rot"), _field(("0", "0"), ("u",), "su"),
+              _field(("x", "y"), ("0",), "dil"))
+    a = Algebra(SPACE, fields, "five")
+    plan = SamplePlan(count=4, min_accepted=4, seeds=(5,))
+    c = CandidateSolution(SPACE, {"u": P("x^2 - y^2")}, name="saddle", plan=plan)
+    rep = constant_kernel_generators(a, c, named_combinations={"2 su + dil": (0, 0, 0, 1, 0.5)})
+    assert len(rep.constant_kernel) == 1
+    assert rep.matched_combination == "2 su + dil"
+
+
 def test_symmetry_check_positive_and_negative():
     heat_like = (P("d(u,x,x) + d(u,y,y)"),)
     rot = _field(("y", "-x"), ("0",), "rot")

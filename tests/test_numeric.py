@@ -39,7 +39,7 @@ from symred.numeric import (
     instantiate_functions,
     substitute_functions,
 )
-from symred.sampling import SamplePlan, numeric_equiv
+from symred.sampling import SamplePlan, numeric_equiv, sampled
 
 x = var("x")
 
@@ -276,6 +276,102 @@ def test_batch_equals_one_point_walks_and_python_arithmetic(real_domain):
         assert got == [_python(e, p, real_domain, 1e-6) for p in points], e
         outcomes.extend(g is None for g in got)
     assert 0 < sum(outcomes) < len(outcomes) / 2
+
+
+# ---------------------------------------------------------------------------
+# one binding, many expressions: the subtree memo
+
+def _outcome(e, b, **guards):
+    """(values, rejected mask, reason) of one evaluation through b."""
+    n = len(b.live)
+    try:
+        return evaluate(e, b, **guards), np.zeros(n, dtype=bool), None
+    except PointRejected as r:
+        return r.values, r.rejected, str(r)
+
+
+def _recurring(rng, pool, depth):
+    """A tree whose leaves are drawn from pool, so subtrees recur."""
+    if depth == 0 or rng.uniform() < 0.25:
+        return pool[rng.integers(0, len(pool))]
+    a, b = _recurring(rng, pool, depth - 1), _recurring(rng, pool, depth - 1)
+    pick = rng.integers(0, 5)
+    return (Sum((a, b)), Product((a, b)), Product((a, Power(b, Fraction(-1)))),
+            Power(a, Fraction(1, 2)), exp(Product((con(-1), Product((a, a))))))[pick]
+
+
+@pytest.mark.parametrize("real_domain", (True, False), ids=("real", "complex"))
+def test_shared_binding_matches_fresh_evaluations(real_domain):
+    # read as sampled reads: one binding per batch of points, and each
+    # evaluation's rejections cleared from its live mask before the next
+    rng = np.random.default_rng(29 + real_domain)
+    guards = dict(eps_sing=1e-6, real_domain=real_domain)
+    rejections = 0
+    for _ in range(40):
+        pool = [random_expression(rng, depth=3) for _ in range(5)]
+        points = _points(rng, 24)
+        columns = {name: np.array([p[name] for p in points], dtype=complex)
+                   for name in points[0]}
+        live = np.ones(len(points), dtype=bool)
+        shared = Binding(columns, live=live)
+        for _ in range(8):
+            e = _recurring(rng, pool, 3)
+            fresh = _outcome(e, Binding(columns, live=live.copy()), **guards)
+            got = _outcome(e, shared, **guards)
+            assert got[1].tolist() == fresh[1].tolist(), e
+            assert got[2] == fresh[2], e
+            kept = live & ~fresh[1]
+            assert [_bits(v) for v in got[0][kept].tolist()] == \
+                [_bits(v) for v in fresh[0][kept].tolist()], e
+            rejections += int(fresh[1].sum())
+            live &= ~fresh[1]
+    assert rejections > 0
+
+
+def test_memo_hit_replays_its_rejection():
+    y = var("y")
+    pole = div(con(1), x)
+    columns = {"x": np.array([1.0, 0.0, 2.0, 0.0], dtype=complex),
+               "y": np.array([0.0, 1.0, 1.0, 3.0], dtype=complex)}
+    b = Binding(columns, live=np.ones(4, dtype=bool))
+    want = [False, True, False, True]
+    # the caller never clears live: every hit must reject again
+    for e in (pole, pole, Sum((pole, y)), Product((y, pole))):
+        with pytest.raises(PointRejected) as caught:
+            evaluate(e, b, eps_sing=1e-6)
+        assert caught.value.rejected.tolist() == want
+    # a subtree first walked after y's pole cleared point 0 is walked
+    # again where that point is still live: exp was not computed there
+    shared = Binding(columns, live=np.ones(4, dtype=bool))
+    inner = Sum((pole, exp(x)))
+    with pytest.raises(PointRejected):
+        evaluate(Product((div(con(1), y), inner)), shared, eps_sing=1e-6)
+    with pytest.raises(PointRejected) as caught:
+        evaluate(inner, shared, eps_sing=1e-6)
+    assert caught.value.rejected.tolist() == want
+    assert caught.value.values[[0, 2]].tolist() == [1 + cmath.exp(1), 0.5 + cmath.exp(2)]
+
+
+def test_shared_bessel_subtree_is_computed_once_per_point_and_seed(monkeypatch):
+    calls = []
+    real_bessel = symred.numeric.bessel_i
+
+    def counted(order, z, **kw):
+        calls.append(z)
+        return real_bessel(order, z, **kw)
+
+    monkeypatch.setattr(symred.numeric, "bessel_i", counted)
+    y = var("y")
+    bessel = besseli(Fraction(1, 3), x)
+    exprs = (Product((bessel, y)), Sum((bessel, y)), exp(bessel))
+    plan = SamplePlan(box={"x": ((0.5, 2.0),)}, count=10, min_accepted=4, seeds=(3, 5))
+    rows = list(sampled(exprs, plan))
+    assert len(rows) == 20
+    assert len(calls) == 20
+    for s in rows:
+        xv = s.where["x"]
+        assert s.values[2] == cmath.exp(real_bessel(Fraction(1, 3), complex(xv),
+                                                    real_domain=True))
 
 
 def test_imaginary_products_match_python():
