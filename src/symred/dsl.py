@@ -38,7 +38,7 @@ again at the pinned values.  func and param names share one name space
 with the space's variables.  Each block item is given once: a second
 assignment to one dependent, `xi`, `phi`, `domain` of one variable,
 pin of one param, or `independent`/`dependent`/`order` is an error,
-as is a second declaration of one name.
+as is a second declaration of one name or a system without equations.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .expr import (
     ZERO,
     Constant,
     Expression,
+    ExpressionError,
     FunctionSymbol,
     SymredError,
     add,
@@ -63,7 +64,7 @@ from .expr import (
 )
 from .fields import Algebra, VectorField
 from .jets import CandidateSolution, VariableSpace, make_space
-from .parser import ParseError, parse_expression
+from .parser import parse_expression
 from .sampling import SamplePlan
 
 __all__ = [
@@ -345,7 +346,7 @@ def _param(decl: str, params: Mapping[str, Fraction], where: str) -> tuple[str, 
         literal = isinstance(value, Constant)
         if not literal:
             value = parse_expression(rhs, None, params)
-    except ParseError as err:
+    except ExpressionError as err:      # a ParseError, or an exact zero divisor
         raise DslError("%s: param %s: %s" % (where, name, err)) from err
     if not isinstance(value, Constant):
         raise DslError("%s: param %s is not a rational constant of earlier params"
@@ -425,11 +426,13 @@ def parse_workspace(text: str, source: str = "<workspace>",
         if name not in literals:
             raise ModelError("%s has no parameter %r" % (ws.id, name))
 
+    where = source      # the declaration being read, for parse errors
+
     def parse(expr_text: str) -> Expression:
         try:
             return parse_expression(expr_text, ws.functions, ws.params)
-        except ParseError as err:
-            raise DslError("%s: %s" % (source, err)) from err
+        except ExpressionError as err:  # a ParseError, or an exact zero divisor
+            raise DslError("%s: %s" % (where, err)) from err
 
     p, q = len(space.independents), len(space.dependents)
     declared = {"system": ws.systems, "field": ws.fields, "algebra": ws.algebras,
@@ -463,6 +466,8 @@ def parse_workspace(text: str, source: str = "<workspace>",
                                    " names" % where)
                 eqs.append(normalize(add(parse(lhs), neg(parse(rhs)))))
                 labels.append(label)
+            if not eqs:
+                raise DslError("%s declares no equations" % where)
             ws.systems[name] = tuple(eqs)
             ws.eq_names[name] = tuple(labels)
         elif kind == "field":

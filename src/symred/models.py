@@ -2,9 +2,14 @@
 
 The five models ship as .sr workspace files in `symred/library/`, read
 by the one workspace parser: a built-in is a `dsl.Workspace` like any
-user file.  This module keeps what is not a declaration: the parameter
-draws, the residual engine that certifies stored solutions, the
-reduced-ODE and derived-constraint checks, and the discrepancy report.
+user file.  The paper's intermediate systems (the reduced ODE IF7 with
+its amplitude IF6, and the constraint systems E83-E86, IF12 and LNS)
+ship as `library/checks/<model>.sr`, read only by `reduced_ode_check`
+and `derived_constraint_check`, which append one to its model's text
+and read each (system, candidate) pair through `residual`.  This module
+keeps what is not a declaration: the parameter draws, the residual
+engine that certifies stored solutions, the table of derived checks,
+and the discrepancy report.
 """
 
 from __future__ import annotations
@@ -12,25 +17,13 @@ from __future__ import annotations
 import zlib
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .analysis import max_abs_on_points
 from .dsl import ModelError, Workspace, parse_workspace
-from .expr import (
-    Expression,
-    FunctionSymbol,
-    Sum,
-    apply_symbol,
-    con,
-    differentiate,
-    mul,
-    normalize,
-    sqrt,
-    to_text,
-    var,
-)
+from .expr import Expression, Sum, to_text
 from .jets import (
     CandidateSolution,
     JetPoint,
@@ -40,7 +33,6 @@ from .jets import (
     sample_points,
 )
 from .numeric import Binding, PointRejected, evaluate, substitute_functions
-from .parser import parse_expression
 from .sampling import EPS_SING, SamplePlan, sampled
 
 __all__ = [
@@ -58,11 +50,11 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _shipped_text(model_id: str) -> str:
-    """The model's .sr text, read on first use so that importing symred
-    reads no file."""
+def _shipped_text(name: str) -> str:
+    """The .sr text of `library/<name>.sr` (a model id, or `checks/<id>`),
+    read on first use so that importing symred reads no file."""
     from importlib.resources import files
-    return (files(__package__) / "library" / (model_id + ".sr")).read_text(encoding="utf-8")
+    return (files(__package__) / "library" / (name + ".sr")).read_text(encoding="utf-8")
 
 
 def builtin(model_id: str, params: Mapping | None = None) -> Workspace:
@@ -152,14 +144,9 @@ def residual(ws: Workspace, candidate=None, system: str | None = None) -> dict:
     of its plan, on the named system (default: the only one)."""
     ws, cand = resolve_candidate(ws, candidate)
     system = ws.system(system)
-    return _max_on_graph(cand, dict(zip(system.equation_names, system.equations)))
-
-
-def _max_on_graph(cand: CandidateSolution, exprs: Mapping[str, Expression]) -> dict:
-    """Largest |e| of each named expression over the candidate's jet
-    points, drawn on its plan."""
-    points = sample_points(cand, cand.plan, exprs.values())
-    return {name: max_abs_on_points(e, points, cand.plan) for name, e in exprs.items()}
+    points = sample_points(cand, cand.plan, system.equations)
+    return {name: max_abs_on_points(e, points, cand.plan)
+            for name, e in zip(system.equation_names, system.equations)}
 
 
 def vnls_residual(candidate=None) -> dict:
@@ -168,201 +155,75 @@ def vnls_residual(candidate=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# reduced ODE certification (the example3_* closed forms)
+# the paper's reduced ODEs and derived constraint systems
 
-def _if7_residual(w: Expression, wt: Expression, k: Fraction) -> Expression:
-    t = var("t")
-    wtt = differentiate(wt, "t")
-    return normalize(wtt + con(2 * (2 + 1 / k)) * w * wt
-                     + con(2 * (1 + 1 / k)) * w * w * w
-                     + con(4 / k) * (wt + w * w) / t)
-
-
-def _if6_amplitude(w: Expression, wt: Expression, k: Fraction) -> Expression:
-    return sqrt(mul(con(-1 / k), w * w + wt))
+class _Check(NamedTuple):
+    """The (system, candidate) pairs a check reads, None meaning its main
+    candidate; `system` is the model's own system there, less `omit`."""
+    model: str
+    main: str
+    reads: tuple[tuple[str, str | None], ...]
+    omit: tuple[str, ...] = ()
 
 
-def _check_k2(params: Mapping) -> dict:
-    p = {"c1": Fraction(1), "c2": Fraction(1), "lead": Fraction(4)}
-    p.update({n: Fraction(v) for n, v in params.items()})
-    k = Fraction(-2)
-    plan = SamplePlan(box={"t": ((0.6, 2.0),)})
-    w = parse_expression("(lead*t^3 + c1)/(t^4 + c1*t + c2)", None, p)
-    amp = parse_expression("6^(1/2)*(t^2/(t^4 + c1*t + c2))^(1/2)", None, p)
-    wt = differentiate(w, "t")
-    out = {
-        "ode": max_abs_on_points(_if7_residual(w, wt, k), None, plan),
-        "amplitude": max_abs_on_points(normalize(amp - _if6_amplitude(w, wt, k)),
-                                       None, plan),
-    }
-    ws = builtin("isentropic", {"k": k, "c1": p["c1"], "c2": p["c2"]})
-    out["system"] = max(residual(ws, "example3_k_minus2").values())
+_ODE_CHECKS = {
+    "IF_k2": _Check("isentropic", "example3_k_minus2", (("IF7", "IF_k2"),)),
+    "IF9_k1": _Check("isentropic", "example3_k_minus1", (("IF7", None),)),
+    "IF7_general": _Check("isentropic", "IF5_reduced", (("IF7_general", None),),
+                          omit=("sound",)),
+}
+
+_CONSTRAINT_CHECKS = {
+    "E83_E86": _Check("euler", "example8_euler",
+                      (("E83_E86", None), ("E83_E86_equiv", "example8_class"))),
+    "IF12": _Check("isentropic", "IF11", (("IF12", None), ("IF12_equiv", "IF4_class"))),
+    "LNS": _Check("navier_stokes", "example8_ns", (("LNS", None),)),
+}
+
+
+def _check_workspace(model_id: str, params: Mapping | None = None) -> Workspace:
+    """The built-in with its check file appended, under the built-in's
+    source id, so that a pinned candidate's re-parse keeps the checks."""
+    text = _shipped_text(model_id) + "\n" + _shipped_text("checks/" + model_id)
+    return parse_workspace(text, "builtin:" + model_id, params)
+
+
+def _run_check(table, what: str, kind: str, params=None, candidate=None) -> dict:
+    try:
+        check = table[kind]
+    except KeyError:
+        raise ModelError("unknown %s %r; available: %s"
+                         % (what, kind, ", ".join(sorted(table))))
+    ws = _check_workspace(check.model, params)
+    main = candidate or check.main
+    out = {}
+    for system, cand in check.reads:
+        out |= residual(ws, cand or main, system)
+    own = residual(ws, main, check.model)
+    out["system"] = max(v for name, v in own.items() if name not in check.omit)
     return out
-
-
-def _check_k1(params: Mapping) -> dict:
-    p = {"c1": Fraction(1, 2), "c2": Fraction(1)}
-    p.update({n: Fraction(v) for n, v in params.items()})
-    k = Fraction(-1)
-    plan = SamplePlan(box={"t": ((0.5, 1.5),)})
-    w = parse_expression("c1*t^2*(besseli(-5/6; (c1/3)*t^3) + c2*besseli(5/6; (c1/3)*t^3))"
-                         "/(besseli(1/6; (c1/3)*t^3) + c2*besseli(-1/6; (c1/3)*t^3))",
-                         None, p)
-    wt = differentiate(w, "t")
-    t = var("t")
-    # canonical k=-1 form W'' = -2WW' + (4/t)(W' + W^2)
-    ode = normalize(differentiate(wt, "t") + con(2) * w * wt
-                    - con(4) * (wt + w * w) / t)
-    out = {
-        "ode": max_abs_on_points(ode, None, plan),
-        "amplitude": max_abs_on_points(normalize(parse_expression("c1*t^2", None, p)
-                                                 - _if6_amplitude(w, wt, k)),
-                                       None, plan),
-    }
-    ws = builtin("isentropic", {"k": k, "c1": p["c1"], "c2": p["c2"]})
-    out["system"] = max(residual(ws, "example3_k_minus1").values())
-    return out
-
-
-def _check_general(params: Mapping) -> dict:
-    p = {"k": Fraction(-3, 2)}
-    p.update({n: Fraction(v) for n, v in params.items()})
-    k = p["k"]
-    if k == 0 or k == 1:
-        raise ModelError("degenerate k")
-    plan = SamplePlan(box={"t": ((0.5, 2.0),)}, count=40, min_accepted=10)
-    w_sym = FunctionSymbol("W", ("t",))
-    t = var("t")
-    w = apply_symbol(w_sym, t)
-    wt = differentiate(w, "t")
-    amp = _if6_amplitude(w, wt, k)
-    amp_t = differentiate(amp, "t")
-    # reduced equation: multiplying the sound equation on the class
-    # u = (x/t, y/t, zW), a = zA by -2kA reproduces the W ODE exactly
-    identity = normalize(con(-2) * con(k) * amp
-                         * (amp_t + w * amp + (amp / con(k)) * (con(2) / t + w))
-                         - _if7_residual(w, wt, k))
-    out = {
-        "IF1_z": max_abs_on_points(normalize(wt + w * w + con(k) * amp * amp),
-                                   None, plan),
-        "reduction_identity": max_abs_on_points(identity, None, plan),
-    }
-    # the assembled class satisfies the momentum equations identically;
-    # its sound equation IS the ODE, which reduction_identity covers
-    ws = builtin("isentropic", {"k": k})
-    z = var("z")
-    cand = CandidateSolution(ws.space, {
-        "u1": parse_expression("x/t"), "u2": parse_expression("y/t"),
-        "u3": normalize(mul(z, w)), "a": normalize(mul(z, amp)),
-    }, (parse_expression("t"),), name="IF5_reduced", plan=plan)
-    momentum = {name: eq for name, eq in zip(ws.equation_names, ws.equations)
-                if name != "sound"}
-    out["system"] = max(_max_on_graph(cand, momentum).values())
-    return out
-
-
-_ODE_CHECKS = {"IF_k2": _check_k2, "IF9_k1": _check_k1,
-               "IF7_general": _check_general}
 
 
 def reduced_ode_check(kind: str, params: Mapping | None = None) -> dict:
     """Certify a reduced ODE closed form and its assembled fluid candidate.
 
-    IF_k2 accepts c1, c2 and a fault-injection knob `lead` (the cubic
-    coefficient of the W numerator; anything but 4 breaks the ODE).
-    IF9_k1 accepts c1, c2.  IF7_general accepts k and checks the
-    reduction identity with an opaque W.
+    IF_k2 reads IF7 (keys `ode`, `amplitude`) on a copy of
+    example3_k_minus2 whose W has the cubic coefficient `lead`, a
+    fault-injection knob (anything but 4 breaks the ODE); it accepts c1,
+    c2 and lead.  IF9_k1 reads IF7 on example3_k_minus1 and accepts c1
+    and c2.  IF7_general accepts k and reads IF1_z and the reduction
+    identity with an opaque W.  `system` is the isentropic system on the
+    assembled candidate.
     """
-    try:
-        check = _ODE_CHECKS[kind]
-    except KeyError:
-        raise ModelError("unknown reduced ODE kind %r; available: %s"
-                         % (kind, ", ".join(sorted(_ODE_CHECKS))))
-    return check(params or {})
-
-
-# ---------------------------------------------------------------------------
-# derived constraint systems (the example8_* candidates and IF12)
-
-def _check_e83_e86(candidate) -> dict:
-    ws, cand = resolve_candidate(builtin("euler"), candidate or "example8_euler")
-    constraints = {name: parse_expression(text, ws.functions, ws.params) for name, text in (
-        ("E83", "t^2*d(p,x) + k*km1*x"),
-        ("E84", "t^2*d(p,y) + k*km1*y"),
-        ("E85", "d(u3,z) + 2*k/t"),
-        ("E86", "d(u3,t) + u3*d(u3,z) + (k/t)*(x*d(u3,x) + y*d(u3,y)) + d(p,z)"),
-    )}
-    eqs = dict(zip(ws.equation_names, ws.equations))
-    out = _max_on_graph(cand, {**constraints, **eqs})
-    out["system"] = max(out.pop(name) for name in eqs)
-
-    # on the weak class (u3, p arbitrary) the Euler system is equivalent
-    # to the constraint system; checked identity by identity
-    t = var("t")
-    pairs = {
-        "equiv_x": normalize(eqs["momentum_x"] * t * t - constraints["E83"]),
-        "equiv_y": normalize(eqs["momentum_y"] * t * t - constraints["E84"]),
-        "equiv_z": normalize(eqs["momentum_z"] - constraints["E86"]),
-        "equiv_div": normalize(eqs["continuity"] - constraints["E85"]),
-    }
-    return out | _max_on_graph(ws.candidates["example8_class"], pairs)
-
-
-def _check_if12(candidate) -> dict:
-    ws, cand = resolve_candidate(builtin("isentropic"), candidate or "IF11")
-
-    def parse(text):
-        return parse_expression(text, ws.functions, ws.params)
-
-    system = {
-        "IF12_ax": parse("d(a,x)"),
-        "IF12_ay": parse("d(a,y)"),
-        "IF12_z": parse("d(u3,t) + u3*d(u3,z) + (x/t)*d(u3,x) + (y/t)*d(u3,y)"
-                        " + k*a*d(a,z)"),
-        "IF12_t": parse("d(a,t) + u3*d(a,z) + (a/k)*(2/t + d(u3,z))"),
-    }
-    out = _max_on_graph(cand, system)
-
-    eqs = dict(zip(ws.equation_names, ws.equations))
-    pairs = {
-        "equiv_1": normalize(eqs["momentum_x"] - parse("k*a*d(a,x)")),
-        "equiv_2": normalize(eqs["momentum_y"] - parse("k*a*d(a,y)")),
-        "equiv_3": normalize(eqs["momentum_z"] - system["IF12_z"]),
-        "equiv_4": normalize(eqs["sound"] - system["IF12_t"]
-                             - parse("(x/t)*d(a,x) + (y/t)*d(a,y)")),
-    }
-    return out | _max_on_graph(ws.candidates["IF4_class"], pairs)
-
-
-def _check_lns(candidate) -> dict:
-    ws, cand = resolve_candidate(builtin("navier_stokes"), candidate or "example8_ns")
-    alpha = parse_expression("c3*x*y", None, ws.params)
-    t, x, y = var("t"), var("x"), var("y")
-    lns = normalize(differentiate(alpha, "t")
-                    + (con(ws.params["k"]) / t)
-                    * (x * differentiate(alpha, "x")
-                       + y * differentiate(alpha, "y") - con(2) * alpha)
-                    - con(ws.params["nu"])
-                    * (differentiate(differentiate(alpha, "x"), "x")
-                       + differentiate(differentiate(alpha, "y"), "y")))
-    out = {"LNS": max_abs_on_points(lns, None, cand.plan)}
-    out["system"] = max(residual(ws, cand).values())
-    return out
-
-
-_CONSTRAINT_CHECKS = {"E83_E86": _check_e83_e86, "IF12": _check_if12,
-                      "LNS": _check_lns}
+    return _run_check(_ODE_CHECKS, "reduced ODE kind", kind, params)
 
 
 def derived_constraint_check(constraint_id: str, candidate=None) -> dict:
-    """Residuals of an intermediate constraint system plus the identities
+    """Residuals of an intermediate constraint system on a candidate
+    (default: the one the paper derives it for), its model's own system
+    there under `system`, and, for E83_E86 and IF12, the identities
     tying it to the full system on the corresponding weak class."""
-    try:
-        check = _CONSTRAINT_CHECKS[constraint_id]
-    except KeyError:
-        raise ModelError("unknown constraint id %r; available: %s"
-                         % (constraint_id, ", ".join(sorted(_CONSTRAINT_CHECKS))))
-    return check(candidate)
+    return _run_check(_CONSTRAINT_CHECKS, "constraint id", constraint_id, None, candidate)
 
 
 # ---------------------------------------------------------------------------

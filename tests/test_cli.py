@@ -398,3 +398,14 @@ def test_the_cli_report_is_the_api_report(capsys, tmp_path, job):
         hints = ws.kernel_hints.get(opts["--candidate"], {}).get(opts["--algebra"])
         api = constant_kernel_generators(alg, cand, named_combinations=hints)
     assert report == json.loads(json.dumps(api.to_dict()))
+
+
+@pytest.mark.parametrize("argv", [VERIFY_C, ("symcheck", "{sr}", "--field", "v",
+                                              "--candidate", "c")])
+def test_a_system_without_equations_exits_one(capsys, tmp_path, argv):
+    # it used to crash verify with a traceback and let symcheck say yes
+    path = tmp_path / "empty.sr"
+    path.write_text((LINE_SR % (LINE_SPACE, "1", "(1, 2)")).replace("eq d(u,x) = 0;", ""))
+    assert main([a.format(sr=path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err == "symred: %s: system flat declares no equations\n" % path

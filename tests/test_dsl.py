@@ -393,3 +393,16 @@ system a { eq d(u,t) = 0; }
 system b { eq d(u,x) = 1; }
 """ % decl, source="t")
     assert str(err.value) == "t: %s is missing its ';'" % " ".join(decl.split()[:2])
+
+
+@pytest.mark.parametrize("decl, message", [
+    ("param a = 0; param b = 1/a; system s { eq u = 0; }",
+     "t: param b: division by exact zero"),
+    ("system s { eq e1: u/0 = 0; }", "t: system s: division by exact zero"),
+    ("system s { }", "t: system s declares no equations"),
+])
+def test_zero_divisors_and_empty_systems_name_their_declaration(decl, message):
+    text = "space s { independent x; dependent u; order 1; }\n%s\n" % decl
+    with pytest.raises(DslError) as err:
+        parse_workspace(text, source="t")
+    assert str(err.value) == message

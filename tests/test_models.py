@@ -18,8 +18,11 @@ from symred.analysis import (
 from symred.dsl import DslError, parse_workspace, workspace_from_entry, workspace_to_text
 from symred.fields import closure_check
 from symred.models import (
+    _CONSTRAINT_CHECKS,
+    _ODE_CHECKS,
     MODEL_IDS,
     ModelError,
+    _check_workspace,
     builtin,
     derived_constraint_check,
     discrepancy_report,
@@ -327,3 +330,34 @@ def test_pinned_candidates_resolve_against_their_own_params():
     assert set(workspace_from_entry(ws).candidates) == {"grow"}
     with pytest.raises(DslError):
         parse_workspace(PINNED.replace("param k = -1", "param q = -1"), source="t")
+
+
+@pytest.mark.parametrize("model_id, system, candidate", [
+    ("euler", "E83_E86", "SE_corrected"),
+    ("euler", "E83_E86_equiv", "E1E2"),
+    ("isentropic", "IF12", "IF4_class"),
+    ("navier_stokes", "LNS", "S25S26"),
+])
+def test_derived_systems_fail_off_their_class(model_id, system, candidate):
+    # the shipped check data is not vacuous: off its class each system fails
+    assert _worst(residual(_check_workspace(model_id), candidate, system)) > 1.0
+
+
+@pytest.mark.parametrize("model_id", ["euler", "isentropic", "navier_stokes"])
+def test_every_check_declaration_is_read_by_a_table_row(model_id):
+    base, ws = builtin(model_id), _check_workspace(model_id)
+    # a check file adds systems, candidates and params, nothing else
+    assert (ws.functions, ws.fields.keys(), ws.algebras.keys()) == \
+        (base.functions, base.fields.keys(), base.algebras.keys())
+    rows = [row for row in (*_ODE_CHECKS.values(), *_CONSTRAINT_CHECKS.values())
+            if row.model == model_id]
+    systems = {system for row in rows for system, _ in row.reads}
+    candidates = {row.main for row in rows} | {c for row in rows for _, c in row.reads if c}
+    assert systems == set(ws.systems) - set(base.systems)
+    assert set(ws.candidates) - set(base.candidates) <= candidates <= set(ws.candidates)
+
+
+def test_a_zero_divisor_param_names_its_declaration():
+    with pytest.raises(DslError) as err:
+        builtin("isentropic", {"k": 0})
+    assert str(err.value) == "builtin:isentropic: param invk: division by exact zero"
