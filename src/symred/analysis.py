@@ -479,20 +479,21 @@ def max_abs_on_points(e: Expression, points: Sequence[JetPoint] | None,
 def symmetry_check(system: Sequence[Expression], v, donor: CandidateSolution) -> bool:
     """Does pr v annihilate the system on the donor solution's jet points?
 
-    The points are drawn on the donor's plan to read the system.  The donor
-    must itself satisfy the system to RESIDUAL_TOL, otherwise the check
-    would be vacuous; that precondition failing is an error, not a False.
+    The points are drawn on the donor's plan to read the system and pr v
+    of it.  The donor must itself satisfy the system to RESIDUAL_TOL,
+    otherwise the check would be vacuous; that precondition failing is an
+    error, not a False.
     """
     from .fields import apply_prolonged
 
     plan = donor.plan
-    points = sample_points(donor, plan, system)
+    acted = [apply_prolonged(v, e) for e in system]
+    points = sample_points(donor, plan, list(system) + acted)
     for e in system:
         if max_abs_on_points(e, points, plan) >= RESIDUAL_TOL:
             raise AnalysisError(
                 "donor %s is not a solution (residual precondition failed)" % donor.name)
-    for e in system:
-        acted = apply_prolonged(v, e)
-        if max_abs_on_points(acted, points, plan) >= SYMMETRY_TOL:
+    for e in acted:
+        if max_abs_on_points(e, points, plan) >= SYMMETRY_TOL:
             return False
     return True

@@ -18,8 +18,8 @@ from .expr import (
     free_variables,
     normalize,
 )
-from .jets import (JetError, JetKey, VariableSpace, jet_order, key_of_variable, key_variable,
-                   total_derivative)
+from .jets import (JetError, JetKey, VariableSpace, jet_keys, key_of_variable, key_variable,
+                   read_keys, total_derivative)
 from .sampling import SamplePlan, sampled
 
 
@@ -36,6 +36,9 @@ class VectorField:
     xi: tuple[Expression, ...]
     phi: tuple[Expression, ...]
     name: str = "v"
+    # prolongation coefficients by JetKey and D_i xi rows by i, built on
+    # first use (see _coefficient)
+    _jets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "xi", tuple(normalize(e) for e in self.xi))
@@ -255,55 +258,80 @@ def closure_check(a: Algebra, within: Algebra,
                          flagged=deficient_any)
 
 
-def prolong(v: VectorField, order: int) -> dict[JetKey, Expression]:
-    """Prolongation coefficients phi^{alpha,J} for |J| <= order.
+def _prolong_order(key: JetKey) -> tuple:
+    # order, dependent, then multi-index descending: the order in which
+    # the level-by-level recursion first reaches each key
+    return key.order, key.alpha, tuple(-k for k in key.orders)
+
+
+def _d_xi(v: VectorField, i: int) -> tuple[Expression, ...]:
+    """The row D_i xi_j over j, kept in v's memo under i."""
+    row = v._jets.get(i)
+    if row is None:
+        row = v._jets[i] = tuple(total_derivative(xi, v.space, i) for xi in v.xi)
+    return row
+
+
+def _coefficient(v: VectorField, key: JetKey) -> Expression:
+    """phi^{alpha,J}, built from its parent J - e_i, i the last index with
+    J_i > 0, and kept in v's memo:
 
     phi^{alpha, J+e_i} = D_i phi^{alpha,J} - sum_j (D_i xi_j) * u^alpha_{J+e_j}.
     """
-    space = v.space
+    coeff = v._jets.get(key)
+    if coeff is not None:
+        return coeff
+    if key.order == 0:
+        coeff = v.phi[key.alpha]
+    else:
+        i = max(j for j, k in enumerate(key.orders) if k)
+        parent = key.orders[:i] + (key.orders[i] - 1,) + key.orders[i + 1:]
+        terms = [total_derivative(_coefficient(v, JetKey(key.alpha, parent)), v.space, i)]
+        for j, d_xi in enumerate(_d_xi(v, i)):
+            if d_xi == ZERO:
+                continue
+            bump = parent[:j] + (parent[j] + 1,) + parent[j + 1:]
+            jet = key_variable(v.space, JetKey(key.alpha, bump))
+            terms.append(Product((MINUS_ONE, d_xi, jet)))
+        coeff = normalize(Sum(tuple(terms)))
+    v._jets[key] = coeff
+    return coeff
+
+
+def _check_order(space: VariableSpace, order: int) -> None:
     if order > space.max_order:
         raise JetError("prolongation order %d exceeds max_order %d"
                        % (order, space.max_order))
-    out: dict[JetKey, Expression] = {}
-    for alpha in range(space.q):
-        out[JetKey(alpha, (0,) * space.p)] = v.phi[alpha]
-    d_xi = [[total_derivative(v.xi[j], space, i) for j in range(space.p)]
-            for i in range(space.p)]
-    for level in range(1, order + 1):
-        for key in list(out):
-            if key.order != level - 1:
-                continue
-            for i in range(space.p):
-                new_orders = tuple(k + (1 if j == i else 0)
-                                   for j, k in enumerate(key.orders))
-                new_key = JetKey(key.alpha, new_orders)
-                if new_key in out:
-                    continue
-                terms = [total_derivative(out[key], space, i)]
-                for j in range(space.p):
-                    if d_xi[i][j] == ZERO:
-                        continue
-                    bump = tuple(k + (1 if l == j else 0)
-                                 for l, k in enumerate(key.orders))
-                    jet = key_variable(space, JetKey(key.alpha, bump))
-                    terms.append(Product((MINUS_ONE, d_xi[i][j], jet)))
-                out[new_key] = normalize(Sum(tuple(terms)))
-    return out
+
+
+def prolong(v: VectorField, order: int) -> dict[JetKey, Expression]:
+    """Prolongation coefficients phi^{alpha,J} for |J| <= order."""
+    _check_order(v.space, order)
+    keys = sorted(jet_keys(v.space, order), key=_prolong_order)
+    return {key: _coefficient(v, key) for key in keys}
 
 
 def apply_prolonged(v: VectorField, e: Expression) -> Expression:
-    """pr v applied to an expression over the jet space."""
+    """pr v applied to an expression over the jet space.
+
+    Only the coefficients of the jet coordinates that occur in e are
+    built; pr v's other terms vanish on e.
+    """
     space = v.space
-    coeffs = prolong(v, jet_order(space, (e,)))
+    keys = read_keys(space, (e,))
+    _check_order(space, max((key.order for key in keys), default=0))
     terms = []
     for i, x in enumerate(space.independents):
         de = differentiate(e, x)
         if de == ZERO or v.xi[i] == ZERO:
             continue
         terms.append(Product((v.xi[i], de)))
-    for key, phi in coeffs.items():
+    for key in sorted(keys, key=_prolong_order):
         de = differentiate(e, key_variable(space, key).name)
-        if de == ZERO or phi == ZERO:
+        if de == ZERO:
+            continue
+        phi = _coefficient(v, key)
+        if phi == ZERO:
             continue
         terms.append(Product((phi, de)))
     return normalize(Sum(tuple(terms))) if terms else ZERO

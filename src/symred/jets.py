@@ -114,11 +114,11 @@ def key_of_variable(space: VariableSpace, name: str) -> JetKey | None:
     return JetKey(space.dependents.index(head), tuple(orders))
 
 
-def jet_order(space: VariableSpace, exprs: Iterable[Expression]) -> int:
-    """Highest derivative order among the space's jet coordinates in exprs;
-    0 when only dependents (or none) occur."""
+def read_keys(space: VariableSpace, exprs: Iterable[Expression]) -> set[JetKey]:
+    """The keys of the space's jet coordinates, dependents included, that
+    occur in exprs."""
     keys = (key_of_variable(space, name) for e in exprs for name in free_variables(e))
-    return max((key.order for key in keys if key is not None), default=0)
+    return {key for key in keys if key is not None}
 
 
 def bump_name(space: VariableSpace, name: str, i: int) -> str:
@@ -240,22 +240,23 @@ def sample_points(c: CandidateSolution, plan: SamplePlan,
                   exprs: Iterable[Expression]) -> list[JetPoint]:
     """Draw jet points on the candidate's graph at which to read exprs.
 
-    Every jet slot up to max(1, jet_order of exprs) is sampled.  Rejects
-    points where any excluded locus or encountered denominator is within
-    EPS_SING of zero.  min_accepted applies per seed.
+    Only the jet slots whose names occur in exprs are sampled, yet every
+    dependent must be assigned.  Rejects points where any excluded locus
+    or a denominator met in a sampled slot is within EPS_SING of zero.
+    min_accepted applies per seed.
     """
     space = c.space
-    order = max(1, jet_order(space, exprs))
-    keys = jet_keys(space, order)
-    needed = sorted({space.dependents[k.alpha] for k in keys})
-    missing = [dep for dep in needed if dep not in c.assignments]
+    keys = read_keys(space, exprs)
+    order = max((key.order for key in keys), default=0)
+    if order > space.max_order:
+        raise JetError("order %d exceeds space max_order %d" % (order, space.max_order))
+    missing = [dep for dep in sorted(space.dependents) if dep not in c.assignments]
     if missing:
         raise JetError("candidate %s does not define %s" % (c.name, missing))
 
     n_loci = len(c.excluded_loci)
-    slots = [(key_variable(space, key).name,
-              n_loci + needed.index(space.dependents[key.alpha]), _key_dvars(space, key))
-             for key in keys]
+    slots = [(key_variable(space, key).name, n_loci + key.alpha, _key_dvars(space, key))
+             for key in sorted(keys, key=lambda key: (key.alpha, key.orders))]
 
     def reader(ready, at, live):
         # once per seed: differentiate the instantiated right-hand sides
@@ -264,9 +265,11 @@ def sample_points(c: CandidateSolution, plan: SamplePlan,
             live &= ~(np.hypot(value.real, value.imag) <= EPS_SING)
         columns = {name: at(derivative(ready[i], dvars)).tolist()
                    for name, i, dvars in slots}
+        if not columns:  # nothing read but the base point
+            return [{} for _ in live]
         return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
-    sources = list(c.excluded_loci) + [c.assignments[dep] for dep in needed]
+    sources = list(c.excluded_loci) + [c.assignments[dep] for dep in space.dependents]
     return [JetPoint(s.where, s.values, s.seed, s.index)
             for s in sampled(sources, plan, names=space.independents, reader=reader,
                              label="candidate %s" % c.name)]

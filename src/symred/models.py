@@ -196,10 +196,22 @@ def _run_check(table, what: str, kind: str, params=None, candidate=None) -> dict
                          % (what, kind, ", ".join(sorted(table))))
     ws = _check_workspace(check.model, params)
     main = candidate or check.main
+    pinned = {}   # the workspace parsed again, once per set of pins
+
+    def read(cand, system):
+        at = ws
+        if isinstance(cand, str) and not ws.holds_here(cand):
+            pins = ws.candidate_params[cand]
+            key = tuple(sorted(pins.items()))
+            if key not in pinned:
+                pinned[key] = ws.with_params(pins)
+            at = pinned[key]
+        return residual(at, cand, system)
+
     out = {}
     for system, cand in check.reads:
-        out |= residual(ws, cand or main, system)
-    own = residual(ws, main, check.model)
+        out |= read(cand or main, system)
+    own = read(main, check.model)
     out["system"] = max(v for name, v in own.items() if name not in check.omit)
     return out
 

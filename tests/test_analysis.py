@@ -210,9 +210,10 @@ def test_invariance_check_matches_defect_zero():
 def test_max_abs_on_points_skips_rejected():
     c = CandidateSolution(SPACE, {"u": P("x")}, name="c")
     plan = SamplePlan()
-    pts = sample_points(c, plan, [P("d(u,x)")])
+    e = P("(x - y)^(-1) * 0 + u - x")
+    pts = sample_points(c, plan, [e])
     # 1/(x - y) blows up near the diagonal; those points are skipped
-    worst = max_abs_on_points(P("(x - y)^(-1) * 0 + u - x"), pts, plan)
+    worst = max_abs_on_points(e, pts, plan)
     assert worst < 1e-12
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from symred.expr import normalize
+from symred.expr import (MINUS_ONE, ZERO, Product, Sum, differentiate, free_variables,
+                         normalize)
 from symred.fields import (
     Algebra,
     FieldError,
@@ -14,7 +15,9 @@ from symred.fields import (
     prolong,
     xi_matrices,
 )
-from symred.jets import CandidateSolution, make_space, sample_points
+from symred.jets import (CandidateSolution, JetError, JetKey, key_of_variable, key_variable,
+                         make_space, sample_points, total_derivative)
+from symred.models import MODEL_IDS, builtin, draw_params
 from symred.numeric import Binding, evaluate
 from symred.parser import parse_expression
 from symred.sampling import SamplePlan, numeric_equiv
@@ -96,7 +99,7 @@ def test_apply_prolonged_on_invariant_equation():
     e = P("d(u,x,x) + d(u,y,y)")
     acted = apply_prolonged(ROT, e)
     c = CandidateSolution(SPACE, {"u": P("x^2 - y^2")}, name="harmonic")
-    pts = sample_points(c, SamplePlan(), [e])
+    pts = sample_points(c, SamplePlan(), [e, acted])
     from symred.analysis import max_abs_on_points
     assert max_abs_on_points(acted, pts, SamplePlan()) < 1e-12
 
@@ -158,3 +161,93 @@ def test_algebra_requires_common_space():
     w = VectorField(other, (P("1"), P("0")), (P("0"),), "w")
     with pytest.raises(FieldError):
         Algebra(SPACE, (ROT, w), "mixed")
+
+
+# ---------------------------------------------------------------------------
+# on-demand prolongation against the level-by-level recursion it replaced
+
+def _level_prolong(v, order):
+    """The level-by-level prolong, kept verbatim as the oracle."""
+    space = v.space
+    if order > space.max_order:
+        raise JetError("prolongation order %d exceeds max_order %d"
+                       % (order, space.max_order))
+    out = {}
+    for alpha in range(space.q):
+        out[JetKey(alpha, (0,) * space.p)] = v.phi[alpha]
+    d_xi = [[total_derivative(v.xi[j], space, i) for j in range(space.p)]
+            for i in range(space.p)]
+    for level in range(1, order + 1):
+        for key in list(out):
+            if key.order != level - 1:
+                continue
+            for i in range(space.p):
+                new_orders = tuple(k + (1 if j == i else 0)
+                                   for j, k in enumerate(key.orders))
+                new_key = JetKey(key.alpha, new_orders)
+                if new_key in out:
+                    continue
+                terms = [total_derivative(out[key], space, i)]
+                for j in range(space.p):
+                    if d_xi[i][j] == ZERO:
+                        continue
+                    bump = tuple(k + (1 if l == j else 0)
+                                 for l, k in enumerate(key.orders))
+                    jet = key_variable(space, JetKey(key.alpha, bump))
+                    terms.append(Product((MINUS_ONE, d_xi[i][j], jet)))
+                out[new_key] = normalize(Sum(tuple(terms)))
+    return out
+
+
+def _jet_order(space, exprs):
+    keys = (key_of_variable(space, name) for e in exprs for name in free_variables(e))
+    return max((key.order for key in keys if key is not None), default=0)
+
+
+def _level_apply_prolonged(v, e):
+    """apply_prolonged over the whole oracle prolongation, kept verbatim."""
+    space = v.space
+    coeffs = _level_prolong(v, _jet_order(space, (e,)))
+    terms = []
+    for i, x in enumerate(space.independents):
+        de = differentiate(e, x)
+        if de == ZERO or v.xi[i] == ZERO:
+            continue
+        terms.append(Product((v.xi[i], de)))
+    for key, phi in coeffs.items():
+        de = differentiate(e, key_variable(space, key).name)
+        if de == ZERO or phi == ZERO:
+            continue
+        terms.append(Product((phi, de)))
+    return normalize(Sum(tuple(terms))) if terms else ZERO
+
+
+def _builtin_fields(model_id, draw):
+    ws = builtin(model_id, draw_params(model_id, 7) if draw else None)
+    return ws, [v for a in ws.algebras.values() for v in a.fields]
+
+
+@pytest.mark.parametrize("draw", [False, True], ids=["default", "draw7"])
+@pytest.mark.parametrize("model_id", MODEL_IDS)
+def test_prolong_matches_the_level_recursion(model_id, draw):
+    _, fields = _builtin_fields(model_id, draw)
+    for v in fields:
+        for order in (1, v.space.max_order):
+            got = prolong(v, order)
+            want = _level_prolong(v, order)
+            assert list(got) == list(want), (v.name, order)
+            assert got == want, (v.name, order)
+
+
+@pytest.mark.parametrize("draw", [False, True], ids=["default", "draw7"])
+@pytest.mark.parametrize("model_id", MODEL_IDS)
+def test_apply_prolonged_matches_the_level_recursion(model_id, draw):
+    ws, fields = _builtin_fields(model_id, draw)
+    for v in fields:
+        for name, e in zip(ws.equation_names, ws.equations):
+            assert apply_prolonged(v, e) == _level_apply_prolonged(v, e), (v.name, name)
+
+
+def test_prolong_above_max_order_raises():
+    with pytest.raises(JetError):
+        prolong(ROT, SPACE.max_order + 1)

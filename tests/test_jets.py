@@ -77,9 +77,11 @@ def test_sample_points_slots_match_assignments():
         "v": parse_expression("x*y"),
     }, name="poly")
     plan = SamplePlan()
-    points = sample_points(c, plan, [parse_expression("d(u,x,x)")])
+    read = ("u", "d(u,x)", "d(u,x,x)", "d(v,x,y)")
+    points = sample_points(c, plan, [parse_expression(name) for name in read])
     assert len(points) >= plan.min_accepted
     pt = points[0]
+    assert set(pt.slots) == set(read)
     vx, vy = pt.base["x"], pt.base["y"]
     assert pt.slots["u"] == pytest.approx(vx**3 + vy**2)
     assert pt.slots["d(u,x)"] == pytest.approx(3 * vx**2)
@@ -112,6 +114,21 @@ def test_sample_points_skip_excluded_loci():
     points = sample_points(c, SamplePlan(), [parse_expression("d(u,x)")])
     for pt in points:
         assert abs(pt.base["x"] - pt.base["y"]) > 1e-6
+
+
+def test_unread_dependent_does_not_reject():
+    # ln(x) is outside the real domain for x < 0, but only where v is read
+    c = CandidateSolution(SPACE, {
+        "u": parse_expression("x + y"),
+        "v": parse_expression("ln(x)"),
+    }, name="log")
+    plan = SamplePlan(box={"x": ((-0.5, 2.0),)})
+    kept = sample_points(c, plan, [parse_expression("u")])
+    assert any(pt.base["x"] < 0 for pt in kept)
+    assert all(set(pt.slots) == {"u"} for pt in kept)
+    guarded = sample_points(c, plan, [parse_expression("u + v")])
+    assert guarded and all(pt.base["x"] > 0 for pt in guarded)
+    assert len(guarded) < len(kept)
 
 
 def test_sampling_requires_full_assignment():

@@ -156,6 +156,30 @@ def test_reduced_ode_checks_pass():
     assert rep["system"] < 1e-7
 
 
+@pytest.mark.parametrize("kind, main, read", [
+    ("IF_k2", "example3_k_minus2", "IF_k2"),
+    ("IF9_k1", "example3_k_minus1", "example3_k_minus1"),
+])
+def test_reduced_ode_check_parses_once_per_param_set(monkeypatch, kind, main, read):
+    # the check text, then the one param set both pinned candidates share
+    ws = _check_workspace("isentropic")
+    want = residual(ws, read, "IF7")
+    want["system"] = _worst(residual(ws, main, "isentropic"))
+    import symred.dsl
+    import symred.models
+    calls = []
+    parse = symred.dsl.parse_workspace
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(symred.dsl, "parse_workspace", counted)
+    monkeypatch.setattr(symred.models, "parse_workspace", counted)
+    assert reduced_ode_check(kind) == want
+    assert calls == ["builtin:isentropic"] * 2
+
+
 def test_reduced_ode_check_detects_fault():
     # breaking the leading coefficient must surface in the ODE residual
     rep = reduced_ode_check("IF_k2", {"lead": 5})
