@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-import numpy as np
-
 from .analysis import max_abs_on_points
 from .dsl import ModelError, Workspace, parse_workspace
 from .expr import Expression, Sum, to_text
@@ -34,6 +32,7 @@ from .jets import (
 )
 from .numeric import Binding, PointRejected, evaluate, substitute_functions
 from .sampling import EPS_SING, SamplePlan, sampled
+from .stream import Stream
 
 __all__ = [
     "MODEL_IDS",
@@ -111,7 +110,7 @@ def draw_params(model_id: str, seed: int) -> dict:
     degenerate values are avoided, and the others keep their defaults."""
     if model_id not in _DRAW_RULES:
         raise ModelError("unknown model id %r" % model_id)
-    rng = np.random.default_rng([seed, zlib.crc32(model_id.encode())])
+    rng = Stream([seed, zlib.crc32(model_id.encode())])
     return {name: rule(rng) for name, rule in _DRAW_RULES[model_id].items()}
 
 

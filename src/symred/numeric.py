@@ -45,6 +45,7 @@ from .expr import (
     rewrite,
     substitute,
 )
+from .stream import Stream
 
 # Truncation threshold for the modified Bessel series, relative to the
 # partial sum; and the argument bound past which the series is refused.
@@ -359,9 +360,9 @@ def bessel_i(order: Fraction, z: complex, *, real_domain: bool = False) -> compl
 INSTANTIATION_DEGREE = 3
 
 
-def _symbol_stream(symbol: FunctionSymbol, seed: int) -> np.random.Generator:
+def _symbol_stream(symbol: FunctionSymbol, seed: int) -> Stream:
     tag = zlib.crc32(("%s/%d" % (symbol.name, symbol.arity)).encode())
-    return np.random.default_rng([seed, tag])
+    return Stream([seed, tag])
 
 
 @functools.lru_cache(maxsize=1024)

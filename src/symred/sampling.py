@@ -9,10 +9,12 @@ evaluates each expression once over all of them with the plan's pole
 and real-domain guards, keeps one rejection mask for the seed and
 raises SamplingError when it keeps fewer than plan.min_accepted.
 
-Determinism contract: the value drawn for a variable depends only on
-(seed, point index, position in the requested name list), and opaque
-symbols get stand-ins that depend only on (symbol, seed), so any two
-runs with the same plan produce identical samples and readings.
+Determinism contract: point `index` of seed `seed` reads the stream
+`SeedSequence([seed, index])` -> PCG64 of `symred.stream`, identical
+bit for bit to `numpy.random.default_rng([seed, index])`, taking one
+unit double per requested name, in list order.  Opaque symbols get
+stand-ins that depend only on (symbol, seed), so any two runs with the
+same plan produce identical samples and readings.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .numeric import (
     random_polynomial,
     substitute_functions,
 )
+from .stream import Stream
 
 # numeric_equiv tolerances
 EQUIV_ABS = 1e-10
@@ -107,9 +110,9 @@ def draw_values(names: Sequence[str], plan: SamplePlan, seed: int,
 
 @lru_cache(maxsize=2048)
 def _unit_doubles(seed: int, index: int, n: int) -> tuple[float, ...]:
-    # One generator per (seed, index); the same points recur across the
+    # One stream per (seed, index); the same points recur across the
     # sampled calls of one command, so their doubles are kept.
-    return tuple(np.random.default_rng([seed, index]).random(n).tolist())
+    return tuple(Stream([seed, index]).random(n))
 
 
 def shared_instantiation(exprs: Iterable[Expression], seed: int):

@@ -3,9 +3,11 @@ solutions, closure of every algebra, the defect table, reduced-ODE and
 derived-constraint checks, and the diagnostic report."""
 
 import math
+import zlib
 from dataclasses import replace
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
 from symred.analysis import (
@@ -19,6 +21,7 @@ from symred.dsl import DslError, parse_workspace, workspace_from_entry, workspac
 from symred.fields import closure_check
 from symred.models import (
     _CONSTRAINT_CHECKS,
+    _DRAW_RULES,
     _ODE_CHECKS,
     MODEL_IDS,
     ModelError,
@@ -139,6 +142,14 @@ def test_draw_params_deterministic_and_in_range():
     assert a != draw_params("euler", 8)
     k = float(a["k"])
     assert 0.5 <= abs(k) <= 3.0 and abs(k - 1) > 0.1
+
+
+def test_draw_params_match_the_rules_driven_by_numpy():
+    for model_id in MODEL_IDS:
+        for seed in range(31):
+            rng = np.random.default_rng([seed, zlib.crc32(model_id.encode())])
+            expected = {name: rule(rng) for name, rule in _DRAW_RULES[model_id].items()}
+            assert draw_params(model_id, seed) == expected, (model_id, seed)
 
 
 def test_reduced_ode_checks_pass():

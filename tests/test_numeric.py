@@ -3,6 +3,7 @@ arithmetic, and the series Bessel against mpmath."""
 
 import cmath
 import math
+import zlib
 from fractions import Fraction
 
 import mpmath
@@ -136,6 +137,22 @@ def test_instantiate_functions_deterministic():
     assert t1[f] == t2[f]
     _, t3 = instantiate_functions(e, seed=43)
     assert t1[f] != t3[f]
+
+
+def test_random_polynomial_matches_the_construction_driven_by_numpy(monkeypatch):
+    symbols = [FunctionSymbol("f", ("s",)), FunctionSymbol("W", ("t",)),
+               FunctionSymbol("g", ("s", "r")), FunctionSymbol("F", ("a", "b", "c"))]
+    seeds = (0, 1, 7, 101, 211, 331, 2**32 + 3)
+    ours = {(s, seed): symred.numeric.random_polynomial(s, seed)
+            for s in symbols for seed in seeds}
+
+    def numpy_stream(symbol, seed):
+        tag = zlib.crc32(("%s/%d" % (symbol.name, symbol.arity)).encode())
+        return np.random.default_rng([seed, tag])
+
+    monkeypatch.setattr(symred.numeric, "_symbol_stream", numpy_stream)
+    for (s, seed), poly in ours.items():
+        assert symred.numeric.random_polynomial.__wrapped__(s, seed) == poly, (s, seed)
 
 
 def test_instantiation_differs_per_symbol():

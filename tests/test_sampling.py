@@ -1,9 +1,16 @@
+import os
+import random
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import symred
 from symred.expr import var
 from symred.parser import parse_expression
 from symred.sampling import SamplePlan, SamplingError, draw_values, numeric_equiv
+from symred.stream import Stream
 
 x, y = var("x"), var("y")
 
@@ -112,3 +119,55 @@ def test_starvation_raises():
     plan = SamplePlan(count=6, min_accepted=6)
     with pytest.raises(SamplingError):
         numeric_equiv(e, e, plan)
+
+
+def _entropies():
+    """2,400 [seed, index] lists: edge-width seeds, point indices 0..300
+    and crc32-sized second words, plus a few other lengths."""
+    rnd = random.Random(15)
+    seeds = [0, 2**32 - 1, 2**32, 2**70, 101, 211, 331]
+    out = [[], [0], [2**64 + 5], [1, 2, 3, 4, 5, 6], [2**32 - 1] * 5, [2**200, 7, 2**40]]
+    for k in range(2400):
+        seed = seeds[k % len(seeds)] if k % 3 else rnd.getrandbits(rnd.choice((8, 32, 64)))
+        second = k % 301 if k % 2 else rnd.getrandbits(32)
+        out.append([seed, second])
+    return out
+
+
+def test_stream_matches_numpy_default_rng_bit_for_bit():
+    for entropy in _entropies():
+        for n in range(9):
+            assert Stream(entropy).random(n) == \
+                np.random.default_rng(entropy).random(n).tolist(), (entropy, n)
+        ours, ref = Stream(entropy), np.random.default_rng(entropy)
+        for lo, hi in ((-2.0, 2.0), (0.5, 2.0), (0.0, 3.75), (-3.0, -0.5)):
+            assert ours.uniform(lo, hi) == float(ref.uniform(lo, hi)), (entropy, lo, hi)
+        # the doubles after uniform draws continue the same stream
+        assert ours.random(3) == ref.random(3).tolist(), entropy
+
+
+def test_stream_rejects_negative_entropy_as_numpy_does():
+    for entropy in ([-1], [7, -1], [-(2**40), 3]):
+        with pytest.raises(ValueError):
+            np.random.default_rng(entropy)
+        with pytest.raises(ValueError):
+            Stream(entropy)
+
+
+def test_sampling_commands_never_import_numpy_random():
+    code = (
+        "import sys\n"
+        "from symred.cli import main\n"
+        "main(['verify', 'builtin:laplace_fo', '--candidate', 'SLE', '--seed', '7'])\n"
+        "from symred.models import draw_params\n"
+        "draw_params('euler', 3)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(symred.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "PASS" in run.stdout
+    assert run.stdout.splitlines()[-1] == "False", run.stdout
