@@ -128,9 +128,9 @@ def _value_and_mass(e: Expression, at) -> tuple[np.ndarray, np.ndarray]:
     return val, np.hypot(val.real, val.imag)
 
 
-def _masses(ready: Sequence[Expression], at, live) -> list[tuple]:
+def _masses(exprs: Sequence[Expression], at, live) -> list[tuple]:
     """Per point: the entry values and the largest entry mass."""
-    pairs = [_value_and_mass(e, at) for e in ready]
+    pairs = [_value_and_mass(e, at) for e in exprs]
     values = zip(*(v.tolist() for v, _ in pairs))
     scales = map(max, zip(*(mass.tolist() for _, mass in pairs)))
     return list(zip(values, scales))

@@ -230,7 +230,9 @@ def candidate_instantiation(c: CandidateSolution, seed: int):
 
     Exposed so that diagnostics can reproduce exactly the fragments a
     given seed saw: stand-ins depend only on (symbol, seed), so this map
-    agrees with the one sample_points drew its jet points with.
+    holds the stand-ins sample_points bound when it read its jet points,
+    and Binding(values, candidate_instantiation(c, seed)) evaluates the
+    candidate's data as that seed did.
     """
     return shared_instantiation(
         list(c.assignments.values()) + list(c.excluded_loci), seed)
@@ -255,21 +257,22 @@ def sample_points(c: CandidateSolution, plan: SamplePlan,
         raise JetError("candidate %s does not define %s" % (c.name, missing))
 
     n_loci = len(c.excluded_loci)
-    slots = [(key_variable(space, key).name, n_loci + key.alpha, _key_dvars(space, key))
-             for key in sorted(keys, key=lambda key: (key.alpha, key.orders))]
+    keys = sorted(keys, key=lambda key: (key.alpha, key.orders))
+    names = [key_variable(space, key).name for key in keys]
+    # Each slot's derivative is built once per call, opaque applications
+    # and all; every seed evaluates it under that seed's stand-ins.
+    slots = [derivative(c.assignments[space.dependents[key.alpha]], _key_dvars(space, key))
+             for key in keys]
 
-    def reader(ready, at, live):
-        # once per seed: differentiate the instantiated right-hand sides
-        for locus in ready[:n_loci]:
+    def reader(sources, at, live):
+        for locus in sources[:n_loci]:
             value = at(locus)
             live &= ~(np.hypot(value.real, value.imag) <= EPS_SING)
-        columns = {name: at(derivative(ready[i], dvars)).tolist()
-                   for name, i, dvars in slots}
+        columns = [at(e).tolist() for e in sources[n_loci:]]
         if not columns:  # nothing read but the base point
             return [{} for _ in live]
-        return [dict(zip(columns, row)) for row in zip(*columns.values())]
+        return [dict(zip(names, row)) for row in zip(*columns)]
 
-    sources = list(c.excluded_loci) + [c.assignments[dep] for dep in space.dependents]
     return [JetPoint(s.where, s.values, s.seed, s.index)
-            for s in sampled(sources, plan, names=space.independents, reader=reader,
-                             label="candidate %s" % c.name)]
+            for s in sampled(list(c.excluded_loci) + slots, plan, names=space.independents,
+                             reader=reader, label="candidate %s" % c.name)]

@@ -30,7 +30,7 @@ from .jets import (
     key_of_variable,
     sample_points,
 )
-from .numeric import Binding, PointRejected, evaluate, substitute_functions
+from .numeric import Binding, PointRejected, evaluate
 from .sampling import EPS_SING, SamplePlan, sampled
 from .stream import Stream
 
@@ -240,9 +240,9 @@ def derived_constraint_check(constraint_id: str, candidate=None) -> dict:
 # ---------------------------------------------------------------------------
 # discrepancy diagnosis
 
-def _central_difference(e: Expression, values: dict, axes, plan, h=1e-4):
+def _central_difference(e: Expression, values: dict, functions, axes, plan, h=1e-4):
     if not axes:
-        return evaluate(e, Binding(values), eps_sing=EPS_SING,
+        return evaluate(e, Binding(values, functions), eps_sing=EPS_SING,
                         real_domain=not plan.allow_complex)
     axis, rest = axes[0], axes[1:]
     step = h * max(1.0, abs(values[axis]))
@@ -250,8 +250,8 @@ def _central_difference(e: Expression, values: dict, axes, plan, h=1e-4):
     lo = dict(values)
     hi[axis] = values[axis] + step
     lo[axis] = values[axis] - step
-    return (_central_difference(e, hi, rest, plan, h)
-            - _central_difference(e, lo, rest, plan, h)) / (2 * step)
+    return (_central_difference(e, hi, functions, rest, plan, h)
+            - _central_difference(e, lo, functions, rest, plan, h)) / (2 * step)
 
 
 def _fd_jet_gap(cand: CandidateSolution, point: JetPoint, plan: SamplePlan) -> float:
@@ -264,9 +264,9 @@ def _fd_jet_gap(cand: CandidateSolution, point: JetPoint, plan: SamplePlan) -> f
         key = key_of_variable(space, name)
         if key is None or key.order == 0:
             continue
-        rhs = substitute_functions(cand.assignments[space.dependents[key.alpha]], inst)
+        rhs = cand.assignments[space.dependents[key.alpha]]
         try:
-            approx = _central_difference(rhs, base, _key_dvars(space, key), plan)
+            approx = _central_difference(rhs, base, inst, _key_dvars(space, key), plan)
         except PointRejected:
             continue
         gap = abs(approx - slot) / max(1.0, abs(slot))

@@ -12,6 +12,12 @@ is walked once on the binding's points, and later evaluations through
 the same binding reuse its columns and replay its rejections.  A memo
 entry serves while the points still live are among those live when it
 was made, so it stays exact while the binding's live mask only shrinks.
+
+Opaque symbols are evaluated from the stand-ins in Binding.functions
+(seeded cubics from random_polynomial): no tree is rewritten to
+evaluate one.  instantiate_functions and substitute_functions, which
+build the rewritten tree, are kept as test oracles only; no evaluation
+route in symred calls them.
 """
 
 from __future__ import annotations

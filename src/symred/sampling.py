@@ -3,11 +3,14 @@ equality oracle built on it.
 
 Every sampled verdict in symred (ranks, defect, kernel, closure fits,
 residuals, equality) reads its numbers through the one loop in
-`sampled`: per seed it instantiates the opaque symbols once, gathers
-the points (drawn from the plan box, or given jet points) into columns,
-evaluates each expression once over all of them with the plan's pole
-and real-domain guards, keeps one rejection mask for the seed and
-raises SamplingError when it keeps fewer than plan.min_accepted.
+`sampled`: per seed it draws stand-ins for the opaque symbols and binds
+them, with the points (drawn from the plan box, or given jet points)
+gathered into columns, in one Binding; it evaluates each expression as
+it is, once over all of the points, with the plan's pole and
+real-domain guards, keeps one rejection mask for the seed and raises
+SamplingError when it keeps fewer than plan.min_accepted.  No tree is
+rebuilt per seed: the evaluator reads each opaque application from the
+binding's stand-ins.
 
 Determinism contract: point `index` of seed `seed` reads the stream
 `SeedSequence([seed, index])` -> PCG64 of `symred.stream`, identical
@@ -28,13 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .expr import Expression, SymredError, free_variables, function_symbols
-from .numeric import (
-    Binding,
-    PointRejected,
-    evaluate,
-    random_polynomial,
-    substitute_functions,
-)
+from .numeric import Binding, PointRejected, evaluate, random_polynomial
 from .stream import Stream
 
 # numeric_equiv tolerances
@@ -133,8 +130,8 @@ class Sample(NamedTuple):
     values: object
 
 
-def _read_all(ready: Sequence[Expression], at, live) -> list[tuple]:
-    return list(zip(*(at(e).tolist() for e in ready)))
+def _read_all(exprs: Sequence[Expression], at, live) -> list[tuple]:
+    return list(zip(*(at(e).tolist() for e in exprs)))
 
 
 def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
@@ -144,15 +141,17 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
     """The sampling loop: yield every accepted point with its readings.
 
     For each seed the opaque symbols of `exprs` get one shared
-    instantiation, substituted once.  The seed's points are then either
-    drawn for `names` (default: the sorted free variables of exprs) at
-    indices 0 .. plan.count - 1, or taken from `points`, jet points
-    consumed in order one run of equal seeds at a time.
+    instantiation, bound beside the point columns rather than
+    substituted: an opaque application, or any derivative of one, is
+    evaluated from its stand-in.  The seed's points are either drawn for
+    `names` (default: the sorted free variables of exprs) at indices
+    0 .. plan.count - 1, or taken from `points`, jet points consumed in
+    order one run of equal seeds at a time.
 
-    reader(ready, at, live) is called once per seed with the substituted
-    exprs and returns one row of readings per point.  It reads columns:
-    at(e) evaluates e at all the seed's points and returns a complex
-    array.  live is the seed's one rejection mask: at(e) skips the points
+    reader(exprs, at, live) is called once per seed with exprs as given
+    and returns one row of readings per point.  It reads columns: at(e)
+    evaluates e, which may be exprs or anything built from them (such as
+    a derivative), at all the seed's points and returns a complex array.  live is the seed's one rejection mask: at(e) skips the points
     it lacks and clears those e rejects, and the reader may clear more.
     The live points are yielded in index order with their rows; a seed
     that keeps fewer than plan.min_accepted raises SamplingError after
@@ -168,7 +167,6 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
     real_domain = not plan.allow_complex
     for seed, run in runs:
         inst = shared_instantiation(exprs, seed)
-        ready = [substitute_functions(e, inst) for e in exprs] if inst else exprs
         if points is None:
             indices, where = run, [draw_values(names, plan, seed, i) for i in run]
             values = where
@@ -178,7 +176,7 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
         columns = {name: np.array([v[name] for v in values], dtype=complex)
                    for name in values[0]}
         live = np.ones(len(run), dtype=bool)
-        b = Binding(columns, live=live)
+        b = Binding(columns, inst, live=live)
 
         def at(e):
             try:
@@ -188,7 +186,7 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
                 return r.values
 
         with np.errstate(all="ignore"):
-            rows = reader(ready, at, live)
+            rows = reader(exprs, at, live)
         accepted = np.flatnonzero(live).tolist()
         for k in accepted:
             yield Sample(seed, indices[k], where[k], rows[k])

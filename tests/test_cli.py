@@ -2,9 +2,11 @@
 file-workspace path."""
 
 import json
+import sys
 
 import pytest
 
+import symred.numeric
 from helpers import perfbench_jobs
 from symred.analysis import classify_transversality, constant_kernel_generators, defect
 from symred.cli import main
@@ -55,6 +57,35 @@ def test_verify_pass_and_flag(capsys):
                     "--candidate", "SE_printed")
     assert code == 2
     assert "FAIL" in out
+
+
+def test_stand_ins_are_bound_never_substituted(monkeypatch, capsys):
+    # Opaque functions are read from the binding's stand-ins: with the
+    # tree-rewriting instantiation refused wherever symred binds it, the
+    # commands on the Euler family with a(t), F and h1 still reach their
+    # documented verdicts.
+    rebuilders = (symred.numeric.substitute_functions, symred.numeric.instantiate_functions)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stand-in was substituted into a tree")
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "symred" or name.startswith("symred.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if any(value is f for f in rebuilders):
+                monkeypatch.setattr(module, attr, refuse)
+                patched += 1
+    assert patched >= 2
+    code, out = run(capsys, "verify", "builtin:euler", "--candidate", "SE_corrected")
+    assert code == 0
+    assert "(PASS at tol" in out
+    code, out = run(capsys, "kernel", "builtin:euler",
+                    "--algebra", "full13", "--candidate", "SE_corrected")
+    assert code == 0
+    assert "pointwise kernel dimension: 9" in out
+    assert "constant kernel dimension: 0" in out
 
 
 def test_minors_on_candidate(capsys):

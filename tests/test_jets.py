@@ -1,19 +1,27 @@
 """Jet geometry: spaces, total derivatives, candidate sampling."""
 
+import collections
+
+import numpy as np
 import pytest
 
-from symred.expr import FunctionSymbol, free_variables, var
+import symred.jets
+from symred.expr import FunctionSymbol, derivative, free_variables, function_symbols, var
 from symred.jets import (
     CandidateSolution,
     JetError,
+    _key_dvars,
+    candidate_instantiation,
     jet_keys,
     key_of_variable,
+    key_variable,
     make_space,
     sample_points,
     substitute_candidate,
     total_derivative,
 )
-from symred.numeric import Binding, evaluate
+from symred.models import MODEL_IDS, builtin, resolve_candidate
+from symred.numeric import Binding, evaluate, substitute_functions
 from symred.parser import parse_expression
 from symred.sampling import SamplePlan
 
@@ -97,8 +105,6 @@ def test_sample_points_with_opaque_function_match_fd():
     }, name="opaque")
     plan = SamplePlan()
     points = sample_points(c, plan, [parse_expression("d(u,x)")])
-    from symred.jets import candidate_instantiation
-    from symred.numeric import substitute_functions
     for pt in points[:4]:
         inst = candidate_instantiation(c, pt.seed)
         concrete = substitute_functions(c.assignments["u"], inst)
@@ -157,3 +163,56 @@ def test_order_zero_rejected():
 def test_space_name_collision():
     with pytest.raises(JetError):
         make_space(("x", "u"), ("u",), 1)
+
+
+def _opaque_candidates():
+    return [(model_id, name) for model_id in MODEL_IDS
+            for name, c in sorted(builtin(model_id).candidates.items())
+            if any(function_symbols(rhs) for rhs in c.assignments.values())]
+
+
+OPAQUE_CANDIDATES = _opaque_candidates()
+
+
+def test_the_paper_families_with_arbitrary_functions_are_all_checked():
+    assert {("euler", "SE_corrected"), ("euler", "SE_printed"), ("euler", "example8_euler"),
+            ("isentropic", "IF11"), ("navier_stokes", "sol")} <= set(OPAQUE_CANDIDATES)
+
+
+@pytest.mark.parametrize("model_id, name", OPAQUE_CANDIDATES)
+def test_bound_stand_ins_read_what_the_substituted_tree_gives(model_id, name):
+    # Oracle: the slots read with the seed's stand-ins bound at evaluation
+    # equal the slots of the tree with those stand-ins substituted.
+    _, c = resolve_candidate(builtin(model_id), name)
+    space, seeds = c.space, (7, 8, 29)
+    plan = c.plan.with_(seeds=seeds)
+    reads = [key_variable(space, key) for key in jet_keys(space, space.max_order)]
+    points = sample_points(c, plan, reads)
+    assert {pt.seed for pt in points} == set(seeds)
+    for seed in seeds:
+        run = [pt for pt in points if pt.seed == seed]
+        inst = candidate_instantiation(c, seed)
+        b = Binding({x: np.array([pt.base[x] for pt in run], dtype=complex)
+                     for x in space.independents})
+        for key in jet_keys(space, space.max_order):
+            slot = key_variable(space, key).name
+            tree = substitute_functions(c.assignments[space.dependents[key.alpha]], inst)
+            want = evaluate(derivative(tree, _key_dvars(space, key)), b,
+                            real_domain=not plan.allow_complex)
+            for pt, value in zip(run, want.tolist()):
+                assert pt.slots[slot] == pytest.approx(value, rel=1e-12, abs=1e-12), slot
+
+
+def test_sample_points_builds_each_slot_derivative_once_for_all_seeds(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(e, dvars):
+        calls[e, dvars] += 1
+        return derivative(e, dvars)
+
+    monkeypatch.setattr(symred.jets, "derivative", counted)
+    ws, c = resolve_candidate(builtin("navier_stokes"), "sol")
+    points = sample_points(c, c.plan.with_(seeds=(7, 8, 29)), ws.equations)
+    assert {pt.seed for pt in points} == {7, 8, 29}
+    assert len(calls) == len(points[0].slots)
+    assert set(calls.values()) == {1}
