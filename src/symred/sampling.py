@@ -150,9 +150,10 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
 
     reader(exprs, at, live) is called once per seed with exprs as given
     and returns one row of readings per point.  It reads columns: at(e)
-    evaluates e, which may be exprs or anything built from them (such as
-    a derivative), at all the seed's points and returns a complex array.  live is the seed's one rejection mask: at(e) skips the points
-    it lacks and clears those e rejects, and the reader may clear more.
+    evaluates e, one of exprs or anything built from them (such as a
+    derivative), at all the seed's points and returns a complex array.
+    live is the seed's one rejection mask: at(e) skips the points it
+    lacks and clears those e rejects, and the reader may clear more.
     The live points are yielded in index order with their rows; a seed
     that keeps fewer than plan.min_accepted raises SamplingError after
     its last one.
