@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
+from operator import add
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .expr import (
     MINUS_ONE,
@@ -32,6 +31,7 @@ from .expr import (
 )
 from .fields import Algebra, ExpressionMatrix, characteristic_matrix, xi_matrices
 from .jets import CandidateSolution, JetPoint, sample_points, substitute_candidate
+from .numeric import moduli
 from .sampling import EQUIV_ABS, SamplePlan, SamplingError, numeric_equiv, sampled
 
 RANK_PIVOT_REL_TOL = 1e-9
@@ -46,8 +46,9 @@ class AnalysisError(SymredError, RuntimeError):
     pass
 
 
-def pivot_rank(matrix: np.ndarray, scale: float | None = None) -> int:
-    """Rank by Gaussian elimination with full pivoting.
+def pivot_rank(matrix: Sequence[Sequence[complex]], scale: float | None = None) -> int:
+    """Rank by Gaussian elimination with full pivoting, on a list of rows
+    read as Python complex values.
 
     A pivot counts while its magnitude exceeds RANK_PIVOT_REL_TOL times
     `scale`.  scale defaults to the largest magnitude of the initial
@@ -55,33 +56,47 @@ def pivot_rank(matrix: np.ndarray, scale: float | None = None) -> int:
     term mass instead, so an entry that is zero only up to rounding dust
     is not mistaken for a pivot of a tiny-but-honest matrix.
     """
-    a = np.array(matrix, dtype=complex)
-    if a.size == 0:
+    a = [[complex(v) for v in row] for row in matrix]
+    if not a or not a[0]:
         return 0
     if scale is None:
-        scale = float(np.max(np.abs(a)))
+        scale = max(max(moduli(row)) for row in a)
     if scale == 0.0:
         return 0
     tol = RANK_PIVOT_REL_TOL * scale
-    rows = list(range(a.shape[0]))
-    cols = list(range(a.shape[1]))
+    rows = list(range(len(a)))
+    cols = list(range(len(a[0])))
     rank = 0
     while rows and cols:
-        sub = np.abs(a[np.ix_(rows, cols)])
-        k = int(np.argmax(sub))
-        ri, ci = divmod(k, len(cols))
-        piv_row, piv_col = rows[ri], cols[ci]
-        piv = a[piv_row, piv_col]
-        if abs(piv) <= tol:
+        size, piv_row, piv_col = _pivot(a, rows, cols)
+        if size <= tol:
             break
         rank += 1
         rows.remove(piv_row)
         cols.remove(piv_col)
+        pivot = a[piv_row]
         for r in rows:
-            factor = a[r, piv_col] / piv
+            row = a[r]
+            factor = row[piv_col] / pivot[piv_col]
             if factor != 0:
-                a[r, :] -= factor * a[piv_row, :]
+                for c in cols:
+                    row[c] -= factor * pivot[c]
     return rank
+
+
+def _pivot(a, rows, cols):
+    """(|pivot|, row, column): the first largest magnitude over rows x
+    cols, row by row, or the first NaN, as numpy's argmax picks."""
+    best = -1.0, rows[0], cols[0]
+    for r in rows:
+        size = moduli(a[r])
+        for c in cols:
+            m = size[c]
+            if m != m:
+                return m, r, c
+            if m > best[0]:
+                best = m, r, c
+    return best
 
 
 class _Report:
@@ -113,7 +128,16 @@ class RankReport(_Report):
     non_generic: bool
 
 
-def _value_and_mass(e: Expression, at) -> tuple[np.ndarray, np.ndarray]:
+def _total(columns: list[list], start) -> list:
+    """Entry by entry, start plus each column in turn (builtin sum
+    compensates float rounding from Python 3.12 on)."""
+    out = [start] * len(columns[0])
+    for column in columns:
+        out = map(add, out, column)
+    return list(out)
+
+
+def _value_and_mass(e: Expression, at) -> tuple[list[complex], list[float]]:
     """Value plus the entry's pre-cancellation magnitude, per point.
 
     For a Sum the mass is the sum of the term magnitudes: the scale the
@@ -123,29 +147,31 @@ def _value_and_mass(e: Expression, at) -> tuple[np.ndarray, np.ndarray]:
     """
     if isinstance(e, Sum):
         vals = [at(t) for t in e.terms]
-        return sum(vals), sum(np.hypot(v.real, v.imag) for v in vals)
+        return _total(vals, 0j), _total([moduli(v) for v in vals], 0.0)
     val = at(e)
-    return val, np.hypot(val.real, val.imag)
+    return val, moduli(val)
 
 
 def _masses(exprs: Sequence[Expression], at, live) -> list[tuple]:
     """Per point: the entry values and the largest entry mass."""
     pairs = [_value_and_mass(e, at) for e in exprs]
-    values = zip(*(v.tolist() for v, _ in pairs))
-    scales = map(max, zip(*(mass.tolist() for _, mass in pairs)))
+    values = zip(*(v for v, _ in pairs))
+    scales = map(max, zip(*(mass for _, mass in pairs)))
     return list(zip(values, scales))
 
 
 def _matrix_values(m: ExpressionMatrix, plan: SamplePlan):
-    """Yield (seed, numeric matrix, mass scale) per accepted sample.
+    """Yield (seed, numeric matrix as a list of rows, mass scale) per
+    accepted sample.
 
     Every free variable is drawn from the plan box; opaque symbols get
     per-seed instantiations.
     """
+    rows, width = m.shape
     for s in sampled(m.all_entries(), plan, reader=_masses,
                      label="matrix %s" % m.name):
         vals, scale = s.values
-        yield s.seed, np.array(vals, dtype=complex).reshape(m.shape), scale
+        yield s.seed, [vals[i * width:(i + 1) * width] for i in range(rows)], scale
 
 
 def generic_rank(m: ExpressionMatrix, plan: SamplePlan = SamplePlan()) -> RankReport:
@@ -398,7 +424,7 @@ class KernelReport(_Report):
     non_generic: bool
 
 
-def _normalize_first_nonzero(v: np.ndarray) -> tuple[float, ...]:
+def _normalize_first_nonzero(v) -> tuple[float, ...]:
     for entry in v:
         if abs(entry) > KERNEL_LEAD_TOL:
             v = v / entry
@@ -416,12 +442,14 @@ def constant_kernel_generators(a: Algebra, c: CandidateSolution,
     B v = 0, solved by SVD with a 1e-8 relative singular-value cut.  The
     pointwise kernel dimension r - rank Q(point) is reported alongside.
     """
+    import numpy as np
+
     q_matrix = substitute_matrix(characteristic_matrix(a), c)
     blocks = []
     point_ranks = []
     mass_scale = 0.0
     for _seed, numeric, mass in _matrix_values(q_matrix, graph_plan(a, c)):
-        blocks.append(numeric.T)
+        blocks.append(np.array(numeric, dtype=complex).T)
         point_ranks.append(pivot_rank(numeric, scale=mass))
         mass_scale = max(mass_scale, mass)
     stacked = np.vstack(blocks)
@@ -454,6 +482,8 @@ def _match_span(kernel: list[tuple[float, ...]],
                 named: Mapping[str, Sequence[float]]) -> str | None:
     if not kernel:
         return None
+    import numpy as np
+
     basis = np.array(kernel, dtype=float).T
     names = []
     for name, combo in named.items():

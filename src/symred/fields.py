@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .expr import (
     MINUS_ONE,
     ZERO,
@@ -190,12 +188,14 @@ CLOSURE_TOL = 1e-8
 
 
 def _field_samples(fields_components: list[tuple[Expression, ...]],
-                   space: VariableSpace, plan: SamplePlan) -> list[np.ndarray]:
+                   space: VariableSpace, plan: SamplePlan) -> list:
     """Evaluate each component tuple at shared random (x, u) points.
 
-    Returns one vector per input tuple: its components stacked over the
-    points, i.e. a vector in R^{(p+q)*points}.
+    Returns one numpy vector per input tuple: its components stacked
+    over the points, i.e. a vector in R^{(p+q)*points}.
     """
+    import numpy as np
+
     width = space.p + space.q
     columns = [[] for _ in fields_components]
     for s in sampled([e for comps in fields_components for e in comps], plan,
@@ -206,7 +206,11 @@ def _field_samples(fields_components: list[tuple[Expression, ...]],
     return [np.array(col, dtype=complex) for col in columns]
 
 
-def _fit_in_span(target: np.ndarray, basis: list[np.ndarray]) -> tuple[np.ndarray, float, bool]:
+def _fit_in_span(target, basis: list) -> tuple:
+    """Least-squares fit of target over basis (numpy vectors): the
+    coefficients, the relative residual and whether basis is deficient."""
+    import numpy as np
+
     A = np.stack(basis, axis=1)
     coeff, _, rank, _ = np.linalg.lstsq(A, target, rcond=None)
     resid = float(np.linalg.norm(A @ coeff - target))

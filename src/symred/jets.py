@@ -10,8 +10,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .expr import (
     ZERO,
     Expression,
@@ -25,6 +23,7 @@ from .expr import (
     normalize,
     rewrite,
 )
+from .numeric import near_zero
 from .parser import jet_name, split_jet_name
 from .sampling import EPS_SING, SamplePlan, sampled, shared_instantiation
 
@@ -266,9 +265,10 @@ def sample_points(c: CandidateSolution, plan: SamplePlan,
 
     def reader(sources, at, live):
         for locus in sources[:n_loci]:
-            value = at(locus)
-            live &= ~(np.hypot(value.real, value.imag) <= EPS_SING)
-        columns = [at(e).tolist() for e in sources[n_loci:]]
+            for i, w in enumerate(at(locus)):
+                if near_zero(w, EPS_SING):
+                    live[i] = False
+        columns = [at(e) for e in sources[n_loci:]]
         if not columns:  # nothing read but the base point
             return [{} for _ in live]
         return [dict(zip(names, row)) for row in zip(*columns)]

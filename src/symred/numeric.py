@@ -1,11 +1,12 @@
 """Complex-capable numeric evaluation and opaque-function instantiation.
 
 Evaluation is double precision throughout.  One walk covers a batch of
-points, spelling CPython's complex arithmetic out on float64 columns so
-that every value is bit for bit what Python complex numbers give.
-Singular or out-of-domain points raise PointRejected, which names them,
-and the sampling layer discards them; genuine usage errors raise
-EvaluationError.
+points.  A column is a list of Python complex values, one per point,
+and a live mask a list of bools; every node's column is computed with
+CPython's own complex arithmetic, so each value is bit for bit what the
+same point evaluated alone gives.  Singular or out-of-domain points
+raise PointRejected, which names them, and the sampling layer discards
+them; genuine usage errors raise EvaluationError.
 
 Each Binding keeps one memo of subtree results: every distinct subtree
 is walked once on the binding's points, and later evaluations through
@@ -26,12 +27,12 @@ import cmath
 import functools
 import itertools
 import math
+import numbers
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
-
-import numpy as np
+from operator import add, mul
+from typing import Mapping, Sequence
 
 from .expr import (
     Builtin,
@@ -68,8 +69,8 @@ class EvaluationError(SymredError, ValueError):
 class PointRejected(Exception):
     """A point hit a singularity or left the evaluation domain.
 
-    When evaluate raises it, rejected masks the rejected points and
-    values holds the result at the others.
+    When evaluate raises it, rejected is a list of bools marking the
+    rejected points and values holds the result at the others.
     """
 
     def __init__(self, reason, rejected=None, values=None):
@@ -81,32 +82,39 @@ class PointRejected(Exception):
 class Binding:
     """Variable values plus concrete stand-ins for opaque symbols.
 
-    values maps names to numbers or to columns, 1-D arrays with one
-    entry per point; a number holds at every point.  live, if given,
-    masks the points to evaluate; callers may clear entries between
-    evaluations but never set them again.  functions maps each
-    FunctionSymbol to an Expression in the symbol's formal argument
-    names only.  values and functions must not change once evaluate
-    has seen the binding: it keeps their columns and a subtree memo.
+    values maps names to numbers or to columns, sequences with one
+    entry per point; a number holds at every point.  Each value is read
+    once, as Python complex values, so a numpy array given here is
+    evaluated with CPython's arithmetic like any other column.  live, if
+    given, is a list of bools marking the points to evaluate; callers
+    may clear entries between evaluations but never set them again.
+    functions maps each FunctionSymbol to an Expression in the symbol's
+    formal argument names only.  values and functions must not change
+    once evaluate has seen the binding: it keeps their columns and a
+    subtree memo.
     """
 
     values: Mapping[str, complex] = field(default_factory=dict)
     functions: Mapping[FunctionSymbol, Expression] = field(default_factory=dict)
-    live: np.ndarray | None = None
+    live: list[bool] | None = None
 
     @functools.cached_property
     def _shared(self):
         # the point count, whether any value is a column, each value as
-        # a (re, im) pair of columns, and one subtree memo per guard setting
-        columns = [len(v) for v in self.values.values() if np.ndim(v)]
+        # a column, each point's bit, and one subtree memo per guard setting
+        values = {name: v if isinstance(v, numbers.Number) else list(map(complex, v))
+                  for name, v in self.values.items()}
+        columns = [len(v) for v in values.values() if isinstance(v, list)]
         n = len(self.live) if self.live is not None else columns[0] if columns else 1
-        return n, bool(columns), {name: _pair(v, n) for name, v in self.values.items()}, {}
+        return n, bool(columns), {name: v if isinstance(v, list) else [complex(v)] * n
+                                  for name, v in values.items()}, [1 << i for i in range(n)], {}
 
 
 def evaluate(e: Expression, b: Binding, *, eps_sing: float = POLE_EPS,
-             real_domain: bool = False) -> complex | np.ndarray:
-    """Evaluate at every point of b: a complex column, or a complex
-    double when b binds numbers only and no live mask.
+             real_domain: bool = False) -> complex | list[complex]:
+    """Evaluate at every point of b: a column, one Python complex per
+    point, or a single complex when b binds numbers only and no live
+    mask.
 
     eps_sing is the pole guard: any value raised to a negative power (or
     fed to ln) with modulus <= eps_sing rejects the point.  real_domain
@@ -120,54 +128,46 @@ def evaluate(e: Expression, b: Binding, *, eps_sing: float = POLE_EPS,
     result and the rejected mask are those of a fresh walk.  That holds
     as long as b.live only shrinks between calls.
     """
-    n, columns, pairs, memos = b._shared
-    todo = np.ones(n, dtype=bool) if b.live is None else b.live
+    n, columns, values, point_bits, memos = b._shared
+    todo = (1 << n) - 1 if b.live is None else sum(itertools.compress(point_bits, b.live))
     memo = memos.setdefault((eps_sing, real_domain), {})
-    walk = _Walk(b.functions, todo.copy(), eps_sing, real_domain, pairs, memo)
-    with np.errstate(all="ignore"):
-        re, im = walk.node(e, pairs)
-    if columns or b.live is not None:
-        out = np.empty(n, dtype=complex)
-        out.real, out.imag = re, im
-    else:
-        out = complex(re[0], im[0])
+    walk = _Walk(b.functions, n, todo, eps_sing, real_domain, values, memo)
+    out = walk.node(e, values)
+    # a copy: the column may be the memo's or the binding's own
+    out = list(out) if columns or b.live is not None else out[0]
     if walk.reason is not None:
-        raise PointRejected(walk.reason, todo & ~walk.live, out)
+        bad = todo & ~walk.bits
+        raise PointRejected(walk.reason, [bool(bad >> i & 1) for i in range(n)], out)
     return out
 
 
-def _pair(v, n):
-    v = np.asarray(v, dtype=complex)
-    return (v.real, v.imag) if v.ndim else (np.full(n, v.real), np.full(n, v.imag))
+def near_zero(z: complex, eps: float) -> bool:
+    """|z| <= eps, with |z| as C's hypot gives it; a part past eps
+    decides alone, so no modulus is taken that could overflow."""
+    return abs(z.real) <= eps and abs(z.imag) <= eps and abs(z) <= eps
 
 
-def _bits(mask):
-    """The set bits of a boolean column as one Python int."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+def moduli(column: Sequence[complex]) -> list[float]:
+    """|z| of each entry as C's hypot gives it: inf where CPython's abs
+    raises OverflowError."""
+    try:
+        return list(map(abs, column))
+    except OverflowError:
+        out = []
+        for z in column:
+            try:
+                out.append(abs(z))
+            except OverflowError:
+                out.append(math.inf)
+        return out
 
 
-def _is_real(re, im):
-    return (im == 0.0) | (abs(im) <= 1e-14 * abs(re))
-
-
-def _times(a, b):
-    """CPython's complex product on (re, im) pairs."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _reciprocal(p):
-    """CPython's 1/p, Smith's quotient, on (re, im) columns; a NaN part
-    takes the second branch here and gives NaN as CPython's third does."""
-    br, bi = p
-    by_re = abs(br) >= abs(bi)
-    ratio = np.where(by_re, bi / br, br / bi)
-    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
-    return (np.where(by_re, 1.0 + 0.0 * ratio, ratio + 0.0) / denom,
-            np.where(by_re, 0.0 - ratio, 0.0 * ratio - 1.0) / denom)
+def _is_real(z):
+    return z.imag == 0.0 or abs(z.imag) <= 1e-14 * abs(z.real)
 
 
 def _scalar_power(z: complex, q: Fraction, real_domain: bool) -> complex:
-    """z**q at one point, where the binary method does not apply:
+    """z**q at one point, where CPython's c_powi does not apply:
     fractional q, and integer q past CPython's |q| <= 100."""
     if q.denominator == 1:
         return z ** q.numerator
@@ -175,7 +175,7 @@ def _scalar_power(z: complex, q: Fraction, real_domain: bool) -> complex:
         # + 0.0 turns a -0.0 imaginary part into +0.0: principal branch
         z = complex(z.real, z.imag + 0.0)
         return z ** float(q) if z != 0 else 0j if q > 0 else complex("nan")
-    if not _is_real(z.real, z.imag) or z.real < 0:
+    if not _is_real(z) or z.real < 0:
         raise PointRejected("fractional power of a negative value")
     if z.real == 0 and q < 0:
         raise PointRejected("pole at 0")
@@ -186,49 +186,56 @@ _CMATH = {"exp": cmath.exp, "ln": cmath.log, "sin": cmath.sin, "cos": cmath.cos}
 
 
 class _Walk:
-    """One evaluation over n points; every node yields (re, im) columns.
+    """One evaluation over n points; every node yields a column.
 
-    The arithmetic runs over all n entries.  The guards and the per-point
-    calls see only the live points, which are exactly the points that a
-    walk taking one point at a time would still be evaluating there.
+    Sums and products run over all n entries: CPython's complex addition
+    and multiplication never raise.  The guards, and every operation
+    that can raise, see only the live points, which are exactly the
+    points that a walk taking one point at a time would still be
+    evaluating there.  The live points are the set bits of one int.
 
     Each rejection is logged as (points cleared, reason).  A subtree
-    walked on the top-level values is memoized with its columns, the
-    live points it started from (as bits) and its part of the log.  A
-    later visit whose live points are among those replays that log
-    through reject instead of walking: the guards would clear the same
-    points for the same reasons, and the other live points' columns are
-    the same.  Variables are not memoized, and neither is anything under
-    a FunctionApp's local values.
+    walked on the top-level values is memoized with its column, the
+    live points it started from and its part of the log.  A later visit
+    whose live points are among those replays that log through reject
+    instead of walking: the guards would clear the same points for the
+    same reasons, and the other live points' values are the same.
+    Variables are not memoized, and neither is anything under a
+    FunctionApp's local values.
     """
 
-    def __init__(self, functions, live, eps, real_domain, top, memo):
-        self.functions, self.live, self.n = functions, live, len(live)
+    def __init__(self, functions, n, bits, eps, real_domain, top, memo):
+        self.functions, self.n, self.bits = functions, n, bits
         self.eps, self.real_domain, self.reason = eps, real_domain, None
-        self.top, self.memo, self.bits, self.log = top, memo, _bits(live), []
+        self.top, self.memo, self.log = top, memo, []
 
     def reject(self, bad, reason):
-        bad = self.live & bad
-        if bad.any():
-            self.live &= ~bad
-            self.bits &= ~_bits(bad)
+        bad &= self.bits
+        if bad:
+            self.bits ^= bad
             self.reason = reason
             self.log.append((bad, reason))
 
+    def live(self):
+        bits = self.bits
+        return [i for i in range(self.n) if bits >> i & 1]
+
+    def small(self, z):
+        """The points where |z| <= eps, as bits."""
+        eps = self.eps
+        return sum(1 << i for i, w in enumerate(z) if near_zero(w, eps))
+
     def pointwise(self, z, fn):
-        """fn on each live point's Python complex; a point where it
-        raises PointRejected, overflows or leaves its domain is cleared."""
-        out = np.zeros(self.n), np.zeros(self.n)
-        at = np.flatnonzero(self.live)
-        for i, re, im in zip(at.tolist(), z[0][at].tolist(), z[1][at].tolist()):
+        """fn on each live point's value; a point where it raises
+        PointRejected, overflows or leaves its domain is cleared."""
+        out = [0j] * self.n
+        for i in self.live():
             try:
-                w = fn(complex(re, im))
+                out[i] = fn(z[i])
             except EvaluationError:
                 raise
             except (PointRejected, ArithmeticError, ValueError) as exc:
-                self.reject(np.arange(self.n) == i, str(exc))
-                continue
-            out[0][i], out[1][i] = w.real, w.imag
+                self.reject(1 << i, str(exc))
         return out
 
     def node(self, e, values):
@@ -246,25 +253,25 @@ class _Walk:
 
     def walk(self, e, values):
         n = self.n
-        if isinstance(e, (Constant, ImaginaryUnit)):
-            c = complex(e.value) if isinstance(e, Constant) else 1j
-            return np.full(n, c.real), np.full(n, c.imag)
+        if isinstance(e, Constant):
+            return [complex(e.value)] * n
+        if isinstance(e, ImaginaryUnit):
+            return [1j] * n
         if isinstance(e, Variable):
             try:
                 return values[e.name]
             except KeyError:
                 raise EvaluationError("unbound variable %r" % e.name) from None
         if isinstance(e, Sum):
-            out = np.zeros(n), np.zeros(n)
+            out = [0j] * n
             for t in e.terms:
-                re, im = self.node(t, values)
-                out = out[0] + re, out[1] + im
-            return out
+                out = map(add, out, self.node(t, values))
+            return list(out)
         if isinstance(e, Product):
-            out = np.ones(n), np.zeros(n)
+            out = [1 + 0j] * n
             for f in e.factors:
-                out = _times(out, self.node(f, values))
-            return out
+                out = map(mul, out, self.node(f, values))
+            return list(out)
         if isinstance(e, Power):
             return self.power(self.node(e.base, values), e.exponent)
         if isinstance(e, Builtin):
@@ -281,28 +288,35 @@ class _Walk:
 
     def power(self, z, q):
         if q < 0:
-            self.reject(np.hypot(*z) <= self.eps, "pole")
+            self.reject(self.small(z), "pole")
         if q.denominator != 1 or abs(q) > 100:
             return self.pointwise(z, lambda w: _scalar_power(w, q, self.real_domain))
-        # CPython's c_powi: the binary method of c_powu, then 1/p for q <= 0
-        k, bit, out = abs(q.numerator), 1, (np.ones(self.n), np.zeros(self.n))
-        while k >= bit:
-            if k & bit:
-                out = _times(out, z)
-            bit <<= 1
-            if k >= bit:
-                z = _times(z, z)
-        if q <= 0:
-            self.reject((out[0] == 0) & (out[1] == 0), "pole")
-            out = _reciprocal(out)
-        self.reject(np.isinf(out[0]) | np.isinf(out[1]), "overflow in integer power")
+        # CPython's c_powi, at every point at once; only if some point
+        # raises are the live ones taken one at a time
+        k = q.numerator
+        try:
+            return [w ** k for w in z]
+        except ArithmeticError:
+            pass
+        out, poles, overflows = list(z), 0, 0
+        for i in self.live():
+            try:
+                out[i] = z[i] ** k
+            except ZeroDivisionError:   # 1/0: a power that is exactly 0
+                poles |= 1 << i
+            except OverflowError:
+                overflows |= 1 << i
+        self.reject(poles, "pole")
+        self.reject(overflows, "overflow in integer power")
         return out
 
     def builtin(self, e, z):
         if e.name == "ln":
-            self.reject(np.hypot(*z) <= self.eps, "ln near 0")
+            self.reject(self.small(z), "ln near 0")
             if self.real_domain:
-                self.reject(~_is_real(*z) | (z[0] <= 0), "ln of a non-positive value")
+                self.reject(sum(1 << i for i, w in enumerate(z)
+                                if not _is_real(w) or w.real <= 0),
+                            "ln of a non-positive value")
         if e.name != "besseli":
             fn = _CMATH[e.name]
             return self.pointwise(z, lambda w: fn(complex(w.real, w.imag + 0.0)))
@@ -330,7 +344,7 @@ def bessel_i(order: Fraction, z: complex, *, real_domain: bool = False) -> compl
         if nu > 0:
             return 0j
         raise PointRejected("besseli of negative order at 0")
-    if real_domain and (not _is_real(z.real, z.imag) or z.real < 0):
+    if real_domain and (not _is_real(z) or z.real < 0):
         raise PointRejected("besseli of a negative value")
     half = z / 2
     try:

@@ -28,8 +28,6 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .expr import Expression, SymredError, free_variables, function_symbols
 from .numeric import Binding, PointRejected, evaluate, random_polynomial
 from .stream import Stream
@@ -112,12 +110,14 @@ def _unit_doubles(seed: int, index: int, n: int) -> tuple[float, ...]:
     return tuple(Stream([seed, index]).random(n))
 
 
+def _opaque_symbols(exprs: Iterable[Expression]) -> list:
+    """Every opaque symbol in exprs, in name order."""
+    return sorted(set().union(*map(function_symbols, exprs)), key=lambda s: s.name)
+
+
 def shared_instantiation(exprs: Iterable[Expression], seed: int):
     """One instantiation map covering every opaque symbol in exprs."""
-    symbols = set()
-    for e in exprs:
-        symbols |= function_symbols(e)
-    return {s: random_polynomial(s, seed) for s in sorted(symbols, key=lambda s: s.name)}
+    return {s: random_polynomial(s, seed) for s in _opaque_symbols(exprs)}
 
 
 class Sample(NamedTuple):
@@ -131,7 +131,7 @@ class Sample(NamedTuple):
 
 
 def _read_all(exprs: Sequence[Expression], at, live) -> list[tuple]:
-    return list(zip(*(at(e).tolist() for e in exprs)))
+    return list(zip(*map(at, exprs)))
 
 
 def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
@@ -151,9 +151,11 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
     reader(exprs, at, live) is called once per seed with exprs as given
     and returns one row of readings per point.  It reads columns: at(e)
     evaluates e, one of exprs or anything built from them (such as a
-    derivative), at all the seed's points and returns a complex array.
-    live is the seed's one rejection mask: at(e) skips the points it
-    lacks and clears those e rejects, and the reader may clear more.
+    derivative), at all the seed's points and returns a list with one
+    Python complex per point, meaningless at the points not live.  live
+    is the seed's one rejection mask, a list of bools: at(e) skips the
+    points it lacks and clears those e rejects, and the reader may clear
+    more, in place.
     The live points are yielded in index order with their rows; a seed
     that keeps fewer than plan.min_accepted raises SamplingError after
     its last one.
@@ -166,29 +168,31 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
     else:
         runs = [(seed, list(run)) for seed, run in groupby(points, key=attrgetter("seed"))]
     real_domain = not plan.allow_complex
+    # stand-ins depend only on (symbol, seed): the symbols are found once
+    symbols = _opaque_symbols(exprs)
     for seed, run in runs:
-        inst = shared_instantiation(exprs, seed)
+        inst = {s: random_polynomial(s, seed) for s in symbols}
         if points is None:
             indices, where = run, [draw_values(names, plan, seed, i) for i in run]
             values = where
         else:
             indices, where = [p.index for p in run], run
             values = [p.binding_values() for p in run]
-        columns = {name: np.array([v[name] for v in values], dtype=complex)
-                   for name in values[0]}
-        live = np.ones(len(run), dtype=bool)
+        columns = {name: [v[name] for v in values] for name in values[0]}
+        live = [True] * len(run)
         b = Binding(columns, inst, live=live)
 
         def at(e):
             try:
                 return evaluate(e, b, eps_sing=EPS_SING, real_domain=real_domain)
             except PointRejected as r:
-                live[r.rejected] = False
+                for i, bad in enumerate(r.rejected):
+                    if bad:
+                        live[i] = False
                 return r.values
 
-        with np.errstate(all="ignore"):
-            rows = reader(exprs, at, live)
-        accepted = np.flatnonzero(live).tolist()
+        rows = reader(exprs, at, live)
+        accepted = [i for i, ok in enumerate(live) if ok]
         for k in accepted:
             yield Sample(seed, indices[k], where[k], rows[k])
         if len(accepted) < plan.min_accepted:

@@ -1,5 +1,6 @@
-"""Shared test oracles: random expression trees, finite differences and
-a brute-force minor rank, plus the benchmark's CLI job list.  Everything
+"""Shared test oracles: random expression trees, finite differences, a
+brute-force minor rank and the numpy elimination rank, plus the
+benchmark's CLI job list.  Everything
 is seeded; no test depends on global RNG state."""
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from symred.expr import (
     sqrt,
     var,
 )
+from symred.analysis import RANK_PIVOT_REL_TOL
 from symred.numeric import Binding, PointRejected, evaluate
 from symred.sampling import EPS_SING, draw_values, shared_instantiation
 
@@ -109,6 +111,38 @@ def minor_rank(m: np.ndarray, rel_tol: float = 1e-8) -> int:
                 if abs(np.linalg.det(m[np.ix_(rs, cs)])) > threshold:
                     return k
     return 0
+
+
+def numpy_pivot_rank(matrix, scale: float | None = None) -> int:
+    """The numpy full-pivot elimination analysis.pivot_rank replaced,
+    kept as its reference: same tolerance rule, pivot by argmax of |a|
+    over the rows and columns left."""
+    a = np.array(matrix, dtype=complex)
+    if a.size == 0:
+        return 0
+    if scale is None:
+        scale = float(np.max(np.abs(a)))
+    if scale == 0.0:
+        return 0
+    tol = RANK_PIVOT_REL_TOL * scale
+    rows = list(range(a.shape[0]))
+    cols = list(range(a.shape[1]))
+    rank = 0
+    while rows and cols:
+        sub = np.abs(a[np.ix_(rows, cols)])
+        ri, ci = divmod(int(np.argmax(sub)), len(cols))
+        piv_row, piv_col = rows[ri], cols[ci]
+        piv = a[piv_row, piv_col]
+        if abs(piv) <= tol:
+            break
+        rank += 1
+        rows.remove(piv_row)
+        cols.remove(piv_col)
+        for r in rows:
+            factor = a[r, piv_col] / piv
+            if factor != 0:
+                a[r, :] -= factor * a[piv_row, :]
+    return rank
 
 
 def numeric_matrix(matrix, values: dict) -> np.ndarray:

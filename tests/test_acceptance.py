@@ -4,7 +4,8 @@ Each test is one numbered criterion; run with -v to get a pass/fail
 line per criterion.  Frozen regression values live in
 regression_manifest.json next to this file; the euler SE_printed
 candidate is expected to miss its tolerance, in which case the
-artifact written to acceptance_artifacts/ must pinpoint the failure.
+discrepancy report it writes (under the test's tmp_path; a sample is
+kept in acceptance_artifacts/) must pinpoint the failure.
 """
 
 import json
@@ -166,7 +167,7 @@ def test_c08_translation_pair_on_first_order_system():
     assert defect(entry.algebras["tr2"], const).delta == 0
 
 
-def test_c09_galilei_class_and_printed_solution():
+def test_c09_galilei_class_and_printed_solution(tmp_path):
     entry = builtin("euler")
     assert classify_transversality(entry.algebras["gal3"]).status == "Strong"
     _, e1e2 = resolve_candidate(entry, "E1E2")
@@ -179,9 +180,7 @@ def test_c09_galilei_class_and_printed_solution():
     worst = max(rep.values())
     if worst >= 1e-6:
         report = discrepancy_report(entry, printed)
-        artifacts = HERE / "acceptance_artifacts"
-        artifacts.mkdir(exist_ok=True)
-        out = artifacts / "example7_discrepancy.json"
+        out = tmp_path / "example7_discrepancy.json"
         out.write_text(json.dumps(report, indent=2, sort_keys=True,
                                   default=str) + "\n")
         assert report["first_failing"] == "momentum_x"

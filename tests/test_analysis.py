@@ -24,7 +24,7 @@ from symred.jets import CandidateSolution, make_space, sample_points
 from symred.parser import parse_expression as P
 from symred.sampling import SamplePlan
 
-from helpers import minor_rank, numeric_matrix, point_for
+from helpers import minor_rank, numeric_matrix, numpy_pivot_rank, point_for
 
 SPACE = make_space(("x", "y"), ("u",), 2)
 
@@ -50,6 +50,27 @@ def test_pivot_rank_scale_invariance():
     a[3] = a[0] + a[1]          # rank 3 by construction
     for scale in (1e-8, 1.0, 1e8):
         assert pivot_rank((scale * a).astype(complex)) == 3
+
+
+def test_pivot_rank_on_lists_equals_the_numpy_elimination():
+    # low-rank complex matrices up to the 13 x 16 of the largest Q, with
+    # rows of mixed magnitude and dust far below the pivot tolerance
+    rng = np.random.default_rng(1729)
+    seen = set()
+    for _ in range(300):
+        rows, cols = int(rng.integers(1, 14)), int(rng.integers(1, 17))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+        a = (left * 10.0 ** rng.integers(-3, 4, size=(rows, 1))) @ right
+        if rank:
+            a = a + 1e-14 * np.abs(a).max() * rng.standard_normal((rows, cols))
+        mass = float(np.abs(a).max()) * float(rng.uniform(1.0, 50.0))
+        for scale in (None, mass):
+            got = pivot_rank(a.tolist(), scale=scale)
+            assert got == numpy_pivot_rank(a, scale=scale) == rank, (a, scale)
+        seen.add(rank)
+    assert seen >= set(range(11))
 
 
 def test_generic_rank_on_all_library_matrices():

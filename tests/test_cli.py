@@ -2,6 +2,8 @@
 file-workspace path."""
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -135,6 +137,40 @@ def test_kernel_reports_match(capsys):
     assert "pointwise kernel dimension: 8" in out
     assert "constant kernel dimension: 1" in out
     assert "matches named combination: K3 + t0*P3" in out
+
+
+def _fresh_process(*commands):
+    """Run each argv through symred.cli.main in one new interpreter;
+    return its stdout, ending with whether numpy was imported."""
+    code = "import sys\nfrom symred.cli import main\n"
+    code += "".join("main(%r)\n" % list(argv) for argv in commands)
+    code += "print('numpy' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(symred.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_commands_without_a_fit_never_import_numpy():
+    out = _fresh_process(
+        ["classify", "builtin:navier_stokes", "--algebra", "rot3", "--candidate", "Sl1"],
+        ["defect", "builtin:laplace_fo", "--algebra", "tr2", "--candidate", "SLE"],
+        ["verify", "builtin:navier_stokes", "--candidate", "sol"],
+        ["minors", "builtin:navier_stokes", "--algebra", "rot3", "--candidate", "Sl1"],
+        ["symcheck", "builtin:laplace_fo", "--field", "PU", "--candidate", "SLE"],
+        ["models"])
+    assert "weak transversality HOLDS" in out and "PASS" in out and ": yes" in out
+    assert out.splitlines()[-1] == "False", out
+
+
+def test_kernel_imports_numpy_for_its_fit_in_a_fresh_process():
+    out = _fresh_process(["kernel", "builtin:isentropic", "--algebra", "full12",
+                          "--candidate", "IF11"])
+    assert "matches named combination: K3 + t0*P3" in out
+    assert out.splitlines()[-1] == "True", out
 
 
 def test_symcheck_yes_and_donor_precondition(capsys):

@@ -199,7 +199,7 @@ def test_bound_stand_ins_read_what_the_substituted_tree_gives(model_id, name):
             tree = substitute_functions(c.assignments[space.dependents[key.alpha]], inst)
             want = evaluate(derivative(tree, _key_dvars(space, key)), b,
                             real_domain=not plan.allow_complex)
-            for pt, value in zip(run, want.tolist()):
+            for pt, value in zip(run, want):
                 assert pt.slots[slot] == pytest.approx(value, rel=1e-12, abs=1e-12), slot
 
 

@@ -101,6 +101,29 @@ def test_numeric_equiv_with_opaque_functions():
     assert not numeric_equiv(e1, e3)
 
 
+def test_sampled_finds_the_opaque_symbols_once_per_call(monkeypatch):
+    # stand-ins depend on (symbol, seed) only: one walk per expression
+    # serves every seed
+    import collections
+
+    import symred.sampling
+    from symred.expr import FunctionSymbol, function_symbols
+    f, g = FunctionSymbol("f", ("s",)), FunctionSymbol("g", ("s", "r"))
+    exprs = [parse_expression("f(x)*y + g(x, y)", {"f": f, "g": g}),
+             parse_expression("g(y, x)^2 - x", {"g": g}), parse_expression("x + y")]
+    calls = collections.Counter()
+
+    def counted(e):
+        calls[e] += 1
+        return function_symbols(e)
+
+    monkeypatch.setattr(symred.sampling, "function_symbols", counted)
+    plan = SamplePlan(seeds=(3, 5, 8))
+    rows = list(symred.sampling.sampled(exprs, plan))
+    assert {s.seed for s in rows} == {3, 5, 8}
+    assert calls == {e: 1 for e in exprs}
+
+
 def test_with_override():
     plan = SamplePlan()
     plan2 = plan.with_(count=14, min_accepted=8, seeds=(9,))
