@@ -3,7 +3,8 @@ minors, defect, invariance, constant kernels and prolongation checks.
 
 Every rank here is a sampled rank: evaluated at random points, reduced
 with full pivoting, and maximized over points and seeds (ranks only drop
-on subvarieties, so the maximum is the generic value).
+on subvarieties, so the maximum is the generic value).  A constant
+kernel comes out of the same elimination, as reduced row echelon rows.
 
 Each object is sampled on the plan it carries.  The algebra's own
 matrices (Xi1, Xi2 and the weak minors) live on its (x, u) domain and
@@ -16,6 +17,7 @@ candidate alone samples on the candidate's plan.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 from operator import add
 from typing import Mapping, Sequence
@@ -35,11 +37,9 @@ from .numeric import moduli
 from .sampling import EQUIV_ABS, SamplePlan, SamplingError, numeric_equiv, sampled
 
 RANK_PIVOT_REL_TOL = 1e-9
-KERNEL_SVD_REL_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 SYMMETRY_TOL = 1e-7
 FINGERPRINT_POINTS = 8
-KERNEL_LEAD_TOL = 1e-10
 
 
 class AnalysisError(SymredError, RuntimeError):
@@ -47,14 +47,12 @@ class AnalysisError(SymredError, RuntimeError):
 
 
 def pivot_rank(matrix: Sequence[Sequence[complex]], scale: float | None = None) -> int:
-    """Rank by Gaussian elimination with full pivoting, on a list of rows
-    read as Python complex values.
+    """Rank of a list of rows, read as Python complex values, by _eliminate.
 
-    A pivot counts while its magnitude exceeds RANK_PIVOT_REL_TOL times
-    `scale`.  scale defaults to the largest magnitude of the initial
-    matrix; rank work on symbolic matrices passes the pre-cancellation
-    term mass instead, so an entry that is zero only up to rounding dust
-    is not mistaken for a pivot of a tiny-but-honest matrix.
+    scale defaults to the largest magnitude of the initial matrix; rank
+    work on symbolic matrices passes the pre-cancellation term mass
+    instead, so an entry that is zero only up to rounding dust is not
+    mistaken for a pivot of a tiny-but-honest matrix.
     """
     a = [[complex(v) for v in row] for row in matrix]
     if not a or not a[0]:
@@ -63,15 +61,22 @@ def pivot_rank(matrix: Sequence[Sequence[complex]], scale: float | None = None) 
         scale = max(max(moduli(row)) for row in a)
     if scale == 0.0:
         return 0
+    return len(_eliminate(a, scale)[0])
+
+
+def _eliminate(a: list[list[complex]], scale: float) -> tuple[list[tuple[int, int]], list[int]]:
+    """Gaussian elimination with full pivoting of the rows a, in place,
+    while a pivot's magnitude exceeds RANK_PIVOT_REL_TOL times scale:
+    each pivot's (row, column) in order, and the columns left without one."""
     tol = RANK_PIVOT_REL_TOL * scale
     rows = list(range(len(a)))
     cols = list(range(len(a[0])))
-    rank = 0
+    pivots = []
     while rows and cols:
         size, piv_row, piv_col = _pivot(a, rows, cols)
         if size <= tol:
             break
-        rank += 1
+        pivots.append((piv_row, piv_col))
         rows.remove(piv_row)
         cols.remove(piv_col)
         pivot = a[piv_row]
@@ -81,7 +86,7 @@ def pivot_rank(matrix: Sequence[Sequence[complex]], scale: float | None = None) 
             if factor != 0:
                 for c in cols:
                     row[c] -= factor * pivot[c]
-    return rank
+    return pivots, cols
 
 
 def _pivot(a, rows, cols):
@@ -419,17 +424,9 @@ class KernelReport(_Report):
     candidate: str
     generator_order: tuple[str, ...]
     pointwise_kernel_dim: int
-    constant_kernel: list[tuple[float, ...]]   # rows, first nonzero = 1
+    constant_kernel: list[tuple[float, ...]]   # reduced row echelon rows
     matched_combination: str | None
     non_generic: bool
-
-
-def _normalize_first_nonzero(v) -> tuple[float, ...]:
-    for entry in v:
-        if abs(entry) > KERNEL_LEAD_TOL:
-            v = v / entry
-            break
-    return tuple(float(x.real) for x in v)
 
 
 def constant_kernel_generators(a: Algebra, c: CandidateSolution,
@@ -439,61 +436,69 @@ def constant_kernel_generators(a: Algebra, c: CandidateSolution,
     at every sampled point.
 
     Q(point) is r x q per point; stacking the transposes gives B with
-    B v = 0, solved by SVD with a 1e-8 relative singular-value cut.  The
-    pointwise kernel dimension r - rank Q(point) is reported alongside.
+    B v = 0, reduced to the echelon basis of its kernel by _null_space.
+    The pointwise kernel dimension r - rank Q(point) is reported alongside.
     """
-    import numpy as np
-
     q_matrix = substitute_matrix(characteristic_matrix(a), c)
-    blocks = []
+    stacked = []
     point_ranks = []
     mass_scale = 0.0
     for _seed, numeric, mass in _matrix_values(q_matrix, graph_plan(a, c)):
-        blocks.append(np.array(numeric, dtype=complex).T)
+        stacked.extend(map(list, zip(*numeric)))
         point_ranks.append(pivot_rank(numeric, scale=mass))
         mass_scale = max(mass_scale, mass)
-    stacked = np.vstack(blocks)
-    if np.max(np.abs(stacked.imag)) < 1e-12 * max(1.0, np.max(np.abs(stacked.real))):
-        stacked = stacked.real
-    # only V is read: U is built thin, except for a wide B, whose rows
-    # of V past len(sigma) the full decomposition supplies
-    _, sigma, vt = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
-    if sigma.size and max(sigma[0], mass_scale) > 0:
-        null_mask = sigma <= KERNEL_SVD_REL_TOL * max(sigma[0], mass_scale)
-    else:
-        null_mask = np.ones_like(sigma, dtype=bool)
-    n_cols = stacked.shape[1]
-    dim = int(null_mask.sum()) + max(0, n_cols - len(sigma))
-    basis = [vt[i] for i in range(len(sigma)) if null_mask[i]]
-    basis += [vt[i] for i in range(len(sigma), n_cols)]
-    kernel = [_normalize_first_nonzero(np.asarray(v, dtype=complex)) for v in basis[:dim]]
+    kernel = [tuple(x.real for x in row) for row in _null_space(stacked, mass_scale)]
 
     generic_q_rank = max(point_ranks)
-    pointwise_dim = a.r - generic_q_rank
-    matched = None
-    if named_combinations and len(named_combinations) == len(kernel):
-        matched = _match_span(kernel, named_combinations)
     return KernelReport(
-        a.name, c.name, a.generator_names(), pointwise_dim, kernel, matched,
+        a.name, c.name, a.generator_names(), a.r - generic_q_rank, kernel,
+        _match_span(kernel, named_combinations),
         non_generic=any(r != generic_q_rank for r in point_ranks))
 
 
-def _match_span(kernel: list[tuple[float, ...]],
-                named: Mapping[str, Sequence[float]]) -> str | None:
-    if not kernel:
-        return None
-    import numpy as np
+def _null_space(a: list[list[complex]], scale: float) -> list[list[complex]]:
+    """Reduced row echelon basis of the v with a v = 0 (each row's first
+    nonzero entry, its lead, is 1 and alone in its column; leads run in
+    column order), a's rank as _eliminate decides it, a reduced in place.
+    The null vectors 1 at one free column and 0 at the others are solved
+    last pivot first, each pivot row read over the columns left when it
+    was taken; leads are then taken as pivots are, dust before them cleared."""
+    pivots, free = _eliminate(a, scale)
+    if not free:
+        return []
+    cols = {f: [complex(g == f) for g in free] for f in free}
+    for r, c in reversed(pivots):
+        dots = _total([[a[r][k] * x for x in col] for k, col in cols.items()], 0j)
+        cols[c] = [-d / a[r][c] for d in dots]
+    rows = [list(v) for v in zip(*(cols[k] for k in range(len(cols))))]
+    tol = RANK_PIVOT_REL_TOL * max(max(moduli(v)) for v in rows)
+    done = []
+    for col in range(len(cols)):
+        lead = max(rows, key=lambda row: abs(row[col]), default=None)
+        if lead is None or abs(lead[col]) <= tol:
+            continue
+        rows.remove(lead)
+        lead = [0j] * col + [1 + 0j] + [x / lead[col] for x in lead[col + 1:]]
+        for row in rows + done:
+            row[:] = [x - row[col] * y for x, y in zip(row, lead)]
+        done.append(lead)
+    return done
 
-    basis = np.array(kernel, dtype=float).T
-    names = []
-    for name, combo in named.items():
-        target = np.array(combo, dtype=float)
-        coeff, _, _, _ = np.linalg.lstsq(basis, target, rcond=None)
-        resid = np.linalg.norm(basis @ coeff - target)
-        if resid > KERNEL_SVD_REL_TOL * max(1.0, np.linalg.norm(target)):
+
+def _match_span(kernel: list[tuple[float, ...]],
+                named: Mapping[str, Sequence[float]] | None) -> str | None:
+    """The named combinations, joined, if they are as many as the echelon
+    rows and each lies in their span to RESIDUAL_TOL, read at their leads."""
+    if not named or len(named) != len(kernel):
+        return None
+    for combo in named.values():
+        resid = list(combo)
+        for row in kernel:
+            coeff = resid[next(j for j, x in enumerate(row) if x)]
+            resid = [r - coeff * x for r, x in zip(resid, row)]
+        if math.hypot(*resid) > RESIDUAL_TOL * max(1.0, math.hypot(*combo)):
             return None
-        names.append(name)
-    return " , ".join(sorted(names))
+    return " , ".join(sorted(named))
 
 
 def max_abs_on_points(e: Expression, points: Sequence[JetPoint] | None,

@@ -25,7 +25,7 @@ from .expr import (
 )
 from .numeric import near_zero
 from .parser import jet_name, split_jet_name
-from .sampling import EPS_SING, SamplePlan, sampled, shared_instantiation
+from .sampling import SamplePlan, sampled, shared_instantiation
 
 
 class JetError(SymredError, ValueError):
@@ -266,7 +266,7 @@ def sample_points(c: CandidateSolution, plan: SamplePlan,
     def reader(sources, at, live):
         for locus in sources[:n_loci]:
             for i, w in enumerate(at(locus)):
-                if near_zero(w, EPS_SING):
+                if near_zero(w):
                     live[i] = False
         columns = [at(e) for e in sources[n_loci:]]
         if not columns:  # nothing read but the base point

@@ -31,7 +31,7 @@ from .jets import (
     sample_points,
 )
 from .numeric import Binding, PointRejected, evaluate
-from .sampling import EPS_SING, SamplePlan, sampled
+from .sampling import SamplePlan, sampled
 from .stream import Stream
 
 __all__ = [
@@ -242,8 +242,7 @@ def derived_constraint_check(constraint_id: str, candidate=None) -> dict:
 
 def _central_difference(e: Expression, values: dict, functions, axes, plan, h=1e-4):
     if not axes:
-        return evaluate(e, Binding(values, functions), eps_sing=EPS_SING,
-                        real_domain=not plan.allow_complex)
+        return evaluate(e, Binding(values, functions), real_domain=not plan.allow_complex)
     axis, rest = axes[0], axes[1:]
     step = h * max(1.0, abs(values[axis]))
     hi = dict(values)
@@ -309,8 +308,7 @@ def discrepancy_report(ws: Workspace, candidate=None, tol: float = 1e-6) -> dict
     rows = []
     for term in terms:
         try:
-            value = evaluate(term, b, eps_sing=EPS_SING,
-                             real_domain=not plan.allow_complex)
+            value = evaluate(term, b, real_domain=not plan.allow_complex)
         except PointRejected:
             value = complex("nan")
         rows.append({"term": to_text(term), "value": abs(value)})

@@ -59,7 +59,7 @@ from .stream import Stream
 BESSEL_SERIES_TOL = 1e-17
 BESSEL_ARG_BOUND = 30.0
 
-POLE_EPS = 1e-300
+EPS_SING = 1e-6    # rejection radius around excluded loci and poles
 
 
 class EvaluationError(SymredError, ValueError):
@@ -101,7 +101,7 @@ class Binding:
     @functools.cached_property
     def _shared(self):
         # the point count, whether any value is a column, each value as
-        # a column, each point's bit, and one subtree memo per guard setting
+        # a column, each point's bit, and one subtree memo per real_domain
         values = {name: v if isinstance(v, numbers.Number) else list(map(complex, v))
                   for name, v in self.values.items()}
         columns = [len(v) for v in values.values() if isinstance(v, list)]
@@ -110,28 +110,27 @@ class Binding:
                                   for name, v in values.items()}, [1 << i for i in range(n)], {}
 
 
-def evaluate(e: Expression, b: Binding, *, eps_sing: float = POLE_EPS,
-             real_domain: bool = False) -> complex | list[complex]:
+def evaluate(e: Expression, b: Binding, *, real_domain: bool = False) -> complex | list[complex]:
     """Evaluate at every point of b: a column, one Python complex per
     point, or a single complex when b binds numbers only and no live
     mask.
 
-    eps_sing is the pole guard: any value raised to a negative power (or
-    fed to ln) with modulus <= eps_sing rejects the point.  real_domain
-    additionally rejects negative radicands, non-positive ln arguments
-    and negative besseli arguments instead of taking principal branches.
-    If any point evaluated is rejected, PointRejected is raised; its
-    values are meaningless at the rejected points and outside b.live.
+    Any value raised to a negative power (or fed to ln) with modulus
+    <= EPS_SING rejects the point as a pole.  real_domain additionally
+    rejects negative radicands, non-positive ln arguments and negative
+    besseli arguments instead of taking principal branches.  If any
+    point evaluated is rejected, PointRejected is raised; its values are
+    meaningless at the rejected points and outside b.live.
 
-    Subtrees already walked through b for the same guards are not walked
-    again: their columns are reused and their rejections replayed, so the
-    result and the rejected mask are those of a fresh walk.  That holds
-    as long as b.live only shrinks between calls.
+    Subtrees already walked through b for the same real_domain are not
+    walked again: their columns are reused and their rejections
+    replayed, so the result and the rejected mask are those of a fresh
+    walk.  That holds as long as b.live only shrinks between calls.
     """
     n, columns, values, point_bits, memos = b._shared
     todo = (1 << n) - 1 if b.live is None else sum(itertools.compress(point_bits, b.live))
-    memo = memos.setdefault((eps_sing, real_domain), {})
-    walk = _Walk(b.functions, n, todo, eps_sing, real_domain, values, memo)
+    memo = memos.setdefault(real_domain, {})
+    walk = _Walk(b.functions, n, todo, real_domain, values, memo)
     out = walk.node(e, values)
     # a copy: the column may be the memo's or the binding's own
     out = list(out) if columns or b.live is not None else out[0]
@@ -141,10 +140,10 @@ def evaluate(e: Expression, b: Binding, *, eps_sing: float = POLE_EPS,
     return out
 
 
-def near_zero(z: complex, eps: float) -> bool:
-    """|z| <= eps, with |z| as C's hypot gives it; a part past eps
-    decides alone, so no modulus is taken that could overflow."""
-    return abs(z.real) <= eps and abs(z.imag) <= eps and abs(z) <= eps
+def near_zero(z: complex) -> bool:
+    """|z| <= EPS_SING, with |z| as C's hypot gives it; a part past
+    EPS_SING decides alone, so no modulus is taken that could overflow."""
+    return abs(z.real) <= EPS_SING and abs(z.imag) <= EPS_SING and abs(z) <= EPS_SING
 
 
 def moduli(column: Sequence[complex]) -> list[float]:
@@ -204,9 +203,9 @@ class _Walk:
     FunctionApp's local values.
     """
 
-    def __init__(self, functions, n, bits, eps, real_domain, top, memo):
+    def __init__(self, functions, n, bits, real_domain, top, memo):
         self.functions, self.n, self.bits = functions, n, bits
-        self.eps, self.real_domain, self.reason = eps, real_domain, None
+        self.real_domain, self.reason = real_domain, None
         self.top, self.memo, self.log = top, memo, []
 
     def reject(self, bad, reason):
@@ -221,9 +220,8 @@ class _Walk:
         return [i for i in range(self.n) if bits >> i & 1]
 
     def small(self, z):
-        """The points where |z| <= eps, as bits."""
-        eps = self.eps
-        return sum(1 << i for i, w in enumerate(z) if near_zero(w, eps))
+        """The points where |z| <= EPS_SING, as bits."""
+        return sum(1 << i for i, w in enumerate(z) if near_zero(w))
 
     def pointwise(self, z, fn):
         """fn on each live point's value; a point where it raises

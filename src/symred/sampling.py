@@ -38,7 +38,6 @@ EQUIV_REL = 1e-9
 
 DEFAULT_INTERVALS = ((-2.0, -0.5), (0.5, 2.0))
 DEFAULT_SEEDS = (101, 211, 331)
-EPS_SING = 1e-6    # rejection radius around excluded loci and denominators
 
 
 class SamplingError(SymredError, RuntimeError):
@@ -184,7 +183,7 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
 
         def at(e):
             try:
-                return evaluate(e, b, eps_sing=EPS_SING, real_domain=real_domain)
+                return evaluate(e, b, real_domain=real_domain)
             except PointRejected as r:
                 for i, bad in enumerate(r.rejected):
                     if bad:

@@ -1,7 +1,7 @@
 """Shared test oracles: random expression trees, finite differences, a
-brute-force minor rank and the numpy elimination rank, plus the
-benchmark's CLI job list.  Everything
-is seeded; no test depends on global RNG state."""
+brute-force minor rank, the numpy elimination rank and the numpy SVD
+kernel, plus the benchmark's CLI job list.  Everything is seeded; no
+test depends on global RNG state."""
 
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from symred.expr import (
 )
 from symred.analysis import RANK_PIVOT_REL_TOL
 from symred.numeric import Binding, PointRejected, evaluate
-from symred.sampling import EPS_SING, draw_values, shared_instantiation
+from symred.sampling import draw_values, shared_instantiation
 
 VARS = ("x", "y", "z")
 
@@ -145,6 +145,30 @@ def numpy_pivot_rank(matrix, scale: float | None = None) -> int:
     return rank
 
 
+def numpy_svd_kernel(matrix, scale: float) -> list[np.ndarray]:
+    """The SVD kernel analysis._null_space replaced, kept as its
+    reference: the v with B v = 0 from the rows of V past a singular
+    value cut at 1e-8 times max(sigma_0, scale), each scaled so its first
+    entry above 1e-10 is 1.  B is taken as real when its imaginary parts
+    are dust.  A row of V^H is the conjugate of a null vector; the
+    kernel report read real parts only, where that does not show."""
+    b = np.array(matrix, dtype=complex)
+    if np.max(np.abs(b.imag)) < 1e-12 * max(1.0, np.max(np.abs(b.real))):
+        b = b.real
+    _, sigma, vh = np.linalg.svd(b, full_matrices=b.shape[0] < b.shape[1])
+    if sigma.size and max(sigma[0], scale) > 0:
+        null = list(sigma <= 1e-8 * max(sigma[0], scale))
+    else:
+        null = [True] * len(sigma)
+    null += [True] * (b.shape[1] - len(sigma))
+    basis = []
+    for v, keep in zip(vh.conj(), null):
+        if keep:
+            lead = next((x for x in v if abs(x) > 1e-10), 1.0)
+            basis.append(np.asarray(v / lead, dtype=complex))
+    return basis
+
+
 def numeric_matrix(matrix, values: dict) -> np.ndarray:
     """Evaluate an ExpressionMatrix of jet-free entries at one point."""
     out = np.empty(matrix.shape, dtype=complex)
@@ -179,7 +203,6 @@ def max_abs_sampled(e: Expression, plan) -> float:
             values = draw_values(names, plan, seed, index)
             try:
                 value = evaluate(e, Binding(values, functions),
-                                 eps_sing=EPS_SING,
                                  real_domain=not plan.allow_complex)
             except PointRejected:
                 continue

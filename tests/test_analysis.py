@@ -7,6 +7,7 @@ import pytest
 
 from symred.analysis import (
     AnalysisError,
+    _null_space,
     classify_transversality,
     constant_kernel_generators,
     defect,
@@ -24,7 +25,7 @@ from symred.jets import CandidateSolution, make_space, sample_points
 from symred.parser import parse_expression as P
 from symred.sampling import SamplePlan
 
-from helpers import minor_rank, numeric_matrix, numpy_pivot_rank, point_for
+from helpers import minor_rank, numeric_matrix, numpy_pivot_rank, numpy_svd_kernel, point_for
 
 SPACE = make_space(("x", "y"), ("u",), 2)
 
@@ -71,6 +72,41 @@ def test_pivot_rank_on_lists_equals_the_numpy_elimination():
             assert got == numpy_pivot_rank(a, scale=scale) == rank, (a, scale)
         seen.add(rank)
     assert seen >= set(range(11))
+
+
+def test_null_space_spans_the_svd_kernel():
+    # seeded low-rank B as the kernel stacks them: real and complex, tall
+    # (up to 1200 x 13) and wide, with dust far below the pivot
+    # tolerance, and the zero matrix
+    rng = np.random.default_rng(4242)
+    cases = [np.zeros((6, 4))]
+    for i in range(300):
+        cols = int(rng.integers(1, 14))
+        rows = int(rng.integers(600, 1201)) if i % 30 == 0 else int(rng.integers(1, 25))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        draw = rng.standard_normal
+        left, right = draw((rows, rank)), draw((rank, cols))
+        if i % 2:
+            left, right = left + 1j * draw((rows, rank)), right + 1j * draw((rank, cols))
+        b = left @ right if rank else np.zeros((rows, cols))
+        cases.append(b + 1e-14 * np.abs(b).max() * draw((rows, cols)))
+    dims = set()
+    for b in cases:
+        scale = float(np.abs(b).max())
+        got = _null_space(b.tolist(), scale)
+        want = numpy_svd_kernel(b, scale)
+        assert len(got) == len(want), b.shape
+        dims.add(len(got))
+        if not got:
+            continue
+        assert np.linalg.matrix_rank(np.array(got + want), tol=1e-6) == len(got)
+        for v in got:
+            assert np.linalg.norm(b @ np.array(v)) <= 1e-10 * max(scale, 1.0) * np.linalg.norm(v)
+        leads = [next(j for j, x in enumerate(v) if x) for v in got]
+        assert leads == sorted(set(leads))
+        assert all(v[j] == 1 and all(w[j] == 0 for w in got if w is not v)
+                   for v, j in zip(got, leads))
+    assert dims >= set(range(14))
 
 
 def test_generic_rank_on_all_library_matrices():
@@ -185,8 +221,8 @@ def test_constant_kernel_of_redundant_generators():
 
 
 def test_constant_kernel_with_fewer_rows_than_generators():
-    # one seed of 4 points and q = 1 stack a 4 x 5 B: the kernel vector
-    # comes from V's row past the four singular values
+    # one seed of 4 points and q = 1 stack a 4 x 5 B: four pivots leave
+    # one free column, whose null vector is the whole kernel
     fields = (_field(("1", "0"), ("0",), "tx"), _field(("0", "1"), ("0",), "ty"),
               _field(("y", "-x"), ("0",), "rot"), _field(("0", "0"), ("u",), "su"),
               _field(("x", "y"), ("0",), "dil"))

@@ -160,17 +160,25 @@ def test_commands_without_a_fit_never_import_numpy():
         ["defect", "builtin:laplace_fo", "--algebra", "tr2", "--candidate", "SLE"],
         ["verify", "builtin:navier_stokes", "--candidate", "sol"],
         ["minors", "builtin:navier_stokes", "--algebra", "rot3", "--candidate", "Sl1"],
+        ["kernel", "builtin:isentropic", "--algebra", "full12", "--candidate", "IF11"],
         ["symcheck", "builtin:laplace_fo", "--field", "PU", "--candidate", "SLE"],
         ["models"])
     assert "weak transversality HOLDS" in out and "PASS" in out and ": yes" in out
+    assert "matches named combination: K3 + t0*P3" in out
     assert out.splitlines()[-1] == "False", out
 
 
-def test_kernel_imports_numpy_for_its_fit_in_a_fresh_process():
-    out = _fresh_process(["kernel", "builtin:isentropic", "--algebra", "full12",
-                          "--candidate", "IF11"])
-    assert "matches named combination: K3 + t0*P3" in out
-    assert out.splitlines()[-1] == "True", out
+@pytest.mark.parametrize("candidate", ("fp", "sol"))
+def test_kernel_basis_does_not_depend_on_the_seed(capsys, candidate):
+    # Q vanishes on these candidates, so the constant kernel is all of
+    # rot3's span: its echelon basis is the unit rows at every seed
+    printed = []
+    for seed in ("7", "29"):
+        code, out = run(capsys, "kernel", "builtin:navier_stokes", "--algebra", "rot3",
+                        "--candidate", candidate, "--seed", seed)
+        assert code == 0
+        printed.append(out.split("constant kernel dimension: 3\n")[1])
+    assert printed[0] == printed[1] == "  [1, 0, 0]\n  [0, 1, 0]\n  [0, 0, 1]\n"
 
 
 def test_symcheck_yes_and_donor_precondition(capsys):

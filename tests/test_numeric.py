@@ -86,7 +86,7 @@ def test_bessel_overflowing_first_term_is_rejected(z, real_domain):
 
 def test_singularity_rejected():
     with pytest.raises(PointRejected):
-        evaluate(div(con(1), x), Binding({"x": 0.0}), eps_sing=1e-6)
+        evaluate(div(con(1), x), Binding({"x": 0.0}))
 
 
 def test_negative_radicand_rejected_in_real_mode():
@@ -283,7 +283,7 @@ def _points(rng, n):
 @pytest.mark.parametrize("real_domain", (True, False), ids=("real", "complex"))
 def test_batch_equals_one_point_walks_and_python_arithmetic(real_domain):
     rng = np.random.default_rng(17 + real_domain)
-    guards = dict(eps_sing=1e-6, real_domain=real_domain)
+    guards = dict(real_domain=real_domain)
     outcomes = []
     for _ in range(120):
         e = random_expression(rng, depth=4)
@@ -322,7 +322,7 @@ def test_shared_binding_matches_fresh_evaluations(real_domain):
     # read as sampled reads: one binding per batch of points, and each
     # evaluation's rejections cleared from its live mask before the next
     rng = np.random.default_rng(29 + real_domain)
-    guards = dict(eps_sing=1e-6, real_domain=real_domain)
+    guards = dict(real_domain=real_domain)
     rejections = 0
     for _ in range(40):
         pool = [random_expression(rng, depth=3) for _ in range(5)]
@@ -355,16 +355,16 @@ def test_memo_hit_replays_its_rejection():
     # the caller never clears live: every hit must reject again
     for e in (pole, pole, Sum((pole, y)), Product((y, pole))):
         with pytest.raises(PointRejected) as caught:
-            evaluate(e, b, eps_sing=1e-6)
+            evaluate(e, b)
         assert caught.value.rejected == want
     # a subtree first walked after y's pole cleared point 0 is walked
     # again where that point is still live: exp was not computed there
     shared = Binding(columns, live=[True] * 4)
     inner = Sum((pole, exp(x)))
     with pytest.raises(PointRejected):
-        evaluate(Product((div(con(1), y), inner)), shared, eps_sing=1e-6)
+        evaluate(Product((div(con(1), y), inner)), shared)
     with pytest.raises(PointRejected) as caught:
-        evaluate(inner, shared, eps_sing=1e-6)
+        evaluate(inner, shared)
     assert caught.value.rejected == want
     values = caught.value.values
     assert [values[0], values[2]] == [1 + cmath.exp(1), 0.5 + cmath.exp(2)]
@@ -445,7 +445,7 @@ def test_bessel_node_is_called_only_at_live_points(monkeypatch):
     nu = Fraction(1, 3)
     e = mul(div(con(1), x), besseli(nu, x))
     values = [1.0, 0.0, 40.0, -2.0, 0.5]
-    got = _batch(e, [{"x": v} for v in values], eps_sing=1e-6, real_domain=True)
+    got = _batch(e, [{"x": v} for v in values], real_domain=True)
     # 0 is a pole of 1/x, so its Bessel factor is never computed; 40 is
     # past the series bound and -2 outside the real domain
     assert calls == [1.0, 40.0, -2.0, 0.5]
@@ -459,7 +459,7 @@ def test_bessel_node_is_called_only_at_live_points(monkeypatch):
     live = [True, True, False, True, True]
     with pytest.raises(PointRejected) as caught:
         evaluate(e, Binding({"x": np.array(values, dtype=complex)}, live=live),
-                 eps_sing=1e-6, real_domain=True)
+                 real_domain=True)
     assert calls == [1.0, -2.0, 0.5]
     assert caught.value.rejected == [False, True, False, True, False]
     assert live == [True, True, False, True, True]
