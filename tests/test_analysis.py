@@ -218,6 +218,9 @@ def test_constant_kernel_of_redundant_generators():
     assert len(rep.constant_kernel) == 1
     assert rep.matched_combination == "rot2 - 2 rot"
     assert rep.pointwise_kernel_dim == 1
+    # a combination off the kernel's span is not named
+    rep = constant_kernel_generators(a, c, named_combinations={"rot2 + 2 rot": (2.0, 1.0)})
+    assert rep.matched_combination is None
 
 
 def test_constant_kernel_with_fewer_rows_than_generators():
