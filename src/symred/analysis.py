@@ -438,6 +438,8 @@ def constant_kernel_generators(a: Algebra, c: CandidateSolution,
     Q(point) is r x q per point; stacking the transposes gives B with
     B v = 0, reduced to the echelon basis of its kernel by _null_space.
     The pointwise kernel dimension r - rank Q(point) is reported alongside.
+    The report holds real rows: an imaginary part above RANK_PIVOT_REL_TOL
+    times its row's largest entry raises AnalysisError.
     """
     q_matrix = substitute_matrix(characteristic_matrix(a), c)
     stacked = []
@@ -447,7 +449,10 @@ def constant_kernel_generators(a: Algebra, c: CandidateSolution,
         stacked.extend(map(list, zip(*numeric)))
         point_ranks.append(pivot_rank(numeric, scale=mass))
         mass_scale = max(mass_scale, mass)
-    kernel = [tuple(x.real for x in row) for row in _null_space(stacked, mass_scale)]
+    rows = _null_space(stacked, mass_scale)
+    if any(max(abs(x.imag) for x in row) > RANK_PIVOT_REL_TOL * max(moduli(row)) for row in rows):
+        raise AnalysisError("constant kernel of %s on candidate %s is complex" % (a.name, c.name))
+    kernel = [tuple(x.real for x in row) for row in rows]
 
     generic_q_rank = max(point_ranks)
     return KernelReport(

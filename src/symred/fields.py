@@ -3,6 +3,7 @@ brackets, closure checking and prolongation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .expr import (
@@ -18,6 +19,7 @@ from .expr import (
 )
 from .jets import (JetError, JetKey, VariableSpace, jet_keys, key_of_variable, key_variable,
                    read_keys, total_derivative)
+from .numeric import moduli
 from .sampling import SamplePlan, sampled
 
 
@@ -188,14 +190,12 @@ CLOSURE_TOL = 1e-8
 
 
 def _field_samples(fields_components: list[tuple[Expression, ...]],
-                   space: VariableSpace, plan: SamplePlan) -> list:
+                   space: VariableSpace, plan: SamplePlan) -> list[list[complex]]:
     """Evaluate each component tuple at shared random (x, u) points.
 
-    Returns one numpy vector per input tuple: its components stacked
-    over the points, i.e. a vector in R^{(p+q)*points}.
+    Returns one list per input tuple: its components stacked over the
+    points, (p+q)*points Python complex values.
     """
-    import numpy as np
-
     width = space.p + space.q
     columns = [[] for _ in fields_components]
     for s in sampled([e for comps in fields_components for e in comps], plan,
@@ -203,20 +203,35 @@ def _field_samples(fields_components: list[tuple[Expression, ...]],
                      label="closure sampling"):
         for k, col in enumerate(columns):
             col.extend(s.values[k * width:(k + 1) * width])
-    return [np.array(col, dtype=complex) for col in columns]
+    return columns
 
 
-def _fit_in_span(target, basis: list) -> tuple:
-    """Least-squares fit of target over basis (numpy vectors): the
-    coefficients, the relative residual and whether basis is deficient."""
-    import numpy as np
+def _fit_in_span(targets: list[list[complex]], basis: list[list[complex]]
+                 ) -> tuple[list[tuple[tuple[float, ...], float]], bool]:
+    """Fit each target over basis, vectors of equal length: the real parts
+    of its coefficients and its residual relative to max(1, |target|),
+    and whether basis is deficient.  basis is eliminated in place by
+    analysis._eliminate at its largest entry; a target, reduced by the
+    pivot rows in order, leaves its residual at the free columns.  Its
+    coefficients are back substituted: a pivot row keeps, at each earlier
+    pivot's column, the entry that pivot's factor was read from.
+    """
+    from .analysis import _eliminate
 
-    A = np.stack(basis, axis=1)
-    coeff, _, rank, _ = np.linalg.lstsq(A, target, rcond=None)
-    resid = float(np.linalg.norm(A @ coeff - target))
-    scale = max(1.0, float(np.linalg.norm(target)))
-    deficient = rank < len(basis)
-    return coeff, resid / scale, deficient
+    pivots, free = _eliminate(basis, max(max(moduli(v)) for v in basis))
+    fits = []
+    for t in targets:
+        norm = max(1.0, math.hypot(*moduli(t)))
+        coeff = [0j] * len(basis)
+        for r, c in pivots:
+            coeff[r] = k = t[c] / basis[r][c]
+            if k:
+                t = [x - k * y for x, y in zip(t, basis[r])]
+        for n, (r, c) in reversed(list(enumerate(pivots))):
+            coeff[r] -= sum(coeff[s] * basis[s][c] for s, _ in pivots[n + 1:]) / basis[r][c]
+        fits.append((tuple(z.real for z in coeff),
+                     math.hypot(*moduli([t[c] for c in free])) / norm))
+    return fits, len(pivots) < len(basis)
 
 
 def closure_check(a: Algebra, within: Algebra,
@@ -224,42 +239,22 @@ def closure_check(a: Algebra, within: Algebra,
     """True iff span(a) lies in span(within) and every pairwise bracket of
     a's generators does too, with constant coefficients.
 
-    Coefficients are fitted by least squares over sampled (x, u) points;
-    a fit counts only if its relative residual is below 1e-8.  A
-    rank-deficient design matrix is reported via the flagged bit.  The
-    points come from a's own plan unless one is given.
+    Each is fitted over within's generators at sampled (x, u) points by
+    _fit_in_span and counts only if its relative residual is below
+    CLOSURE_TOL; a deficient within sets the flagged bit.  The points
+    come from a's own plan unless one is given.
     """
     if a.space != within.space:
         raise FieldError("closure_check across different spaces")
     plan = plan or a.plan
-    brackets: dict[tuple[int, int], VectorField] = {}
-    for i in range(a.r):
-        for j in range(i + 1, a.r):
-            brackets[(i, j)] = lie_bracket(a.fields[i], a.fields[j])
-
-    components = [f.components() for f in within.fields]
-    components += [f.components() for f in a.fields]
-    components += [brackets[key].components() for key in sorted(brackets)]
+    brackets = {(i, j): lie_bracket(a.fields[i], a.fields[j])
+                for i in range(a.r) for j in range(i + 1, a.r)}
+    components = [f.components() for f in within.fields + a.fields + tuple(brackets.values())]
     vectors = _field_samples(components, a.space, plan)
-    basis = vectors[:within.r]
-    member_vecs = vectors[within.r:within.r + a.r]
-    bracket_vecs = vectors[within.r + a.r:]
-    membership = {}
-    structure = {}
-    worst = 0.0
-    deficient_any = False
-    for i, vec in enumerate(member_vecs):
-        coeff, resid, deficient = _fit_in_span(vec, basis)
-        membership[i] = tuple(float(c.real) for c in coeff)
-        worst = max(worst, resid)
-        deficient_any |= deficient
-    for key, vec in zip(sorted(brackets), bracket_vecs):
-        coeff, resid, deficient = _fit_in_span(vec, basis)
-        structure[key] = tuple(float(c.real) for c in coeff)
-        worst = max(worst, resid)
-        deficient_any |= deficient
-    return ClosureReport(worst < CLOSURE_TOL, structure, membership, worst,
-                         flagged=deficient_any)
+    fits, flagged = _fit_in_span(vectors[within.r:], vectors[:within.r])
+    coeffs, resids = zip(*fits)
+    return ClosureReport(max(resids) < CLOSURE_TOL, dict(zip(brackets, coeffs[a.r:])),
+                         dict(enumerate(coeffs[:a.r])), max(resids), flagged=flagged)
 
 
 def _prolong_order(key: JetKey) -> tuple:

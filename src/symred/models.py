@@ -31,7 +31,7 @@ from .jets import (
     sample_points,
 )
 from .numeric import Binding, PointRejected, evaluate
-from .sampling import SamplePlan, sampled
+from .sampling import SamplePlan, sampled, shared_instantiation
 from .stream import Stream
 
 __all__ = [
@@ -303,7 +303,7 @@ def discrepancy_report(ws: Workspace, candidate=None, tol: float = 1e-6) -> dict
     if failing is None:
         return report
     eq = ws.equations[ws.equation_names.index(failing)]
-    b = Binding(worst_point.binding_values())
+    b = Binding(worst_point.binding_values(), shared_instantiation((eq,), worst_point.seed))
     terms = eq.terms if isinstance(eq, Sum) else (eq,)
     rows = []
     for term in terms:

@@ -1,6 +1,6 @@
 """Shared test oracles: random expression trees, finite differences, a
-brute-force minor rank, the numpy elimination rank and the numpy SVD
-kernel, plus the benchmark's CLI job list.  Everything is seeded; no
+brute-force minor rank, the numpy elimination rank, the numpy SVD
+kernel and the numpy least-squares fit, plus the benchmark's CLI job list.  Everything is seeded; no
 test depends on global RNG state."""
 
 from __future__ import annotations
@@ -167,6 +167,22 @@ def numpy_svd_kernel(matrix, scale: float) -> list[np.ndarray]:
             lead = next((x for x in v if abs(x) > 1e-10), 1.0)
             basis.append(np.asarray(v / lead, dtype=complex))
     return basis
+
+
+def numpy_lstsq_fit(targets, basis) -> tuple[list[tuple[tuple[float, ...], float]], bool]:
+    """The least-squares fit fields._fit_in_span replaced, kept as its
+    reference: one lstsq per target at LAPACK's default rcond, the real
+    parts of the coefficients, the relative residual |A c - t| / max(1, |t|),
+    and whether the rank of A = [basis] is below the basis size."""
+    a = np.stack([np.array(v, dtype=complex) for v in basis], axis=1)
+    fits, deficient = [], False
+    for target in targets:
+        t = np.array(target, dtype=complex)
+        coeff, _, rank, _ = np.linalg.lstsq(a, t, rcond=None)
+        resid = float(np.linalg.norm(a @ coeff - t)) / max(1.0, float(np.linalg.norm(t)))
+        fits.append((tuple(float(c.real) for c in coeff), resid))
+        deficient |= bool(rank < len(basis))
+    return fits, deficient
 
 
 def numeric_matrix(matrix, values: dict) -> np.ndarray:

@@ -139,12 +139,11 @@ def test_kernel_reports_match(capsys):
     assert "matches named combination: K3 + t0*P3" in out
 
 
-def _fresh_process(*commands):
-    """Run each argv through symred.cli.main in one new interpreter;
-    return its stdout, ending with whether numpy was imported."""
-    code = "import sys\nfrom symred.cli import main\n"
-    code += "".join("main(%r)\n" % list(argv) for argv in commands)
-    code += "print('numpy' in sys.modules)\n"
+def _fresh_process(*commands, after=""):
+    """Run each argv through symred.cli.main, then the code after, in one
+    new interpreter where importing numpy fails; return its stdout."""
+    code = "import sys\nsys.modules['numpy'] = None\nfrom symred.cli import main\n"
+    code += "".join("main(%r)\n" % list(argv) for argv in commands) + after
     src = os.path.dirname(os.path.dirname(symred.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -154,7 +153,17 @@ def _fresh_process(*commands):
     return run.stdout
 
 
-def test_commands_without_a_fit_never_import_numpy():
+CLOSE_EVERY_ALGEBRA = """
+from symred.fields import closure_check
+from symred.models import MODEL_IDS, builtin
+for model_id in MODEL_IDS:
+    ws = builtin(model_id)
+    for name, algebra in sorted(ws.algebras.items()):
+        print(model_id, name, closure_check(algebra, algebra).ok)
+"""
+
+
+def test_no_code_path_imports_numpy():
     out = _fresh_process(
         ["classify", "builtin:navier_stokes", "--algebra", "rot3", "--candidate", "Sl1"],
         ["defect", "builtin:laplace_fo", "--algebra", "tr2", "--candidate", "SLE"],
@@ -162,10 +171,12 @@ def test_commands_without_a_fit_never_import_numpy():
         ["minors", "builtin:navier_stokes", "--algebra", "rot3", "--candidate", "Sl1"],
         ["kernel", "builtin:isentropic", "--algebra", "full12", "--candidate", "IF11"],
         ["symcheck", "builtin:laplace_fo", "--field", "PU", "--candidate", "SLE"],
-        ["models"])
+        ["models"], after=CLOSE_EVERY_ALGEBRA)
     assert "weak transversality HOLDS" in out and "PASS" in out and ": yes" in out
     assert "matches named combination: K3 + t0*P3" in out
-    assert out.splitlines()[-1] == "False", out
+    closures = out.splitlines()[-13:]
+    assert len({line.split()[0] for line in closures}) == 5, closures
+    assert all(line.endswith(" True") for line in closures), closures
 
 
 @pytest.mark.parametrize("candidate", ("fp", "sol"))
@@ -179,6 +190,24 @@ def test_kernel_basis_does_not_depend_on_the_seed(capsys, candidate):
         assert code == 0
         printed.append(out.split("constant kernel dimension: 3\n")[1])
     assert printed[0] == printed[1] == "  [1, 0, 0]\n  [0, 1, 0]\n  [0, 0, 1]\n"
+
+
+def test_a_complex_constant_kernel_exits_one(capsys, tmp_path):
+    # Q = (-1, -i) on c, so the constant kernel is span{(1, i)}: it has
+    # no real basis, and printing real parts would show (1, 0)
+    path = tmp_path / "complex.sr"
+    path.write_text("""
+space { independent x y; dependent u; order 1; }
+system s { eq d(u,x) + i*d(u,y) = 0; }
+field tx { xi = [1, 0]; phi = [0]; }
+field ty { xi = [0, 1]; phi = [0]; }
+algebra tr { fields tx ty; }
+candidate c { u = x + i*y; complex; }
+""")
+    assert main(["kernel", str(path), "--algebra", "tr", "--candidate", "c"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "symred: constant kernel of tr on candidate c is complex\n"
 
 
 def test_symcheck_yes_and_donor_precondition(capsys):

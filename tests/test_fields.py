@@ -1,10 +1,14 @@
 """Vector fields: characteristics, prolongation, brackets, closure."""
 
+import numpy as np
 import pytest
 
+from helpers import numpy_lstsq_fit
+from symred import fields
 from symred.expr import (MINUS_ONE, ZERO, Product, Sum, differentiate, free_variables,
                          normalize)
 from symred.fields import (
+    CLOSURE_TOL,
     Algebra,
     FieldError,
     VectorField,
@@ -154,6 +158,73 @@ def test_closure_sampling_rejects_points_outside_the_real_domain():
     rep = closure_check(root, modulus, plan)
     assert rep.ok
     assert rep.membership[0] == pytest.approx((1.0,))
+
+
+def _agree(basis, targets, fit=fields._fit_in_span):
+    """Fit targets over basis by _fit_in_span and by the lstsq oracle;
+    assert they agree and return whether basis has full rank."""
+    want, want_flagged = numpy_lstsq_fit(targets, basis)
+    got, flagged = fit([list(t) for t in targets], [list(v) for v in basis])
+    assert flagged == want_flagged
+    for (coeff, resid), (want_coeff, want_resid) in zip(got, want):
+        assert (resid < CLOSURE_TOL) == (want_resid < CLOSURE_TOL), (resid, want_resid)
+        if not flagged and resid < CLOSURE_TOL:
+            scale = max(1.0, *map(abs, want_coeff))
+            assert max(map(abs, np.subtract(coeff, want_coeff))) <= 1e-10 * scale
+    return not flagged
+
+
+@pytest.mark.parametrize("model_id", MODEL_IDS)
+def test_closure_fit_agrees_with_lstsq_on_the_library(monkeypatch, model_id):
+    fit = fields._fit_in_span
+    seen = []
+
+    def checked(targets, basis):
+        seen.append(_agree(basis, targets))
+        return fit(targets, basis)
+
+    monkeypatch.setattr(fields, "_fit_in_span", checked)
+    for draw in (None, 1, 2, 3, 4):
+        ws = builtin(model_id, None if draw is None else draw_params(model_id, draw))
+        for name, algebra in sorted(ws.algebras.items()):
+            rep = closure_check(algebra, algebra, ws.algebra_plan(name))
+            assert rep.ok and not rep.flagged and rep.worst_residual < 1e-8, (name, draw)
+    assert len(seen) == 5 * len(ws.algebras) and all(seen)
+
+
+def test_closure_fit_agrees_with_lstsq_on_random_designs():
+    rng = np.random.default_rng(20240)
+    full = 0
+    for design in range(240):
+        n = int(rng.integers(1, 9))
+        samples = int(rng.integers(n, 90))
+        complex_ = design % 2 == 1
+        shape = (n, samples)
+        basis = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_ else 0)
+        if design % 5 == 2 and n > 1:      # rank deficient: a last vector in the span
+            basis[-1] = rng.normal(size=n - 1) @ basis[:-1]
+        if design % 7 == 3:                # a zero vector
+            basis[int(rng.integers(n))] = 0
+        if design % 11 == 5:               # all zero
+            basis[:] = 0
+        basis *= 10.0 ** rng.uniform(-3, 3)
+        members = rng.normal(size=(4, n)) @ basis
+        if complex_:
+            members = members + 1j * (rng.normal(size=(4, n)) @ basis)
+        strangers = rng.normal(size=(3, samples)) * np.max(np.abs(basis), initial=1.0)
+        full += _agree(basis.tolist(), members.tolist() + strangers.tolist())
+    assert full > 120
+
+
+def test_closure_fit_flags_a_basis_at_the_rank_tolerance():
+    # a third vector off the span of the first two by 1e-11 of the scale:
+    # lstsq's rcond (eps times the sample count) counts it, the elimination
+    # does not, at RANK_PIVOT_REL_TOL = 1e-9 like every other rank
+    rng = np.random.default_rng(5)
+    basis = rng.normal(size=(3, 40))
+    basis[2] = basis[0] - basis[1] + 1e-11 * rng.normal(size=40)
+    assert not numpy_lstsq_fit([basis[0]], basis)[1]
+    assert fields._fit_in_span([list(basis[0])], basis.tolist())[1]
 
 
 def test_algebra_requires_common_space():

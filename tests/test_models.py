@@ -278,6 +278,24 @@ def test_discrepancy_report_pinpoints_failure():
     assert "terms" not in clean
 
 
+def test_discrepancy_report_evaluates_opaque_functions():
+    # the failing equation holds a(t); its terms are read with the
+    # stand-in sampled bound at the worst point's seed, so they bracket
+    # that point's residual
+    ws = parse_workspace("""
+space { independent x t; dependent u; order 1; }
+func a(t);
+system s { eq e1: d(u,t) - a(t)*u = 0; }
+candidate c { u = x*t; }
+""")
+    rep = discrepancy_report(ws, "c")
+    assert rep["first_failing"] == "e1"
+    assert rep["dominant_term"] == "(-1)*u*a(t)"
+    small, large = sorted(row["value"] for row in rep["terms"])
+    assert large - small <= rep["residuals"]["e1"] * (1 + 1e-12)
+    assert rep["residuals"]["e1"] <= (large + small) * (1 + 1e-12)
+
+
 def test_residual_accepts_plan_override():
     entry = builtin("laplace_fo")
     plan = SamplePlan(count=12, min_accepted=6, seeds=(9, 10, 11))
