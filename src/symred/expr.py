@@ -5,14 +5,15 @@ exact differentiation and printing.  There is no general simplifier; two
 expressions are considered equal when the sampling oracle in
 :mod:`symred.sampling` says so.
 
-Each node stores three facts about itself, each computed at most once:
-its hash, the frozenset of its free variable names (filled the first
-time it is asked for) and a mark set by `normalize` on every node it
-returns, each of which is its own normal form.  None of them takes part
-in equality, printing or evaluation; they only let `differentiate`
-return 0 without a walk when the variable does not occur, and
-`normalize` return a marked subtree unchanged instead of walking it
-again.
+Each node stores four facts about itself, each computed at most once:
+its hash, the frozenset of its free variable names and its canonical
+sort key (each filled the first time it is asked for), and a mark set
+by `normalize` on every node it returns, each of which is its own
+normal form.  None of them takes part in equality, printing or
+evaluation; they only let `differentiate` return 0 without a walk when
+the variable does not occur, `normalize` return a marked subtree
+unchanged instead of walking it again, and every sort reuse the keys
+of the nodes it has sorted before.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ class Expression:
     # Per-node facts, stored on the instance on first use (module docstring).
     _hash = None
     _free = None
+    _key = None
     _normal = False
 
     def __hash__(self):
@@ -212,8 +214,12 @@ class Builtin(Expression):
             object.__setattr__(self, "order", Fraction(self.order))
 
 
-ZERO = Constant(Fraction(0))
-ONE = Constant(Fraction(1))
+# Shared rational 0 and 1: normalize's accumulators start at them and
+# skip the first add or multiply while they are still these objects.
+_Q0 = Fraction(0)
+_Q1 = Fraction(1)
+ZERO = Constant(_Q0)
+ONE = Constant(_Q1)
 MINUS_ONE = Constant(Fraction(-1))
 I = ImaginaryUnit()
 
@@ -289,15 +295,16 @@ def apply_symbol(symbol: FunctionSymbol, *args, orders: tuple[int, ...] | None =
 # traversal helpers
 
 def children(e: Expression) -> tuple[Expression, ...]:
-    if isinstance(e, Sum):
+    t = type(e)
+    if t is Sum:
         return e.terms
-    if isinstance(e, Product):
+    if t is Product:
         return e.factors
-    if isinstance(e, Power):
+    if t is Power:
         return (e.base,)
-    if isinstance(e, Builtin):
+    if t is Builtin:
         return (e.arg,)
-    if isinstance(e, FunctionApp):
+    if t is FunctionApp:
         return e.args
     return ()
 
@@ -310,7 +317,7 @@ def _free(e: Expression) -> frozenset[str]:
     """The names of the variables in e, stored on e on first use."""
     out = e._free
     if out is None:
-        if isinstance(e, Variable):
+        if type(e) is Variable:
             out = frozenset((e.name,))
         else:
             # a child's set is shared whenever it covers the others
@@ -343,16 +350,17 @@ def rewrite(e: Expression, rule) -> Expression:
     out = rule(e)
     if out is not None:
         return out
-    if isinstance(e, Sum):
-        return Sum(tuple(rewrite(t, rule) for t in e.terms))
-    if isinstance(e, Product):
-        return Product(tuple(rewrite(f, rule) for f in e.factors))
-    if isinstance(e, Power):
+    t = type(e)
+    if t is Sum:
+        return Sum(tuple([rewrite(u, rule) for u in e.terms]))
+    if t is Product:
+        return Product(tuple([rewrite(f, rule) for f in e.factors]))
+    if t is Power:
         return Power(rewrite(e.base, rule), e.exponent)
-    if isinstance(e, Builtin):
+    if t is Builtin:
         return Builtin(e.name, rewrite(e.arg, rule), e.order)
-    if isinstance(e, FunctionApp):
-        return FunctionApp(e.symbol, tuple(rewrite(a, rule) for a in e.args), e.orders)
+    if t is FunctionApp:
+        return FunctionApp(e.symbol, tuple([rewrite(a, rule) for a in e.args]), e.orders)
     return e
 
 
@@ -377,27 +385,35 @@ _KIND_RANK = {
 
 
 def _sort_key(e: Expression):
+    """The canonical key of e, stored on e on first use."""
     # The kind rank leads, so two keys reach their second fields only for
     # nodes of one kind, where those fields share a type: plain tuple
     # comparison is a total order on these keys.
-    rank = _KIND_RANK[type(e)]
-    if isinstance(e, Constant):
-        return (rank, e.value, ())
-    if isinstance(e, ImaginaryUnit):
-        return (rank, 0, ())
-    if isinstance(e, Variable):
-        return (rank, e.name, ())
-    if isinstance(e, Power):
-        return (rank, e.exponent, (_sort_key(e.base),))
-    if isinstance(e, Builtin):
-        return (rank, (e.name, e.order if e.order is not None else Fraction(0)), (_sort_key(e.arg),))
-    if isinstance(e, FunctionApp):
-        return (rank, (e.symbol.name, e.orders), tuple(_sort_key(a) for a in e.args))
-    if isinstance(e, Sum):
-        return (rank, len(e.terms), tuple(_sort_key(t) for t in e.terms))
-    if isinstance(e, Product):
-        return (rank, len(e.factors), tuple(_sort_key(f) for f in e.factors))
-    raise ExpressionError("unreachable")
+    key = e._key
+    if key is not None:
+        return key
+    t = type(e)
+    rank = _KIND_RANK[t]
+    if t is Constant:
+        key = (rank, e.value, ())
+    elif t is ImaginaryUnit:
+        key = (rank, 0, ())
+    elif t is Variable:
+        key = (rank, e.name, ())
+    elif t is Power:
+        key = (rank, e.exponent, (_sort_key(e.base),))
+    elif t is Builtin:
+        key = (rank, (e.name, e.order if e.order is not None else _Q0), (_sort_key(e.arg),))
+    elif t is FunctionApp:
+        key = (rank, (e.symbol.name, e.orders), tuple([_sort_key(a) for a in e.args]))
+    elif t is Sum:
+        key = (rank, len(e.terms), tuple([_sort_key(u) for u in e.terms]))
+    elif t is Product:
+        key = (rank, len(e.factors), tuple([_sort_key(f) for f in e.factors]))
+    else:
+        raise ExpressionError("unreachable")
+    object.__setattr__(e, "_key", key)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +430,16 @@ def normalize(e: Expression) -> Expression:
     """
     if e._normal:
         return e
-    if isinstance(e, Sum):
+    t = type(e)
+    if t is Sum:
         return _normalize_sum(e)
-    if isinstance(e, Product):
+    if t is Product:
         return _normalize_product(e)
-    if isinstance(e, Power):
+    if t is Power:
         return _normalize_power(normalize(e.base), e.exponent)
-    if isinstance(e, (Builtin, FunctionApp)):
+    if t is Builtin or t is FunctionApp:
         return _mark(rewrite(e, lambda node: None if node is e else normalize(node)))
-    raise ExpressionError("unknown node %r" % type(e).__name__)
+    raise ExpressionError("unknown node %r" % t.__name__)
 
 
 def _mark(e: Expression) -> Expression:
@@ -433,20 +450,16 @@ def _mark(e: Expression) -> Expression:
 
 def _normalize_sum(e: Sum) -> Expression:
     terms: list[Expression] = []
-    const = Fraction(0)
+    const = _Q0
     for raw in e.terms:
         t = normalize(raw)
-        if isinstance(t, Sum):
-            inner = t.terms
-        else:
-            inner = (t,)
-        for u in inner:
-            if isinstance(u, Constant):
-                const += u.value
+        for u in (t.terms if type(t) is Sum else (t,)):
+            if type(u) is Constant:
+                const = u.value if const is _Q0 else const + u.value
             else:
                 terms.append(u)
     terms.sort(key=_sort_key)
-    if const != 0:
+    if const:
         terms.insert(0, Constant(const))
     if not terms:
         return ZERO
@@ -455,62 +468,56 @@ def _normalize_sum(e: Sum) -> Expression:
     return _mark(Sum(tuple(terms)))
 
 
-def _as_base_exponent(f: Expression) -> tuple[Expression, Fraction]:
-    if isinstance(f, Power):
-        return f.base, f.exponent
-    return f, Fraction(1)
-
-
 def _normalize_product(e: Product) -> Expression:
-    const = Fraction(1)
+    const = _Q1
     i_power = 0
     # Equal bases merge; exponents add under the principal branch since
     # z^a * z^b = exp((a+b) ln z) whenever both factors use the same ln z.
-    # Each entry is [base, exponent, piece]: piece is the lone factor
-    # with that base, or None once another factor merged into it.
-    merged: list[list] = []
+    # Each base maps, in first-seen order, to [exponent, piece]: piece is
+    # the lone factor with that base, or None once another factor merged
+    # into it.
+    merged: dict[Expression, list] = {}
     todo = [normalize(f) for f in e.factors]
     while todo:
         for f in todo:
-            for u in (f.factors if isinstance(f, Product) else (f,)):
-                if isinstance(u, Constant):
-                    const *= u.value
-                elif isinstance(u, ImaginaryUnit):
+            for u in (f.factors if type(f) is Product else (f,)):
+                t = type(u)
+                if t is Constant:
+                    const = u.value if const is _Q1 else const * u.value
+                elif t is ImaginaryUnit:
                     i_power += 1
-                elif isinstance(u, Power) and isinstance(u.base, ImaginaryUnit) \
+                elif t is Power and type(u.base) is ImaginaryUnit \
                         and u.exponent.denominator == 1:
                     i_power += u.exponent.numerator
                 else:
-                    base, expo = _as_base_exponent(u)
-                    for m in merged:
-                        if m[0] == base:
-                            m[1] += expo
-                            m[2] = None
-                            break
+                    base, expo = (u.base, u.exponent) if t is Power else (u, _Q1)
+                    m = merged.get(base)
+                    if m is None:
+                        merged[base] = [expo, u]
                     else:
-                        merged.append([base, expo, u])
-        if const == 0:
+                        m[0] += expo
+                        m[1] = None
+        if not const:
             return ZERO
         # A merged piece that is a product (a product base raised to 1,
         # or i^3 = (-1)*i), or a power or i left bare by exponent 1, is
         # flattened and merged again, so the result is its own normal
         # form.  Its entry stays at exponent 0 for later factors to join.
         todo = []
-        for m in merged:
-            if m[2] is None:
-                base = m[0]
-                m[2] = _normalize_power(base, m[1])
-                if isinstance(m[2], Product) or \
-                        (m[2] is base and isinstance(base, (Power, ImaginaryUnit))):
-                    todo.append(m[2])
-                    m[1], m[2] = Fraction(0), ONE
+        for base, m in merged.items():
+            if m[1] is None:
+                piece = m[1] = _normalize_power(base, m[0])
+                if type(piece) is Product or \
+                        (piece is base and type(base) in (Power, ImaginaryUnit)):
+                    todo.append(piece)
+                    m[0], m[1] = _Q0, ONE
     factors: list[Expression] = []
-    for _, _, piece in merged:
-        if isinstance(piece, Constant):
-            const *= piece.value
+    for _, piece in merged.values():
+        if type(piece) is Constant:
+            const = piece.value if const is _Q1 else const * piece.value
         else:
             factors.append(piece)
-    if const == 0:
+    if not const:
         return ZERO
     # fold powers of i exactly: i^2 = -1
     i_power %= 4
@@ -520,7 +527,7 @@ def _normalize_product(e: Product) -> Expression:
     if i_power:
         factors.append(I)
     factors.sort(key=_sort_key)
-    if const != 1:
+    if const is not _Q1 and const != 1:
         factors.insert(0, Constant(const))
     if not factors:
         return Constant(const)
@@ -530,18 +537,18 @@ def _normalize_product(e: Product) -> Expression:
 
 
 def _normalize_power(base: Expression, exponent: Fraction) -> Expression:
-    if exponent == 0:
-        return ONE
-    if exponent == 1:
-        return base
-    if isinstance(base, ImaginaryUnit) and exponent.denominator == 1:
-        n = exponent.numerator % 4
-        return (ONE, I, MINUS_ONE, _mark(Product((MINUS_ONE, I))))[n]
-    if isinstance(base, Constant) and exponent.denominator == 1:
-        n = exponent.numerator
-        if base.value == 0 and n < 0:
-            raise ExpressionError("division by exact zero")
-        return Constant(base.value ** n)
+    num, den = exponent.numerator, exponent.denominator
+    if den == 1:
+        if num == 0:
+            return ONE
+        if num == 1:
+            return base
+        if type(base) is ImaginaryUnit:
+            return (ONE, I, MINUS_ONE, _mark(Product((MINUS_ONE, I))))[num % 4]
+        if type(base) is Constant:
+            if base.value == 0 and num < 0:
+                raise ExpressionError("division by exact zero")
+            return Constant(base.value ** num)
     # (x^a)^b is left alone: collapsing it is unsound on principal branches
     return _mark(Power(base, exponent))
 
@@ -577,18 +584,19 @@ def _diff(e: Expression, v: str) -> Expression:
     # product rule builds only the terms that survive normalize.
     if v not in _free(e):
         return ZERO
-    if isinstance(e, Variable):
+    t = type(e)
+    if t is Variable:
         return ONE
-    if isinstance(e, Sum):
-        return Sum(tuple(_diff(t, v) for t in e.terms))
-    if isinstance(e, Product):
-        return Sum(tuple(Product(e.factors[:i] + (_diff(f, v),) + e.factors[i + 1:])
-                         for i, f in enumerate(e.factors) if v in _free(f)))
-    if isinstance(e, Power):
+    if t is Sum:
+        return Sum(tuple([_diff(u, v) for u in e.terms]))
+    if t is Product:
+        return Sum(tuple([Product(e.factors[:i] + (_diff(f, v),) + e.factors[i + 1:])
+                          for i, f in enumerate(e.factors) if v in _free(f)]))
+    if t is Power:
         return Product((Constant(e.exponent),
                         Power(e.base, e.exponent - 1),
                         _diff(e.base, v)))
-    if isinstance(e, Builtin):
+    if t is Builtin:
         da = _diff(e.arg, v)
         if e.name == "exp":
             inner = Builtin("exp", e.arg)
@@ -603,7 +611,7 @@ def _diff(e: Expression, v: str) -> Expression:
                              Sum((Builtin("besseli", e.arg, e.order - 1),
                                   Builtin("besseli", e.arg, e.order + 1)))))
         return Product((inner, da))
-    if isinstance(e, FunctionApp):
+    if t is FunctionApp:
         terms = []
         for j, arg in enumerate(e.args):
             if v not in _free(arg):

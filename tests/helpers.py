@@ -1,20 +1,30 @@
-"""Shared test oracles: random expression trees, finite differences, a
-brute-force minor rank, the numpy elimination rank, the numpy SVD
-kernel and the numpy least-squares fit, plus the benchmark's CLI job list.  Everything is seeded; no
-test depends on global RNG state."""
+"""Shared test oracles: random expression trees, finite differences, the
+recursive canonical sort key, a brute-force minor rank, the numpy
+elimination rank, the numpy SVD kernel and the numpy least-squares fit,
+plus the benchmark's CLI job list.  Everything is seeded; no test depends
+on global RNG state."""
 
 from __future__ import annotations
 
 import importlib.util
 import itertools
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from symred.expr import (
+    Builtin,
+    Constant,
     Expression,
     ExpressionError,
+    FunctionApp,
+    ImaginaryUnit,
+    Power,
+    Product,
+    Sum,
+    Variable,
     add,
     con,
     cos,
@@ -30,6 +40,7 @@ from symred.expr import (
     sqrt,
     var,
 )
+from symred.expr import _KIND_RANK
 from symred.analysis import RANK_PIVOT_REL_TOL
 from symred.numeric import Binding, PointRejected, evaluate
 from symred.sampling import draw_values, shared_instantiation
@@ -94,6 +105,31 @@ def try_fd_case(e: Expression, name: str, values: dict) -> float | None:
     if abs(exact) > 1e6 or abs(approx) > 1e6:
         return None
     return abs(approx - exact) / max(1.0, abs(exact))
+
+
+def recursive_sort_key(e: Expression):
+    """The canonical sort key rebuilt from scratch at every call, as
+    normalize computed it before it stored keys on the nodes: the
+    reference that the stored keys and the canonical order are held to."""
+    rank = _KIND_RANK[type(e)]
+    if isinstance(e, Constant):
+        return (rank, e.value, ())
+    if isinstance(e, ImaginaryUnit):
+        return (rank, 0, ())
+    if isinstance(e, Variable):
+        return (rank, e.name, ())
+    if isinstance(e, Power):
+        return (rank, e.exponent, (recursive_sort_key(e.base),))
+    if isinstance(e, Builtin):
+        return (rank, (e.name, e.order if e.order is not None else Fraction(0)),
+                (recursive_sort_key(e.arg),))
+    if isinstance(e, FunctionApp):
+        return (rank, (e.symbol.name, e.orders), tuple(recursive_sort_key(a) for a in e.args))
+    if isinstance(e, Sum):
+        return (rank, len(e.terms), tuple(recursive_sort_key(t) for t in e.terms))
+    if isinstance(e, Product):
+        return (rank, len(e.factors), tuple(recursive_sort_key(f) for f in e.factors))
+    raise TypeError(e)
 
 
 def minor_rank(m: np.ndarray, rel_tol: float = 1e-8) -> int:

@@ -153,6 +153,24 @@ def _fresh_process(*commands, after=""):
     return run.stdout
 
 
+def test_every_module_compiles_from_source_without_warnings(tmp_path):
+    # CLI processes compile symred from source each time when bytecode is
+    # not written; a compile-time warning (say `x is 0`) would then load
+    # the warnings machinery in every one of them
+    src = os.path.dirname(os.path.dirname(symred.__file__))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, symred, symred.cli\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('symred.'))))")
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    modules = sorted("symred." + name[:-3] for name in os.listdir(os.path.join(src, "symred"))
+                     if name.endswith(".py") and name != "__init__.py")
+    assert run.stdout.split() == modules
+    assert not any(tmp_path.iterdir())
+
+
 CLOSE_EVERY_ALGEBRA = """
 from symred.fields import closure_check
 from symred.models import MODEL_IDS, builtin

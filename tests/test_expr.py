@@ -1,5 +1,6 @@
 """Expression kernel: builders, normalize, differentiate, printing."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -353,6 +354,26 @@ def test_separately_built_equal_trees_have_equal_hashes():
             continue
         assert hash(na) == hash(nb)
     assert hash(MINUS_ONE) == hash(con(-1))
+
+
+def test_stored_facts_take_no_part_in_identity():
+    node_classes = (Constant, ImaginaryUnit, Variable, FunctionApp, Sum, Product, Power, Builtin)
+    stored = {"_hash", "_free", "_key", "_normal"}
+    for cls in node_classes:
+        assert not stored & {f.name for f in dataclasses.fields(cls)}, cls
+    a = FunctionSymbol("a", ("x", "y"))
+    e = normalize(add(mul(x, pow_(add(y, I), Fraction(1, 2))),
+                      exp(apply_symbol(a, x, mul(con(-2), z))),
+                      besseli(Fraction(1, 2), sin(x))))
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        stack.extend(symred.expr.children(node))
+        hash(node), symred.expr._free(node), symred.expr._sort_key(node)
+        assert None not in (node._hash, node._free, node._key)
+        copy = _fresh(node)
+        assert copy == node and node == copy
+        assert hash(copy) == hash(node) and to_text(copy) == to_text(node)
 
 
 def test_free_variables_returns_a_fresh_set():

@@ -16,6 +16,8 @@ from symred.expr import (
     ExpressionError,
     FunctionSymbol,
     I,
+    Product,
+    Sum,
     add,
     apply_symbol,
     besseli,
@@ -34,8 +36,11 @@ from symred.expr import (
     to_text,
     var,
 )
+from symred.expr import _sort_key
 from symred.parser import parse_expression
 from symred.sampling import SamplePlan, SamplingError, numeric_equiv
+
+from helpers import recursive_sort_key
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -98,6 +103,22 @@ def test_normalize_marks_a_fixed_point(e):
     assert all(node._normal for node in _nodes(n)), to_text(n)
     again = normalize(_fresh(n))
     assert again == n and to_text(again) == to_text(n)
+
+
+@SETTINGS
+@given(trees)
+def test_stored_sort_keys_keep_the_recursive_order(e):
+    n = _normal_or_none(e)
+    if n is None:
+        return
+    for node in _nodes(n):
+        stored = node._key
+        want = recursive_sort_key(node)
+        assert stored is None or stored == want, to_text(node)
+        assert _sort_key(node) == want and node._key == want, to_text(node)
+        if type(node) in (Sum, Product):
+            keys = [recursive_sort_key(c) for c in children(node)]
+            assert keys == sorted(keys), to_text(node)
 
 
 @SETTINGS
