@@ -1,5 +1,9 @@
 """Vector fields on (x, u), algebras, coefficient/characteristic matrices,
-brackets, closure checking and prolongation."""
+brackets, closure checking and prolongation.
+
+closure_check decides exactly over Q(i) when every field is a polynomial
+of symred.poly, as every built-in one is; any other field is fitted from
+its values at sampled (x, u) points by a float elimination."""
 
 from __future__ import annotations
 
@@ -9,6 +13,7 @@ from dataclasses import dataclass, field
 from .expr import (
     MINUS_ONE,
     ZERO,
+    Constant,
     Expression,
     Product,
     Sum,
@@ -61,8 +66,10 @@ class VectorField:
         names = self.space.independents + self.space.dependents
         terms = []
         for coeff, name in zip(self.components(), names):
+            if type(coeff) is Constant and not coeff.value:
+                continue
             df = differentiate(f, name)
-            if coeff == ZERO or df == ZERO:
+            if type(df) is Constant and not df.value:
                 continue
             terms.append(Product((coeff, df)))
         return normalize(Sum(tuple(terms))) if terms else ZERO
@@ -181,6 +188,8 @@ class ClosureReport:
     membership: dict[int, tuple[float, ...]]
     worst_residual: float
     flagged: bool = False
+    # True when the polynomial route decided (see closure_check)
+    exact: bool = False
 
     def __bool__(self) -> bool:
         return self.ok
@@ -239,14 +248,62 @@ def closure_check(a: Algebra, within: Algebra,
     """True iff span(a) lies in span(within) and every pairwise bracket of
     a's generators does too, with constant coefficients.
 
-    Each is fitted over within's generators at sampled (x, u) points by
-    _fit_in_span and counts only if its relative residual is below
-    CLOSURE_TOL; a deficient within sets the flagged bit.  The points
-    come from a's own plan unless one is given.
+    When every component of a and within is a polynomial (symred.poly),
+    the brackets are built on polynomials and each is fitted over
+    within's generators by exact elimination: it counts only if nothing
+    remains, and an exact rank below within.r sets the flagged bit.  Any
+    other field goes to _closure_by_sampling.  Only that route reads the
+    plan; its points come from a's own plan unless one is given.
     """
     if a.space != within.space:
         raise FieldError("closure_check across different spaces")
-    plan = plan or a.plan
+    report = _closure_exact(a, within)
+    return report if report is not None else _closure_by_sampling(a, within, plan or a.plan)
+
+
+def _closure_exact(a: Algebra, within: Algebra) -> ClosureReport | None:
+    """closure_check over Q(i), or None when a component does not convert
+    or an expansion passes poly.MAX_TERMS.  [v, w]_k = v(w_k) - w(v_k),
+    v(f) = sum_j v_j df/dz_j over the coordinates z; a fit's residual is
+    its remainder's coefficient 2-norm over max(1, the target's)."""
+    from . import poly
+
+    names = a.space.independents + a.space.dependents
+    polys = {id(f): [poly.to_poly(e) for e in f.components()]
+             for f in within.fields + a.fields}
+    if any(None in comps for comps in polys.values()):
+        return None
+
+    def apply(v, f):
+        if not f:
+            return f
+        return poly.add(*[poly.mul(c, poly.diff(f, z)) for c, z in zip(v, names) if c])
+
+    pairs = [(i, j) for i in range(a.r) for j in range(i + 1, a.r)]
+    members = [polys[id(f)] for f in a.fields]
+    try:
+        brackets = [[poly.add(apply(members[i], wk), poly.scale(apply(members[j], vk),
+                                                                poly.MINUS_ONE))
+                     for vk, wk in zip(members[i], members[j])] for i, j in pairs]
+    except poly.TooLarge:
+        return None
+    span = poly.Span([poly.vector(polys[id(f)]) for f in within.fields])
+    coeffs, resids, ok = [], [], True
+    for target in map(poly.vector, members + brackets):
+        c, rest = span.fit(target)
+        coeffs.append(tuple(float(re) for re, _ in c))
+        resids.append(poly.norm(rest) / max(1.0, poly.norm(target)) if rest else 0.0)
+        ok = ok and not rest
+    return ClosureReport(ok, dict(zip(pairs, coeffs[a.r:])),
+                         dict(enumerate(coeffs[:a.r])), max(resids),
+                         flagged=span.rank < within.r, exact=True)
+
+
+def _closure_by_sampling(a: Algebra, within: Algebra, plan: SamplePlan) -> ClosureReport:
+    """closure_check from values: each member and bracket (lie_bracket)
+    is fitted over within's generators at the plan's sampled (x, u)
+    points by _fit_in_span and counts only if its relative residual is
+    below CLOSURE_TOL; a deficient within sets the flagged bit."""
     brackets = {(i, j): lie_bracket(a.fields[i], a.fields[j])
                 for i in range(a.r) for j in range(i + 1, a.r)}
     components = [f.components() for f in within.fields + a.fields + tuple(brackets.values())]

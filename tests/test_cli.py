@@ -156,17 +156,21 @@ def _fresh_process(*commands, after=""):
 def test_every_module_compiles_from_source_without_warnings(tmp_path):
     # CLI processes compile symred from source each time when bytecode is
     # not written; a compile-time warning (say `x is 0`) would then load
-    # the warnings machinery in every one of them
+    # the warnings machinery in every one of them.  Each module file is
+    # imported by name, since some (symred.poly) load only on demand.
     src = os.path.dirname(os.path.dirname(symred.__file__))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(tmp_path),
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys, symred, symred.cli\n"
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('symred.'))))")
+    modules = sorted("symred." + name[:-3] for name in os.listdir(os.path.join(src, "symred"))
+                     if name.endswith(".py") and name != "__init__.py")
+    code = ("import importlib, sys\n"
+            "for name in %r:\n"
+            "    importlib.import_module(name)\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('symred.'))))"
+            % modules)
     run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    modules = sorted("symred." + name[:-3] for name in os.listdir(os.path.join(src, "symred"))
-                     if name.endswith(".py") and name != "__init__.py")
     assert run.stdout.split() == modules
     assert not any(tmp_path.iterdir())
 
@@ -181,20 +185,34 @@ for model_id in MODEL_IDS:
 """
 
 
+# one run of each CLI command
+SEVEN_COMMANDS = (
+    ["classify", "builtin:navier_stokes", "--algebra", "rot3", "--candidate", "Sl1"],
+    ["defect", "builtin:laplace_fo", "--algebra", "tr2", "--candidate", "SLE"],
+    ["verify", "builtin:navier_stokes", "--candidate", "sol"],
+    ["minors", "builtin:navier_stokes", "--algebra", "rot3", "--candidate", "Sl1"],
+    ["kernel", "builtin:isentropic", "--algebra", "full12", "--candidate", "IF11"],
+    ["symcheck", "builtin:laplace_fo", "--field", "PU", "--candidate", "SLE"],
+    ["models"],
+)
+
+
 def test_no_code_path_imports_numpy():
-    out = _fresh_process(
-        ["classify", "builtin:navier_stokes", "--algebra", "rot3", "--candidate", "Sl1"],
-        ["defect", "builtin:laplace_fo", "--algebra", "tr2", "--candidate", "SLE"],
-        ["verify", "builtin:navier_stokes", "--candidate", "sol"],
-        ["minors", "builtin:navier_stokes", "--algebra", "rot3", "--candidate", "Sl1"],
-        ["kernel", "builtin:isentropic", "--algebra", "full12", "--candidate", "IF11"],
-        ["symcheck", "builtin:laplace_fo", "--field", "PU", "--candidate", "SLE"],
-        ["models"], after=CLOSE_EVERY_ALGEBRA)
+    out = _fresh_process(*SEVEN_COMMANDS, after=CLOSE_EVERY_ALGEBRA)
     assert "weak transversality HOLDS" in out and "PASS" in out and ": yes" in out
     assert "matches named combination: K3 + t0*P3" in out
     closures = out.splitlines()[-13:]
     assert len({line.split()[0] for line in closures}) == 5, closures
     assert all(line.endswith(" True") for line in closures), closures
+
+
+def test_only_closure_check_imports_poly():
+    # symred.poly is compiled on demand, so it costs no CLI command its
+    # start-up: none of them calls closure_check
+    loaded = "import sys\nprint('symred.poly' in sys.modules)\n"
+    out = _fresh_process(*SEVEN_COMMANDS, after=loaded + CLOSE_EVERY_ALGEBRA + loaded)
+    lines = out.splitlines()
+    assert (lines[-15], lines[-1]) == ("False", "True"), lines[-15:]
 
 
 @pytest.mark.parametrize("candidate", ("fp", "sol"))

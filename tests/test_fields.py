@@ -135,6 +135,8 @@ def test_closure_detects_open_sets():
     a = Algebra(SPACE, (p1, ROT), "open")   # [P1, rot] = -P2 not in span
     rep = closure_check(a, a)
     assert not rep.ok
+    # exactly: the remainder (0, -1, 0) over max(1, |(0, -1, 0)|)
+    assert rep.exact and rep.worst_residual == 1.0
     full = Algebra(SPACE, (p1, _field(("0", "1"), ("0",), "P2"), ROT), "closed")
     assert closure_check(full, full).ok
 
@@ -156,8 +158,16 @@ def test_closure_sampling_rejects_points_outside_the_real_domain():
     root = Algebra(SPACE, (_field(("x^(1/2)", "0"), ("0",), "root"),), "root")
     modulus = Algebra(SPACE, (_field(("(x^2)^(1/4)", "0"), ("0",), "mod"),), "mod")
     rep = closure_check(root, modulus, plan)
-    assert rep.ok
+    assert rep.ok and not rep.exact     # (x^2)^(1/4) is not a polynomial
     assert rep.membership[0] == pytest.approx((1.0,))
+
+
+def test_closure_of_a_builtin_field_is_sampled():
+    grow = Algebra(SPACE, (_field(("exp(x)", "0"), ("0",), "grow"),
+                           _field(("0", "1"), ("0",), "P2")), "grow")
+    rep = closure_check(grow, grow)
+    assert rep.ok and not rep.exact
+    assert rep.structure[(0, 1)] == pytest.approx((0.0, 0.0))
 
 
 def _agree(basis, targets, fit=fields._fit_in_span):
@@ -174,8 +184,15 @@ def _agree(basis, targets, fit=fields._fit_in_span):
     return not flagged
 
 
+def _close(got, want):
+    scale = max(1.0, *map(abs, want))
+    return max(abs(g - w) for g, w in zip(got, want)) <= 1e-10 * scale
+
+
 @pytest.mark.parametrize("model_id", MODEL_IDS)
 def test_closure_fit_agrees_with_lstsq_on_the_library(monkeypatch, model_id):
+    # the sampled route, driven directly, against lstsq; the exact route
+    # closure_check takes on every built-in against the sampled one
     fit = fields._fit_in_span
     seen = []
 
@@ -187,8 +204,17 @@ def test_closure_fit_agrees_with_lstsq_on_the_library(monkeypatch, model_id):
     for draw in (None, 1, 2, 3, 4):
         ws = builtin(model_id, None if draw is None else draw_params(model_id, draw))
         for name, algebra in sorted(ws.algebras.items()):
-            rep = closure_check(algebra, algebra, ws.algebra_plan(name))
-            assert rep.ok and not rep.flagged and rep.worst_residual < 1e-8, (name, draw)
+            sampled = fields._closure_by_sampling(algebra, algebra, ws.algebra_plan(name))
+            assert sampled.ok and not sampled.flagged and sampled.worst_residual < 1e-8, \
+                (name, draw)
+            exact = closure_check(algebra, algebra, ws.algebra_plan(name))
+            assert exact.exact and not sampled.exact
+            assert (exact.ok, exact.flagged) == (sampled.ok, sampled.flagged), (name, draw)
+            assert exact.worst_residual == 0.0
+            for fits, want in ((exact.membership, sampled.membership),
+                               (exact.structure, sampled.structure)):
+                assert fits.keys() == want.keys()
+                assert all(_close(fits[k], want[k]) for k in fits), (name, draw)
     assert len(seen) == 5 * len(ws.algebras) and all(seen)
 
 
