@@ -2,7 +2,8 @@
 jobs, and its cli-dense jobs at their --samples, run in-process at
 --seed 7, must print, exit and write --json exactly as recorded in
 cli_golden.json.  A dense job is recorded under its name prefixed by
-"dense.".
+"dense.", and again at --seed 13 under its name prefixed by
+"dense.seed13.", so that dense sampling is pinned at two seeds.
 
 Regenerate the record (only for a change that means to alter output):
 
@@ -21,6 +22,7 @@ from symred.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 SEED = 7
+DENSE_SEEDS = (SEED, 13)
 WORK = "<work>"
 
 
@@ -32,16 +34,18 @@ def _run(argv):
 
 
 def record(work: Path) -> dict:
-    """Every cli-default and cli-dense job's exit code, stdout, stderr
-    and --json text; file jobs read the euler.sr that
-    `models --export euler` writes."""
+    """Every cli-default job's, and every cli-dense job's at each of
+    DENSE_SEEDS, exit code, stdout, stderr and --json text; file jobs
+    read the euler.sr that `models --export euler` writes."""
     jobs = perfbench_jobs()
     work.mkdir(parents=True, exist_ok=True)
     results = {}
-    runs = [(job.name, job, None) for job in jobs.CLI_DEFAULT]
-    runs += [("dense." + job.name, job, jobs.DENSE_SAMPLES) for job in jobs.CLI_DENSE]
-    for name, job, samples in runs:
-        argv = job.command(SEED, str(work), samples)
+    runs = [(job.name, job, SEED, None) for job in jobs.CLI_DEFAULT]
+    for seed in DENSE_SEEDS:
+        prefix = "dense." if seed == SEED else "dense.seed%d." % seed
+        runs += [(prefix + job.name, job, seed, jobs.DENSE_SAMPLES) for job in jobs.CLI_DENSE]
+    for name, job, seed, samples in runs:
+        argv = job.command(seed, str(work), samples)
         json_path = work / (name + ".json")
         exporting = job is jobs.EXPORT_EULER
         code, out, err = _run(argv if exporting else argv + ["--json", str(json_path)])
