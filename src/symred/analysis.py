@@ -34,7 +34,7 @@ from .expr import (
 from .fields import Algebra, ExpressionMatrix, characteristic_matrix, xi_matrices
 from .jets import CandidateSolution, JetPoint, sample_points, substitute_candidate
 from .numeric import moduli
-from .sampling import EQUIV_ABS, SamplePlan, SamplingError, numeric_equiv, sampled
+from .sampling import EQUIV_ABS, SamplePlan, SamplingError, numeric_equiv, peaks, sampled
 
 RANK_PIVOT_REL_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
@@ -348,7 +348,7 @@ def minors_on_candidate(minors: Sequence[Expression], c: CandidateSolution,
         return 0.0, True
     plan = graph_plan(a, c)
     points = sample_points(c, plan, minors)
-    worst = max(max_abs_on_points(det, points, plan) for det in minors)
+    worst = max(peak.value for peak in peaks(minors, plan, points=points))
     return worst, worst <= EQUIV_ABS
 
 
@@ -510,10 +510,7 @@ def max_abs_on_points(e: Expression, points: Sequence[JetPoint] | None,
                       plan: SamplePlan) -> float:
     """Largest |e| over jet points, or over box draws of its free
     variables when points is None; rejected points are skipped."""
-    worst = 0.0
-    for s in sampled((e,), plan, points=points, label="expression"):
-        worst = max(worst, abs(s.values[0]))
-    return worst
+    return next(peaks((e,), plan, points=points)).value
 
 
 def symmetry_check(system: Sequence[Expression], v, donor: CandidateSolution) -> bool:
@@ -528,12 +525,12 @@ def symmetry_check(system: Sequence[Expression], v, donor: CandidateSolution) ->
 
     plan = donor.plan
     acted = [apply_prolonged(v, e) for e in system]
-    points = sample_points(donor, plan, list(system) + acted)
-    for e in system:
-        if max_abs_on_points(e, points, plan) >= RESIDUAL_TOL:
-            raise AnalysisError(
-                "donor %s is not a solution (residual precondition failed)" % donor.name)
-    for e in acted:
-        if max_abs_on_points(e, points, plan) >= SYMMETRY_TOL:
+    exprs = list(system) + acted
+    for k, peak in enumerate(peaks(exprs, plan, points=sample_points(donor, plan, exprs))):
+        if k < len(system):
+            if peak.value >= RESIDUAL_TOL:
+                raise AnalysisError(
+                    "donor %s is not a solution (residual precondition failed)" % donor.name)
+        elif peak.value >= SYMMETRY_TOL:
             return False
     return True

@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .analysis import max_abs_on_points
 from .dsl import ModelError, Workspace, parse_workspace
 from .expr import Expression, Sum, to_text
 from .jets import (
@@ -31,7 +30,7 @@ from .jets import (
     sample_points,
 )
 from .numeric import Binding, PointRejected, evaluate
-from .sampling import SamplePlan, sampled, shared_instantiation
+from .sampling import SamplePlan, peaks, shared_instantiation
 from .stream import Stream
 
 __all__ = [
@@ -144,8 +143,8 @@ def residual(ws: Workspace, candidate=None, system: str | None = None) -> dict:
     ws, cand = resolve_candidate(ws, candidate)
     system = ws.system(system)
     points = sample_points(cand, cand.plan, system.equations)
-    return {name: max_abs_on_points(e, points, cand.plan)
-            for name, e in zip(system.equation_names, system.equations)}
+    return {name: peak.value for name, peak in
+            zip(system.equation_names, peaks(system.equations, cand.plan, points=points))}
 
 
 def vnls_residual(candidate=None) -> dict:
@@ -285,15 +284,12 @@ def discrepancy_report(ws: Workspace, candidate=None, tol: float = 1e-6) -> dict
     residuals = {}
     failing = None
     worst_point = None
-    for name, eq in zip(ws.equation_names, ws.equations):
-        peak, peak_pt = 0.0, None
-        for s in sampled((eq,), plan, points=points, label="equation %s" % name):
-            value = abs(s.values[0])
-            if value > peak:
-                peak, peak_pt = value, s.where
-        residuals[name] = peak
-        if failing is None and peak > tol:
-            failing, worst_point = name, peak_pt
+    labels = ["equation %s" % name for name in ws.equation_names]
+    for name, peak in zip(ws.equation_names, peaks(ws.equations, plan, points=points,
+                                                   labels=labels)):
+        residuals[name] = peak.value
+        if failing is None and peak.value > tol:
+            failing, worst_point = name, peak.where
     report = {
         "candidate": cand.name,
         "tolerance": tol,

@@ -11,8 +11,8 @@ them; genuine usage errors raise EvaluationError.
 Each Binding keeps one memo of subtree results: every distinct subtree
 is walked once on the binding's points, and later evaluations through
 the same binding reuse its columns and replay its rejections.  A memo
-entry serves while the points still live are among those live when it
-was made, so it stays exact while the binding's live mask only shrinks.
+entry serves only where the points live are among those live when it
+was made, so it stays exact whatever mask each evaluation is given.
 
 Opaque symbols are evaluated from the stand-ins in Binding.functions
 (seeded cubics from random_polynomial): no tree is rewritten to
@@ -87,7 +87,7 @@ class Binding:
     once, as Python complex values, so a numpy array given here is
     evaluated with CPython's arithmetic like any other column.  live, if
     given, is a list of bools marking the points to evaluate; callers
-    may clear entries between evaluations but never set them again.
+    may change it in place between evaluations, to any mask.
     functions maps each FunctionSymbol to an Expression in the symbol's
     formal argument names only.  values and functions must not change
     once evaluate has seen the binding: it keeps their columns and a
@@ -125,7 +125,8 @@ def evaluate(e: Expression, b: Binding, *, real_domain: bool = False) -> complex
     Subtrees already walked through b for the same real_domain are not
     walked again: their columns are reused and their rejections
     replayed, so the result and the rejected mask are those of a fresh
-    walk.  That holds as long as b.live only shrinks between calls.
+    walk, whatever b.live was at earlier calls: a subtree memoized on
+    points that do not cover this call's live ones is walked again.
     """
     n, columns, values, point_bits, memos = b._shared
     todo = (1 << n) - 1 if b.live is None else sum(itertools.compress(point_bits, b.live))

@@ -2,15 +2,14 @@
 equality oracle built on it.
 
 Every sampled verdict in symred (ranks, defect, kernel, closure fits,
-residuals, equality) reads its numbers through the one loop in
-`sampled`: per seed it draws stand-ins for the opaque symbols and binds
-them, with the points (drawn from the plan box, or given jet points)
-gathered into columns, in one Binding; it evaluates each expression as
-it is, once over all of the points, with the plan's pole and
-real-domain guards, keeps one rejection mask for the seed and raises
-SamplingError when it keeps fewer than plan.min_accepted.  No tree is
-rebuilt per seed: the evaluator reads each opaque application from the
-binding's stand-ins.
+residuals, equality) reads its numbers through `seed_passes`: per seed
+it binds the points, drawn as one column per name or given as jet
+points, beside stand-ins for the opaque symbols in one Binding, whose
+subtree memo serves every expression read at that seed.  Each is
+evaluated as it is, once over all of the points, with the plan's pole
+and real-domain guards.  `sampled` keeps one rejection mask per seed,
+`peaks` one per expression and seed; both raise SamplingError for a
+reading that keeps fewer than plan.min_accepted points at a seed.
 
 Determinism contract: point `index` of seed `seed` reads the stream
 `SeedSequence([seed, index])` -> PCG64 of `symred.stream`, identical
@@ -83,30 +82,46 @@ def _check_intervals(name, intervals):
             raise ValueError("empty interval [%g, %g] for %s" % (lo, hi, name))
 
 
-def draw_values(names: Sequence[str], plan: SamplePlan, seed: int,
-                index: int) -> dict[str, float]:
-    """One sample point for the named variables, in list order: one unit
-    double each, scaled by the width of its interval union exactly as
+def draw_columns(names: Sequence[str], plan: SamplePlan, seed: int,
+                 indices: Iterable[int]) -> dict[str, list[float]]:
+    """The sample points at indices for the named variables, one column
+    per name: point `index` takes one unit double per name, in list
+    order, scaled by the width of the name's interval union exactly as
     rng.uniform(0, width) scales it, then placed in the union."""
+    units = []
+    for index in indices:
+        stream, drawn = _stream(seed, index)
+        drawn += stream.random(len(names) - len(drawn))  # none if enough
+        units.append(drawn)
     out = {}
-    for name, u in zip(names, _unit_doubles(seed, index, len(names))):
+    for k, name in enumerate(names):
         intervals = plan.intervals_for(name)
-        u *= sum(hi - lo for lo, hi in intervals)
-        for lo, hi in intervals:
-            if u <= hi - lo:
-                out[name] = lo + u
-                break
-            u -= hi - lo
-        else:
-            out[name] = intervals[-1][1]
+        width = sum(hi - lo for lo, hi in intervals)
+        out[name] = column = []
+        for row in units:
+            u = row[k] * width
+            for lo, hi in intervals:
+                if u <= hi - lo:
+                    column.append(lo + u)
+                    break
+                u -= hi - lo
+            else:
+                column.append(intervals[-1][1])
     return out
 
 
+def draw_values(names: Sequence[str], plan: SamplePlan, seed: int,
+                index: int) -> dict[str, float]:
+    """One sample point for the named variables: draw_columns at index."""
+    return {name: column[0] for name, column in draw_columns(names, plan, seed, (index,)).items()}
+
+
 @lru_cache(maxsize=2048)
-def _unit_doubles(seed: int, index: int, n: int) -> tuple[float, ...]:
-    # One stream per (seed, index); the same points recur across the
-    # sampled calls of one command, so their doubles are kept.
-    return tuple(Stream([seed, index]).random(n))
+def _stream(seed: int, index: int) -> tuple[Stream, list[float]]:
+    # One stream per (seed, index) and the doubles it has given: points
+    # recur across one command, for any name count.  Callers only append
+    # the stream's next doubles, so every draw reads the same prefix.
+    return Stream([seed, index]), []
 
 
 def _opaque_symbols(exprs: Iterable[Expression]) -> list:
@@ -129,37 +144,31 @@ class Sample(NamedTuple):
     values: object
 
 
-def _read_all(exprs: Sequence[Expression], at, live) -> list[tuple]:
-    return list(zip(*map(at, exprs)))
+class Peak(NamedTuple):
+    """An expression's largest |value| over its accepted points, where it
+    is (None while 0.0), and the (seed, index) of each point it rejected."""
+
+    value: float
+    where: object
+    rejected: tuple
 
 
-def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
-            names: Sequence[str] | None = None, points: Iterable | None = None,
-            reader: Callable = _read_all,
-            label: str = "expressions") -> Iterator[Sample]:
-    """The sampling loop: yield every accepted point with its readings.
+_STARVED = "seed %d: %s kept %d of %d points (need %d)"
 
-    For each seed the opaque symbols of `exprs` get one shared
-    instantiation, bound beside the point columns rather than
-    substituted: an opaque application, or any derivative of one, is
-    evaluated from its stand-in.  The seed's points are either drawn for
-    `names` (default: the sorted free variables of exprs) at indices
-    0 .. plan.count - 1, or taken from `points`, jet points consumed in
-    order one run of equal seeds at a time.
 
-    reader(exprs, at, live) is called once per seed with exprs as given
-    and returns one row of readings per point.  It reads columns: at(e)
-    evaluates e, one of exprs or anything built from them (such as a
-    derivative), at all the seed's points and returns a list with one
-    Python complex per point, meaningless at the points not live.  live
-    is the seed's one rejection mask, a list of bools: at(e) skips the
-    points it lacks and clears those e rejects, and the reader may clear
-    more, in place.
-    The live points are yielded in index order with their rows; a seed
-    that keeps fewer than plan.min_accepted raises SamplingError after
-    its last one.
-    """
-    exprs = list(exprs)
+def seed_passes(exprs: Sequence[Expression], plan: SamplePlan, *,
+                names: Sequence[str] | None = None,
+                points: Iterable | None = None) -> Iterator[tuple]:
+    """Per seed, (seed, indices, where, at, live): the seed's points,
+    bound once for reading exprs, and where each lies.  The points are
+    drawn for `names` (default: the sorted free variables of exprs) at
+    indices 0 .. plan.count - 1, or are `points`, jet points consumed in
+    order one run of equal seeds at a time.  at(e) evaluates e, one of
+    exprs or anything built from them (such as a derivative), at every
+    point live marks, opaque applications from the seed's stand-ins, and
+    returns one Python complex per point, meaningless at the others; it
+    clears the points e rejects from live, a list of bools, which its
+    owner may also clear or set anew in place."""
     if points is None:
         if names is None:
             names = sorted(set().union(*map(free_variables, exprs)))
@@ -172,16 +181,16 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
     for seed, run in runs:
         inst = {s: random_polynomial(s, seed) for s in symbols}
         if points is None:
-            indices, where = run, [draw_values(names, plan, seed, i) for i in run]
-            values = where
+            indices, columns = run, draw_columns(names, plan, seed, run)
+            where = [{name: v[k] for name, v in columns.items()} for k in range(len(run))]
         else:
             indices, where = [p.index for p in run], run
-            values = [p.binding_values() for p in run]
-        columns = {name: [v[name] for v in values] for name in values[0]}
+            columns = {name: [p.base[name] for p in run] for name in run[0].base}
+            columns.update((name, [p.slots[name] for p in run]) for name in run[0].slots)
         live = [True] * len(run)
         b = Binding(columns, inst, live=live)
 
-        def at(e):
+        def at(e, b=b, live=live):
             try:
                 return evaluate(e, b, real_domain=real_domain)
             except PointRejected as r:
@@ -190,13 +199,69 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
                         live[i] = False
                 return r.values
 
+        yield seed, indices, where, at, live
+
+
+def _read_all(exprs: Sequence[Expression], at, live) -> list[tuple]:
+    return list(zip(*map(at, exprs)))
+
+
+def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
+            names: Sequence[str] | None = None, points: Iterable | None = None,
+            reader: Callable = _read_all,
+            label: str = "expressions") -> Iterator[Sample]:
+    """The sampling loop: yield every accepted point with its readings.
+
+    Per seed of seed_passes, reader(exprs, at, live) returns one row of
+    readings per point and may clear more of live, the seed's one mask.
+    The live points are yielded in index order with their rows; a seed
+    that keeps fewer than plan.min_accepted raises SamplingError after
+    its last one.
+    """
+    exprs = list(exprs)
+    for seed, indices, where, at, live in seed_passes(exprs, plan, names=names, points=points):
         rows = reader(exprs, at, live)
-        accepted = [i for i, ok in enumerate(live) if ok]
+        accepted = [k for k, ok in enumerate(live) if ok]
         for k in accepted:
             yield Sample(seed, indices[k], where[k], rows[k])
         if len(accepted) < plan.min_accepted:
-            raise SamplingError("seed %d: %s kept %d of %d points (need %d)"
-                                % (seed, label, len(accepted), len(run), plan.min_accepted))
+            raise SamplingError(_STARVED % (seed, label, len(accepted), len(live),
+                                            plan.min_accepted))
+
+
+def peaks(exprs: Sequence[Expression], plan: SamplePlan, *, points: Iterable | None = None,
+          labels: Sequence[str] | None = None) -> Iterator[Peak]:
+    """Each expression's Peak, in order, every seed of seed_passes bound
+    once for all of exprs.  Each is read under a mask of its own, so it
+    keeps its own rejections and starves (labelled labels[k], default
+    "expression") as a sampled((e,), ...) pass of its own would.  One
+    that starves or fails is read at no later seed and raises its error
+    in its turn, after the Peaks before it."""
+    exprs = list(exprs)
+    found: list = [Peak(0.0, None, ())] * len(exprs)
+    for seed, indices, where, at, live in seed_passes(exprs, plan, points=points):
+        for k, e in enumerate(exprs):
+            if isinstance(found[k], Exception):
+                continue
+            live[:] = [True] * len(live)
+            try:
+                values = at(e)
+                value, place, rejected = found[k]
+                for i, ok in enumerate(live):
+                    if not ok:
+                        rejected += (seed, indices[i]),
+                    elif abs(values[i]) > value:
+                        value, place = abs(values[i]), where[i]
+                if sum(live) < plan.min_accepted:
+                    raise SamplingError(_STARVED % (seed, labels[k] if labels else "expression",
+                                                    sum(live), len(live), plan.min_accepted))
+                found[k] = Peak(value, place, rejected)
+            except (SymredError, ArithmeticError) as exc:  # raised in its turn, below
+                found[k] = exc
+    for peak in found:
+        if isinstance(peak, Exception):
+            raise peak
+        yield peak
 
 
 def numeric_equiv(e1: Expression, e2: Expression,

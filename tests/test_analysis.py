@@ -23,7 +23,7 @@ from symred.expr import to_text
 from symred.fields import Algebra, VectorField, characteristic_matrix, xi_matrices
 from symred.jets import CandidateSolution, make_space, sample_points
 from symred.parser import parse_expression as P
-from symred.sampling import SamplePlan
+from symred.sampling import SamplePlan, SamplingError
 
 from helpers import minor_rank, numeric_matrix, numpy_pivot_rank, numpy_svd_kernel, point_for
 
@@ -256,6 +256,18 @@ def test_symmetry_check_rejects_non_solution_donor():
     rot = _field(("y", "-x"), ("0",), "rot")
     with pytest.raises(AnalysisError):
         symmetry_check(heat_like, rot, wrong)
+
+
+def test_a_non_solution_donor_fails_before_a_starving_action():
+    # pr v(u - x) = 1/(u - x^2), a pole at every point of u = x^2's
+    # graph: that reading starves, yet the donor is read first and fails
+    wrong = CandidateSolution(SPACE, {"u": P("x^2")}, name="w")
+    pole = _field(("0", "0"), ("(u - x^2)^(-1)",), "pole")
+    with pytest.raises(SamplingError, match="kept 0 of 20"):
+        max_abs_on_points(P("(u - x^2)^(-1)"), sample_points(wrong, wrong.plan, [P("u")]),
+                          wrong.plan)
+    with pytest.raises(AnalysisError, match="donor w is not a solution"):
+        symmetry_check((P("u - x"),), pole, wrong)
 
 
 def test_invariance_check_matches_defect_zero():

@@ -345,6 +345,35 @@ def test_shared_binding_matches_fresh_evaluations(real_domain):
     assert rejections > 0
 
 
+@pytest.mark.parametrize("real_domain", (True, False), ids=("real", "complex"))
+def test_shared_binding_under_masks_of_their_own(real_domain):
+    # read as the many-expression readers read: one binding, and each
+    # evaluation under a mask of its own, fuller than the last one's
+    # rejections left it, or emptier
+    rng = np.random.default_rng(31 + real_domain)
+    guards = dict(real_domain=real_domain)
+    rejections = 0
+    for _ in range(40):
+        pool = [random_expression(rng, depth=3) for _ in range(5)]
+        points = _points(rng, 24)
+        columns = {name: [p[name] for p in points] for name in points[0]}
+        live = [True] * len(points)
+        shared = Binding(columns, live=live)
+        for _ in range(8):
+            e = _recurring(rng, pool, 3)
+            live[:] = (rng.uniform(size=len(points)) < 0.9).tolist()
+            mask = list(live)
+            fresh = _outcome(e, Binding(columns, live=list(mask)), **guards)
+            got = _outcome(e, shared, **guards)
+            assert got[1] == fresh[1], e
+            assert got[2] == fresh[2], e
+            kept = [ok and not bad for ok, bad in zip(mask, fresh[1])]
+            assert [_bits(v) for v, ok in zip(got[0], kept) if ok] == \
+                [_bits(v) for v, ok in zip(fresh[0], kept) if ok], e
+            rejections += sum(fresh[1])
+    assert rejections > 0
+
+
 def test_memo_hit_replays_its_rejection():
     y = var("y")
     pole = div(con(1), x)
