@@ -7,15 +7,16 @@ on subvarieties, so the maximum is the generic value).  A constant
 kernel comes out of the same elimination, as reduced row echelon rows.
 
 Each object is sampled on the plan it carries.  The algebra's own
-matrices (Xi1, Xi2 and the weak minors) live on its (x, u) domain and
-sample on its plan.  Anything read on a candidate's graph under an
-algebra (Xi|c, Q|c, the minors on c) samples on `graph_plan`: the
-candidate's plan, completed by the algebra's domain.  A check of a
-candidate alone samples on the candidate's plan.
+matrices Xi1 and Xi2 live on its (x, u) domain and sample on its plan;
+the weak minors are exact but for rank Xi1.  Anything read on a
+candidate's graph under an algebra (Xi|c, Q|c, the minors on c) samples
+on `graph_plan`: the candidate's plan, completed by the algebra's
+domain.  A check of a candidate alone samples on the candidate's plan.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -34,12 +35,11 @@ from .expr import (
 from .fields import Algebra, ExpressionMatrix, characteristic_matrix, xi_matrices
 from .jets import CandidateSolution, JetPoint, sample_points, substitute_candidate
 from .numeric import moduli
-from .sampling import EQUIV_ABS, SamplePlan, SamplingError, numeric_equiv, peaks, sampled
+from .sampling import EQUIV_ABS, SamplePlan, numeric_equiv, peaks, sampled
 
 RANK_PIVOT_REL_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
 SYMMETRY_TOL = 1e-7
-FINGERPRINT_POINTS = 8
 
 
 class AnalysisError(SymredError, RuntimeError):
@@ -263,75 +263,65 @@ def _symbolic_minor(m: ExpressionMatrix, rows: Sequence[int],
     return normalize(Sum(tuple(terms)))
 
 
-def _fingerprints(exprs: Sequence[Expression], plan: SamplePlan) -> list[tuple]:
-    """Shared-point value vectors used to pre-bucket duplicate minors:
-    the first FINGERPRINT_POINTS accepted points of the first seed.  A
-    seed is evaluated whole, so look among 2 x FINGERPRINT_POINTS points
-    first and among 4 x count only if too few of those survive."""
-    def first_rows(count):
-        one_seed = plan.with_(seeds=plan.seeds[:1], count=count,
-                              min_accepted=FINGERPRINT_POINTS)
-        return [s.values for s in itertools.islice(
-            sampled(exprs, one_seed, label="minor fingerprinting"), FINGERPRINT_POINTS)]
-    try:
-        rows = first_rows(2 * FINGERPRINT_POINTS)
-    except SamplingError:
-        rows = first_rows(4 * plan.count)
-    return list(zip(*rows))
-
-
-def _same_up_to_sign(fp1: tuple, fp2: tuple, scale: float) -> int | None:
-    """+1 / -1 if the value vectors agree up to a sign, else None."""
-    for sign in (1, -1):
-        if all(abs(a - sign * b) <= 1e-6 * max(1.0, scale) for a, b in zip(fp1, fp2)):
-            return sign
-    return None
-
-
 def weak_minors(a: Algebra) -> list[Expression]:
     """The (rho+1) x (rho+1) minors of Xi2, rho = generic rank of Xi1.
 
     Setting these to zero is what weak transversality demands of a
-    candidate class.  Identically-zero minors and repeats of an earlier
-    tree are dropped; duplicates up to sign are merged, keeping the
-    first representative.
+    candidate class.  Only rho is sampled.  Each minor is expanded
+    exactly over symred.poly atoms (each distinct subtree poly refuses is
+    a fresh variable) along its first row, each sub-minor once.  A minor
+    is dropped when 0 and merged into an earlier one equal up to sign;
+    the first of each class is kept, as its cofactor tree.  Both are
+    sound, but a minor that is 0 or a repeat only through an identity
+    between atoms is kept (u*exp(2*x) - u*exp(x)^2).  Past poly.MAX_TERMS
+    a minor is kept unless its tree is 0, merged only with an equal tree.
     """
-    plan = a.plan
+    from . import poly
+
     xi1, xi2 = xi_matrices(a)
-    rho = generic_rank(xi1, plan).generic_rank
+    rho = generic_rank(xi1, a.plan).generic_rank
     size = rho + 1
     rows_n, cols_n = xi2.shape
     if size > min(rows_n, cols_n):
         raise AnalysisError(
             "rank Xi1 = %d already equals the minimal dimension of Xi2; "
             "no larger minors exist" % rho)
-    minors, seen = [], set()
+    atoms: dict = {}
+    entries = [[poly.to_poly(e, atoms) for e in row] for row in xi2.entries]
+
+    @functools.cache
+    def minor(rows: tuple, cols: tuple) -> dict | None:
+        # Laplace expansion along the first row; None past poly.MAX_TERMS
+        if len(rows) == 1:
+            return entries[rows[0]][cols[0]]
+        terms = []
+        for j, col in enumerate(cols):
+            entry = entries[rows[0]][col]
+            sub = minor(rows[1:], cols[:j] + cols[j + 1:]) if entry != {} else {}
+            if entry == {} or sub == {}:
+                continue
+            if entry is None or sub is None:
+                return None
+            try:
+                terms.append(poly.mul(poly.scale(entry, poly.MINUS_ONE) if j % 2 else entry, sub))
+            except poly.TooLarge:
+                return None
+        total = poly.add(*terms)
+        return total if len(total) <= poly.MAX_TERMS else None
+
+    kept, seen = [], set()
     for rows in itertools.combinations(range(rows_n), size):
         for cols in itertools.combinations(range(cols_n), size):
-            det = _symbolic_minor(xi2, rows, cols)
-            if det != ZERO and det not in seen:
-                seen.add(det)
-                minors.append(det)
-    if not minors:
-        return []
-    prints = _fingerprints(minors, plan)
-    scale = max((abs(v) for fp in prints for v in fp), default=1.0)
-    kept: list[Expression] = []
-    kept_prints: list[tuple] = []
-    for det, fp in zip(minors, prints):
-        if all(abs(v) <= 1e-9 * max(1.0, scale) for v in fp):
-            if numeric_equiv(det, ZERO, plan):
+            p = minor(rows, cols)
+            if p == {}:
                 continue
-        duplicate = False
-        for prev, prev_fp in zip(kept, kept_prints):
-            sign = _same_up_to_sign(fp, prev_fp, scale)
-            if sign is not None and numeric_equiv(
-                    det, prev if sign == 1 else Product((MINUS_ONE, prev)), plan):
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append(det)
-            kept_prints.append(fp)
+            # p and -p share a key, the larger of their sorted items; past
+            # the cap a minor is its own tree, merged only with an equal one
+            key = _symbolic_minor(xi2, rows, cols) if p is None else max(
+                tuple(sorted(q.items())) for q in (p, poly.scale(p, poly.MINUS_ONE)))
+            if key != ZERO and key not in seen:
+                seen.add(key)
+                kept.append(key if p is None else _symbolic_minor(xi2, rows, cols))
     return kept
 
 

@@ -9,6 +9,13 @@ merges powers.  A coefficient is a pair (re, im) of Fractions, re + im*i.
 Everything here is exact.  A product past MAX_TERMS terms raises
 TooLarge, and `to_poly` then returns None, so that a caller falls back
 to sampling instead of expanding without bound.
+
+Atoms.  With an atom table (a dict the caller keeps for one family of
+expressions), each subtree `to_poly` refuses short of the cap becomes a
+fresh variable that the table names by its tree.  A zero or an equality
+over atoms is sound; an identity between atoms (exp(2*x) against
+exp(x)^2) is not seen.  `analysis.weak_minors` passes a table;
+`fields.closure_check`, whose ok must be complete, does not.
 """
 
 from __future__ import annotations
@@ -104,18 +111,19 @@ def diff(p: dict, v: str) -> dict:
     return out
 
 
-def to_poly(e: Expression) -> dict | None:
+def to_poly(e: Expression, atoms: dict | None = None) -> dict | None:
     """e as a polynomial, or None when that is not exact: a Builtin or
     FunctionApp, a non-integer power of anything but a variable (a
     constant included: `Fraction ** Fraction` is a float), a negative
-    power of other than one term, or past MAX_TERMS terms."""
+    power of other than one term, or past MAX_TERMS terms.  With an atom
+    table, only the last gives None: the others become atoms."""
     try:
-        return _convert(e)
+        return _convert(e, atoms)
     except TooLarge:
         return None
 
 
-def _convert(e: Expression) -> dict | None:
+def _convert(e: Expression, atoms: dict | None) -> dict | None:
     t = type(e)
     if t is Constant:
         return {(): (e.value, _Q0)} if e.value else {}
@@ -123,11 +131,12 @@ def _convert(e: Expression) -> dict | None:
         return {((e.name, Fraction(1)),): ONE}
     if t is ImaginaryUnit:
         return {(): I}
-    if t is Power:
-        return _power(e.base, e.exponent)
     if t is not Sum and t is not Product:
-        return None
-    parts = [_convert(u) for u in (e.terms if t is Sum else e.factors)]
+        p = _power(e.base, e.exponent, atoms) if t is Power else None
+        if p is None and atoms is not None:
+            return {((atoms.setdefault(e, "@%d" % len(atoms)), Fraction(1)),): ONE}
+        return p
+    parts = [_convert(u, atoms) for u in (e.terms if t is Sum else e.factors)]
     if None in parts:
         return None
     if t is Product:
@@ -141,12 +150,12 @@ def _convert(e: Expression) -> dict | None:
     return out
 
 
-def _power(base: Expression, k: Fraction) -> dict | None:
+def _power(base: Expression, k: Fraction, atoms: dict | None) -> dict | None:
     if not k:
         return {(): ONE}
     if type(base) is Variable:
         return {((base.name, k),): ONE}
-    p = _convert(base) if k.denominator == 1 else None
+    p = _convert(base, atoms) if k.denominator == 1 else None
     if p is None:
         return None
     n = k.numerator

@@ -1,7 +1,8 @@
 """Shared test oracles: random expression trees, finite differences, the
 recursive canonical sort key, a brute-force minor rank, the numpy
-elimination rank, the numpy SVD kernel and the numpy least-squares fit,
-plus the benchmark's CLI job list.  Everything is seeded; no test depends
+elimination rank, the numpy SVD kernel, the numpy least-squares fit and
+the float fingerprint route to the weak minors, plus the benchmark's CLI
+job list.  Everything is seeded; no test depends
 on global RNG state."""
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -40,10 +42,23 @@ from symred.expr import (
     sqrt,
     var,
 )
-from symred.expr import _KIND_RANK
-from symred.analysis import RANK_PIVOT_REL_TOL
+from symred.expr import _KIND_RANK, MINUS_ONE, ZERO
+from symred.analysis import (
+    RANK_PIVOT_REL_TOL,
+    AnalysisError,
+    _symbolic_minor,
+    generic_rank,
+)
+from symred.fields import Algebra, xi_matrices
 from symred.numeric import Binding, PointRejected, evaluate
-from symred.sampling import draw_values, shared_instantiation
+from symred.sampling import (
+    SamplePlan,
+    SamplingError,
+    draw_values,
+    numeric_equiv,
+    sampled,
+    shared_instantiation,
+)
 
 VARS = ("x", "y", "z")
 
@@ -262,6 +277,79 @@ def max_abs_sampled(e: Expression, plan) -> float:
             worst = max(worst, abs(value))
         assert accepted >= plan.min_accepted, (seed, accepted)
     return worst
+
+
+FINGERPRINT_POINTS = 8
+
+
+def _fingerprints(exprs: Sequence[Expression], plan: SamplePlan) -> list[tuple]:
+    """Shared-point value vectors used to pre-bucket duplicate minors:
+    the first FINGERPRINT_POINTS accepted points of the first seed.  A
+    seed is evaluated whole, so look among 2 x FINGERPRINT_POINTS points
+    first and among 4 x count only if too few of those survive."""
+    def first_rows(count):
+        one_seed = plan.with_(seeds=plan.seeds[:1], count=count,
+                              min_accepted=FINGERPRINT_POINTS)
+        return [s.values for s in itertools.islice(
+            sampled(exprs, one_seed, label="minor fingerprinting"), FINGERPRINT_POINTS)]
+    try:
+        rows = first_rows(2 * FINGERPRINT_POINTS)
+    except SamplingError:
+        rows = first_rows(4 * plan.count)
+    return list(zip(*rows))
+
+
+def _same_up_to_sign(fp1: tuple, fp2: tuple, scale: float) -> int | None:
+    """+1 / -1 if the value vectors agree up to a sign, else None."""
+    for sign in (1, -1):
+        if all(abs(a - sign * b) <= 1e-6 * max(1.0, scale) for a, b in zip(fp1, fp2)):
+            return sign
+    return None
+
+
+def float_weak_minors(a: Algebra) -> list[Expression]:
+    """The weak minors as float fingerprints decide them: every minor's
+    cofactor tree, repeats of an earlier tree dropped, then zeros and
+    repeats up to sign found at 8 shared points and confirmed by
+    numeric_equiv.  analysis.weak_minors decided them this way before
+    it expanded them as exact polynomials."""
+    plan = a.plan
+    xi1, xi2 = xi_matrices(a)
+    rho = generic_rank(xi1, plan).generic_rank
+    size = rho + 1
+    rows_n, cols_n = xi2.shape
+    if size > min(rows_n, cols_n):
+        raise AnalysisError(
+            "rank Xi1 = %d already equals the minimal dimension of Xi2; "
+            "no larger minors exist" % rho)
+    minors, seen = [], set()
+    for rows in itertools.combinations(range(rows_n), size):
+        for cols in itertools.combinations(range(cols_n), size):
+            det = _symbolic_minor(xi2, rows, cols)
+            if det != ZERO and det not in seen:
+                seen.add(det)
+                minors.append(det)
+    if not minors:
+        return []
+    prints = _fingerprints(minors, plan)
+    scale = max((abs(v) for fp in prints for v in fp), default=1.0)
+    kept: list[Expression] = []
+    kept_prints: list[tuple] = []
+    for det, fp in zip(minors, prints):
+        if all(abs(v) <= 1e-9 * max(1.0, scale) for v in fp):
+            if numeric_equiv(det, ZERO, plan):
+                continue
+        duplicate = False
+        for prev, prev_fp in zip(kept, kept_prints):
+            sign = _same_up_to_sign(fp, prev_fp, scale)
+            if sign is not None and numeric_equiv(
+                    det, prev if sign == 1 else Product((MINUS_ONE, prev)), plan):
+                duplicate = True
+                break
+        if not duplicate:
+            kept.append(det)
+            kept_prints.append(fp)
+    return kept
 
 
 def perfbench_jobs():

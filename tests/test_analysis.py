@@ -19,13 +19,23 @@ from symred.analysis import (
     weak_check_candidate,
     weak_minors,
 )
-from symred.expr import to_text
-from symred.fields import Algebra, VectorField, characteristic_matrix, xi_matrices
+from symred import poly
+from symred.expr import FunctionSymbol, apply_symbol, to_text, var
+from symred.fields import Algebra, VectorField, characteristic_matrix, closure_check, xi_matrices
 from symred.jets import CandidateSolution, make_space, sample_points
 from symred.parser import parse_expression as P
 from symred.sampling import SamplePlan, SamplingError
 
-from helpers import minor_rank, numeric_matrix, numpy_pivot_rank, numpy_svd_kernel, point_for
+from symred.models import MODEL_IDS, builtin
+
+from helpers import (
+    float_weak_minors,
+    minor_rank,
+    numeric_matrix,
+    numpy_pivot_rank,
+    numpy_svd_kernel,
+    point_for,
+)
 
 SPACE = make_space(("x", "y"), ("u",), 2)
 
@@ -177,6 +187,66 @@ def test_weak_minors_dedup_signs_on_library_algebra():
     entry = builtin("navier_stokes")
     minors = weak_minors(entry.algebras["rot3"])
     assert len(minors) == 18
+
+
+# the float route takes 4-8 s on each of these three
+LARGE = {("navier_stokes", "full12"), ("isentropic", "full12"), ("euler", "full13")}
+
+
+@pytest.mark.parametrize("model_id, name", [
+    (m, n) for m in MODEL_IDS for n in sorted(builtin(m).algebras) if (m, n) not in LARGE])
+def test_weak_minors_agree_with_the_float_route(model_id, name):
+    # same trees in the same order; gal3, vnls3 rot and tr2 raise alike
+    a = builtin(model_id).algebras[name]
+    try:
+        want = float_weak_minors(a)
+    except AnalysisError as err:
+        with pytest.raises(AnalysisError) as got:
+            weak_minors(a)
+        assert str(got.value) == str(err)
+        return
+    assert weak_minors(a) == want
+
+
+def _pair(phi_a, phi_b, xi_a="1"):
+    """Two fields along x: Xi1 has rank 1, so the minors are 2 x 2."""
+    return Algebra(SPACE, (_field((xi_a, "0"), (phi_a,), "A"),
+                           _field(("1", "0"), (phi_b,), "B")), "ab")
+
+
+def test_a_minor_cancelling_through_an_atom_is_dropped():
+    # exp(x)*u - u*exp(x): normalize keeps both terms, the atom exp(x) cancels
+    a = _pair("u*exp(x)", "u", xi_a="exp(x)")
+    assert weak_minors(a) == []
+    # closure stays complete: an atom would not do there
+    assert not closure_check(a, a).exact
+
+
+def test_an_opaque_function_is_an_atom():
+    f = apply_symbol(FunctionSymbol("f", ("x",)), var("x"))
+    a = Algebra(SPACE, (_field(("1", "0"), ("u",), "A"),
+                        VectorField(SPACE, (P("1"), P("0")), (var("x") * f,), name="B")), "ab")
+    assert [to_text(m) for m in weak_minors(a)] == ["-u + x*f(x)"]
+
+
+def test_an_identity_between_atoms_is_not_seen():
+    # exp(2*x) and exp(x)^2 are two atoms, so this zero minor is kept;
+    # the float route dropped it
+    a = _pair("u*exp(x)^2", "u*exp(2*x)")
+    assert [to_text(m) for m in weak_minors(a)] == ["u*exp(2*x) - u*exp(x)^2"]
+    assert float_weak_minors(a) == []
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_minors_past_the_term_cap_are_kept(monkeypatch, cap):
+    # every rot3 minor has 2 terms, so under these caps each is kept as
+    # its tree: maybe not merged, never dropped
+    rot3 = builtin("navier_stokes").algebras["rot3"]
+    full = weak_minors(rot3)
+    monkeypatch.setattr(poly, "MAX_TERMS", cap)
+    capped = weak_minors(rot3)
+    assert all(m in capped for m in full)
+    assert len(capped) >= len(full) == 18
 
 
 def test_weak_minors_raise_when_none_exist():

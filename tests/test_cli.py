@@ -3,6 +3,7 @@ file-workspace path."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -206,13 +207,17 @@ def test_no_code_path_imports_numpy():
     assert all(line.endswith(" True") for line in closures), closures
 
 
-def test_only_closure_check_imports_poly():
-    # symred.poly is compiled on demand, so it costs no CLI command its
-    # start-up: none of them calls closure_check
-    loaded = "import sys\nprint('symred.poly' in sys.modules)\n"
-    out = _fresh_process(*SEVEN_COMMANDS, after=loaded + CLOSE_EVERY_ALGEBRA + loaded)
-    lines = out.splitlines()
-    assert (lines[-15], lines[-1]) == ("False", "True"), lines[-15:]
+def test_only_minors_and_closure_check_import_poly():
+    # symred.poly is compiled on demand, so only the weak minors and
+    # closure_check pay for it: the six other commands leave it unloaded
+    loaded = "print('poly loaded:', 'symred.poly' in sys.modules)\n"
+    others = [argv for argv in SEVEN_COMMANDS if argv[0] != "minors"]
+    minors, = [argv for argv in SEVEN_COMMANDS if argv[0] == "minors"]
+    out = _fresh_process(*others, after=loaded + "main(%r)\n" % minors + loaded)
+    assert len(others) == 6 and "weak transversality HOLDS" in out
+    assert re.findall("poly loaded: .*", out) == ["poly loaded: False", "poly loaded: True"]
+    out = _fresh_process(after=CLOSE_EVERY_ALGEBRA + loaded)
+    assert out.splitlines()[-1] == "poly loaded: True"
 
 
 @pytest.mark.parametrize("candidate", ("fp", "sol"))

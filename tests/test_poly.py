@@ -55,6 +55,19 @@ def test_what_does_not_convert(e):
     assert poly.to_poly(e) is None
 
 
+@pytest.mark.parametrize("e", [
+    P("exp(t)"), apply_symbol(FunctionSymbol("a", ("t",)), var("t")), P("(x + 1)^(1/2)"),
+    P("(x^2)^(1/4)"), P("(x + y)^(-1)"),
+], ids=["exp", "opaque", "root_of_a_sum", "root_of_a_power", "inverse_of_a_sum"])
+def test_an_atom_table_names_what_does_not_convert(e):
+    atoms = {}
+    assert poly.to_poly(e, atoms) == _q((1, [("@0", 1)]))
+    # the same tree is the same atom, under a power too
+    assert poly.to_poly(pow_(e, 2) * var("x") + e, atoms) == _q((1, [("@0", 2), ("x", 1)]),
+                                                                   (1, [("@0", 1)]))
+    assert atoms == {e: "@0"}
+
+
 def test_one_term_bases_take_negative_powers():
     assert poly.to_poly(P("(2*x^(1/2)*y)^(-2)")) == _q((Fraction(1, 4), [("x", -1), ("y", -2)]))
     assert poly.to_poly(pow_(I, -1)) == _q((-1j, []))
