@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -298,6 +299,27 @@ def _cmd_models(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.
+
+    The first call in a process moves every object alive at that moment
+    (interpreter, stdlib, symred's modules) into the collector's
+    permanent generation with `gc.freeze()`.  That heap lives until exit
+    anyway; frozen, the command's collections skip it and shutdown
+    neither walks nor tears it down, which was about a third of a cold
+    command's time.  Objects the command creates stay collectable, and
+    frozen ones are still freed by reference counting.  Later calls see
+    a nonzero freeze count and freeze nothing, so a process that runs
+    many commands keeps one snapshot, not one per call.
+
+    Not used instead: `os._exit` at exit, which skips atexit hooks and
+    stream flushing; `gc.disable()`, which would never collect a long
+    command's own cyclic garbage; a freeze at import, which would freeze
+    the heap of any program that merely imports this module; and a
+    `gc.collect()` before the freeze, which costs about a quarter of the
+    time the freeze saves and left peak memory where it was.
+    """
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

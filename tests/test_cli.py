@@ -1,6 +1,7 @@
 """Command line driver: output text, exit codes, JSON envelopes, and the
 file-workspace path."""
 
+import gc
 import json
 import os
 import re
@@ -140,13 +141,14 @@ def test_kernel_reports_match(capsys):
     assert "matches named combination: K3 + t0*P3" in out
 
 
-def _fresh_process(*commands, after=""):
+def _fresh_process(*commands, after="", env=None):
     """Run each argv through symred.cli.main, then the code after, in one
-    new interpreter where importing numpy fails; return its stdout."""
+    new interpreter where importing numpy fails; return its stdout.  The
+    variables in env override the inherited ones."""
     code = "import sys\nsys.modules['numpy'] = None\nfrom symred.cli import main\n"
     code += "".join("main(%r)\n" % list(argv) for argv in commands) + after
     src = os.path.dirname(os.path.dirname(symred.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=300)
@@ -218,6 +220,46 @@ def test_only_minors_and_closure_check_import_poly():
     assert re.findall("poly loaded: .*", out) == ["poly loaded: False", "poly loaded: True"]
     out = _fresh_process(after=CLOSE_EVERY_ALGEBRA + loaded)
     assert out.splitlines()[-1] == "poly loaded: True"
+
+
+def test_the_first_command_freezes_the_heap_once():
+    # main freezes the heap it starts with, so exit skips tearing it
+    # down; later commands in the process, a usage error among them,
+    # freeze nothing more.  Frozen objects still die by reference
+    # counting, so the count may fall, but a second freeze would raise it.
+    count = "print('frozen:', __import__('gc').get_freeze_count())\n"
+    out = _fresh_process(after=count + "main(%r)\n" % ["models"] + count
+                         + "print('exit', main(%r))\n" % ["classify"] + count
+                         + "main(%r)\n" % list(SEVEN_COMMANDS[2]) + count)
+    counts = [int(n) for n in re.findall(r"frozen: (\d+)", out)]
+    assert counts[0] == 0 < counts[1] and counts[1:] == sorted(counts[1:], reverse=True), counts
+    assert "exit 1" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("frozen", (0, 1))
+def test_main_freezes_only_when_nothing_is_frozen(monkeypatch, capsys, frozen):
+    calls = []
+    monkeypatch.setattr(gc, "get_freeze_count", lambda: frozen)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(1))
+    code, _ = run(capsys, "models")
+    assert code == 0
+    assert len(calls) == (0 if frozen else 1)
+
+
+def test_json_is_byte_identical_across_hash_seeds(tmp_path):
+    # the README promises byte-identical --json between runs: two fresh
+    # processes with different string hashing give the same bytes
+    commands = [argv + ["--json", str(tmp_path / ("%s.json" % argv[0]))]
+                for argv in SEVEN_COMMANDS]
+    runs = []
+    for hash_seed in ("1", "2"):
+        out = _fresh_process(*commands, env={"PYTHONHASHSEED": hash_seed})
+        files = {path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        runs.append((out, files))
+    assert len(runs[0][1]) == len(SEVEN_COMMANDS)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("candidate", ("fp", "sol"))
