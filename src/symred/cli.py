@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     command's own cyclic garbage; a freeze at import, which would freeze
     the heap of any program that merely imports this module; and a
     `gc.collect()` before the freeze, which costs about a quarter of the
-    time the freeze saves and left peak memory where it was.
+    time the freeze saves, while peak memory does not move without it.
     """
     if gc.get_freeze_count() == 0:
         gc.freeze()

@@ -227,8 +227,8 @@ def test_the_first_command_freezes_the_heap_once():
     # down; later commands in the process, a usage error among them,
     # freeze nothing more.  Frozen objects still die by reference
     # counting, so the count may fall, but a second freeze would raise it.
-    count = "print('frozen:', __import__('gc').get_freeze_count())\n"
-    out = _fresh_process(after=count + "main(%r)\n" % ["models"] + count
+    count = "print('frozen:', gc.get_freeze_count())\n"
+    out = _fresh_process(after="import gc\n" + count + "main(%r)\n" % ["models"] + count
                          + "print('exit', main(%r))\n" % ["classify"] + count
                          + "main(%r)\n" % list(SEVEN_COMMANDS[2]) + count)
     counts = [int(n) for n in re.findall(r"frozen: (\d+)", out)]
