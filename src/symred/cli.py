@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import json
 import math
@@ -33,7 +34,7 @@ from .analysis import (
 )
 from .dsl import Workspace, load_workspace, workspace_from_entry, workspace_to_text
 from .expr import SymredError, to_text
-from .models import MODEL_IDS, builtin, residual, resolve_candidate
+from .models import MODEL_IDS, _lazy_builtin, builtin, residual, resolve_candidate
 
 USAGE_ERROR, FLAGGED = 1, 2
 
@@ -48,64 +49,58 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="symred",
-                     description="Symmetry reduction analyses over workspaces")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, candidate_required=False, algebra=True):
+    p.add_argument("workspace",
+                   help=".sr file or builtin:<id> (%s)" % ", ".join(MODEL_IDS))
+    if algebra:
+        p.add_argument("--algebra", required=True, help="algebra name")
+    p.add_argument("--candidate", required=candidate_required,
+                   help="candidate name")
+    p.add_argument("--seed", type=int, default=None,
+                   help="base seed; three consecutive seeds are used")
+    p.add_argument("--samples", type=int, default=None,
+                   help="points per seed")
+    p.add_argument("--json", dest="json_path", default=None,
+                   help="also write the report as JSON to this path")
 
-    def common(p, candidate_required=False, algebra=True):
-        p.add_argument("workspace",
-                       help=".sr file or builtin:<id> (%s)" % ", ".join(MODEL_IDS))
-        if algebra:
-            p.add_argument("--algebra", required=True, help="algebra name")
-        p.add_argument("--candidate", required=candidate_required,
-                       help="candidate name")
-        p.add_argument("--seed", type=int, default=None,
-                       help="base seed; three consecutive seeds are used")
-        p.add_argument("--samples", type=int, default=None,
-                       help="points per seed")
-        p.add_argument("--json", dest="json_path", default=None,
-                       help="also write the report as JSON to this path")
 
-    p = sub.add_parser("classify", help="strong/weak transversality ranks")
-    common(p)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("defect", help="defect delta of a candidate")
-    common(p, candidate_required=True)
-    p.set_defaults(handler=_cmd_defect)
-
-    p = sub.add_parser("verify", help="per-equation residuals of a candidate")
-    common(p, candidate_required=True, algebra=False)
+def _verify_args(p):
+    _common(p, candidate_required=True, algebra=False)
     p.add_argument("--system", default=None,
                    help="system name, for workspaces with several")
     p.add_argument("--tol", type=float, default=None,
                    help="residual tolerance where the command verifies"
                         " values (rank pivots use scale-aware internal"
                         " tolerances)")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("minors", help="weak transversality minors of Xi2")
-    common(p)
-    p.set_defaults(handler=_cmd_minors)
 
-    p = sub.add_parser("kernel", help="constant kernel of Q on a candidate")
-    common(p, candidate_required=True)
-    p.set_defaults(handler=_cmd_kernel)
-
-    p = sub.add_parser("symcheck", help="prolonged field annihilates the system"
-                                        " on a donor solution")
-    common(p, candidate_required=True, algebra=False)
+def _symcheck_args(p):
+    _common(p, candidate_required=True, algebra=False)
     p.add_argument("--field", required=True, help="vector field name")
     p.add_argument("--system", default=None, help="system name")
-    p.set_defaults(handler=_cmd_symcheck)
 
-    p = sub.add_parser("models", help="list built-in models")
+
+def _models_args(p):
     p.add_argument("--export", default=None, metavar="ID",
                    help="print the DSL text of one built-in entry")
     p.add_argument("--json", dest="json_path", default=None)
-    p.set_defaults(handler=_cmd_models, seed=None, samples=None)
+    p.set_defaults(seed=None, samples=None)
 
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The argument parser.  When command names one of the seven
+    commands, only its subparser is built: a command line uses one, and
+    the other six were most of the parser's cost.  `--help`, an unknown
+    command and an empty command line get all seven."""
+    parser = _Parser(prog="symred",
+                     description="Symmetry reduction analyses over workspaces")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, arguments, handler) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        arguments(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -113,9 +108,11 @@ def _build_parser() -> _Parser:
 # plumbing
 
 def _load(args) -> Workspace:
+    """The command's workspace: a file is read whole, a `builtin:<id>`
+    block by block as the command looks its blocks up."""
     name = args.workspace
     if name.startswith("builtin:"):
-        return builtin(name[len("builtin:"):])
+        return _lazy_builtin(name[len("builtin:"):])
     return load_workspace(name)
 
 
@@ -276,9 +273,9 @@ def _cmd_models(args) -> int:
         return 0
     listing = {}
     for model_id in MODEL_IDS:
-        ws = builtin(model_id)
+        ws = _lazy_builtin(model_id)        # names only: no block is parsed
         print("%s: %d equations on (%s | %s)"
-              % (model_id, len(ws.equations),
+              % (model_id, len(ws.equation_names),
                  ", ".join(ws.space.independents),
                  ", ".join(ws.space.dependents)))
         print("  algebras:   %s" % ", ".join(sorted(ws.algebras)))
@@ -286,7 +283,7 @@ def _cmd_models(args) -> int:
             name + ("*" if name in ws.solutions else "")
             for name in sorted(ws.candidates)))
         listing[model_id] = {
-            "equations": len(ws.equations),
+            "equations": len(ws.equation_names),
             "algebras": sorted(ws.algebras),
             "candidates": sorted(ws.candidates),
             "solutions": sorted(ws.solutions),
@@ -296,6 +293,21 @@ def _cmd_models(args) -> int:
         args.command, args.workspace = "models", None
         return _emit(args, listing, False)
     return 0
+
+
+# command -> (help line, what adds its arguments, handler), in `--help` order
+_COMMANDS = {
+    "classify": ("strong/weak transversality ranks", _common, _cmd_classify),
+    "defect": ("defect delta of a candidate",
+               functools.partial(_common, candidate_required=True), _cmd_defect),
+    "verify": ("per-equation residuals of a candidate", _verify_args, _cmd_verify),
+    "minors": ("weak transversality minors of Xi2", _common, _cmd_minors),
+    "kernel": ("constant kernel of Q on a candidate",
+               functools.partial(_common, candidate_required=True), _cmd_kernel),
+    "symcheck": ("prolonged field annihilates the system on a donor solution",
+                 _symcheck_args, _cmd_symcheck),
+    "models": ("list built-in models", _models_args, _cmd_models),
+}
 
 
 def main(argv=None) -> int:
@@ -320,7 +332,8 @@ def main(argv=None) -> int:
     """
     if gc.get_freeze_count() == 0:
         gc.freeze()
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.handler(args)

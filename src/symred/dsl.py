@@ -5,7 +5,11 @@ systems, vector fields, algebras and candidates living on it.  The
 built-in models ship as .sr files in `symred/library/` and are read by
 this same parser.  `symred models --export` prints a built-in as plain
 workspace text, parameters inlined, so hand-written files can be
-diffed against the library.
+diffed against the library.  `parse_workspace`, `load_workspace` and
+`models.builtin` read every block before they return, so a bad block
+anywhere is an error at load; a command line's `builtin:<id>` reads its
+declarations at once and each system, field, algebra or candidate body
+the first time the command looks it up.
 
     # comments run to end of line
     space {
@@ -39,14 +43,16 @@ with the space's variables.  Each block item is given once: a second
 assignment to one dependent, `xi`, `phi`, `domain` of one variable,
 pin of one param, or `independent`/`dependent`/`order` is an error,
 as is a second declaration of one name or a system without equations.
+A block sees only the funcs, fields and algebras declared before it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .expr import (
     ZERO,
@@ -102,19 +108,26 @@ class Workspace:
     it again with more.  Each candidate and algebra carries its own
     sampling plan.  `equations` and `equation_names` read the
     workspace's only system.
+
+    `parse_workspace` fills every mapping.  A lazy workspace (what a
+    command line's `builtin:<id>` reads) holds systems, fields, algebras,
+    candidates and kernel_hints as mappings that parse a block the first
+    time it is looked up; their names, eq_names, params, solutions and
+    candidate_params are read at once.  `with_params` keeps the
+    laziness.
     """
 
     space: VariableSpace
     params: dict[str, Fraction] = field(default_factory=dict)
     functions: dict[str, FunctionSymbol] = field(default_factory=dict)
-    systems: dict[str, tuple[Expression, ...]] = field(default_factory=dict)
+    systems: Mapping[str, tuple[Expression, ...]] = field(default_factory=dict)
     eq_names: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    fields: dict[str, VectorField] = field(default_factory=dict)
-    algebras: dict[str, Algebra] = field(default_factory=dict)
-    candidates: dict[str, CandidateSolution] = field(default_factory=dict)
+    fields: Mapping[str, VectorField] = field(default_factory=dict)
+    algebras: Mapping[str, Algebra] = field(default_factory=dict)
+    candidates: Mapping[str, CandidateSolution] = field(default_factory=dict)
     solutions: set[str] = field(default_factory=set)
     candidate_params: dict[str, dict[str, Fraction]] = field(default_factory=dict)
-    kernel_hints: dict[str, dict[str, dict[str, tuple[float, ...]]]] = \
+    kernel_hints: Mapping[str, dict[str, dict[str, tuple[float, ...]]]] = \
         field(default_factory=dict)
     source: str = "<workspace>"
     text: str = ""
@@ -127,21 +140,23 @@ class Workspace:
     def algebra_plan(self, name: str) -> SamplePlan:
         return self.algebras[name].plan
 
-    def system(self, name: str | None = None) -> System:
-        """The named system, or the only one when name is None."""
+    def _system_name(self, name: str | None) -> str:
         if not self.systems:
             raise DslError("workspace declares no system")
         if name is None:
             if len(self.systems) > 1:
                 raise DslError("workspace has several systems; pick one with"
                                " --system (%s)" % ", ".join(sorted(self.systems)))
-            name = next(iter(self.systems))
-        try:
-            eqs = self.systems[name]
-        except KeyError:
+            return next(iter(self.systems))
+        if name not in self.systems:
             raise DslError("no system %r; available: %s"
-                           % (name, ", ".join(sorted(self.systems)))) from None
-        return System(name, self.eq_names[name], eqs)
+                           % (name, ", ".join(sorted(self.systems))))
+        return name
+
+    def system(self, name: str | None = None) -> System:
+        """The named system, or the only one when name is None."""
+        name = self._system_name(name)
+        return System(name, self.eq_names[name], self.systems[name])
 
     @property
     def equations(self) -> tuple[Expression, ...]:
@@ -149,7 +164,7 @@ class Workspace:
 
     @property
     def equation_names(self) -> tuple[str, ...]:
-        return self.system().equation_names
+        return self.eq_names[self._system_name(None)]
 
     def holds_here(self, candidate: str) -> bool:
         """False for a candidate pinned to other param values than these."""
@@ -157,7 +172,10 @@ class Workspace:
         return all(self.params[name] == value for name, value in pins.items())
 
     def with_params(self, params: Mapping) -> "Workspace":
-        return parse_workspace(self.text, self.source, {**self.overrides, **params})
+        params = {**self.overrides, **params}
+        if isinstance(self.candidates, _Blocks):        # a lazy workspace stays lazy
+            return _read_workspace(self.text, self.source, params, lazy=True)
+        return parse_workspace(self.text, self.source, params)
 
 
 def _strip_comments(text: str) -> str:
@@ -354,15 +372,18 @@ def _param(decl: str, params: Mapping[str, Fraction], where: str) -> tuple[str, 
     return name, Fraction(value.value), literal
 
 
-def _kernel_hint(stmt: str, ws: Workspace, parse, where: str):
-    """(algebra, label, coefficients) of `kernel ALGEBRA COMBINATION`."""
+def _kernel_hint(stmt: str, algebra, parse, where: str):
+    """(algebra, label, coefficients) of `kernel ALGEBRA COMBINATION`;
+    algebra(name) is the named algebra when it is declared before, else
+    None."""
     words = stmt.split(None, 2)
-    if len(words) != 3 or words[1] not in ws.algebras:
+    alg = algebra(words[1]) if len(words) == 3 else None
+    if alg is None:
         raise DslError("%s: kernel wants `kernel ALGEBRA COMBINATION` naming a"
                        " declared algebra" % where)
     label = " ".join(words[2].split())
     combination = parse(label)
-    names = ws.algebras[words[1]].generator_names()
+    names = alg.generator_names()
     coeffs = tuple(differentiate(combination, g) for g in names)
     offset = normalize(substitute(combination, dict.fromkeys(names, ZERO)))
     if not all(isinstance(c, Constant) for c in coeffs) or offset != ZERO:
@@ -371,12 +392,69 @@ def _kernel_hint(stmt: str, ws: Workspace, parse, where: str):
     return words[1], label, tuple(float(c.value) for c in coeffs)
 
 
-def parse_workspace(text: str, source: str = "<workspace>",
-                    params: Mapping | None = None) -> Workspace:
-    """Parse .sr text into a resolved Workspace.
+def _equations(body: str, where: str) -> list[tuple[str, str, str]]:
+    """(name, LHS, RHS) of each `eq` of a system body, unparsed."""
+    eqs, labels = [], []
+    for stmt in _statements(body):
+        if not stmt.startswith("eq"):
+            raise DslError("%s: unknown item %r" % (where, stmt.split()[0]))
+        label, colon, rest = stmt[2:].partition(":")
+        if not colon:
+            label, rest = "eq%d" % (len(eqs) + 1), stmt[2:]
+        label = label.strip()
+        lhs, eq, rhs = rest.partition("=")
+        if not eq or not label.isidentifier() or label in labels:
+            raise DslError("%s: `eq` wants [NAME:] LHS = RHS with distinct"
+                           " names" % where)
+        eqs.append((label, lhs, rhs))
+        labels.append(label)
+    if not eqs:
+        raise DslError("%s declares no equations" % where)
+    return eqs
 
-    params overrides literal `param` values by name; naming anything
-    else raises ModelError.
+
+_UNREAD = object()
+
+
+class _Blocks(Mapping):
+    """The blocks of one kind by name, in text order.  A block's body is
+    read by `read(name)` the first time it is looked up, then kept;
+    membership, iteration and len read no body."""
+
+    def __init__(self, read):
+        self._read = read
+        self._values = {}
+
+    def declare(self, name: str):
+        self._values[name] = _UNREAD
+
+    def __getitem__(self, name):
+        value = self._values[name]
+        if value is _UNREAD:
+            value = self._values[name] = self._read(name)
+        return value
+
+    def __contains__(self, name) -> bool:
+        return name in self._values
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
+def _read_workspace(text: str, source: str, params: Mapping | None,
+                    lazy: bool) -> Workspace:
+    """Read .sr text into a Workspace.
+
+    Declarations are read at once: the space, every param and func, each
+    block's name, a system's equation names, and a candidate's pins and
+    `solution;` mark.  The body of each system, field, algebra and
+    candidate block is read right after its declaration, or with `lazy`
+    the first time it is looked up.  A body sees only the funcs, fields
+    and algebras declared before it, so reading every block in text
+    order gives the same workspace and the same first error either way.
     """
     overrides = {name: Fraction(value) for name, value in (params or {}).items()}
     space_body = None
@@ -401,7 +479,6 @@ def parse_workspace(text: str, source: str = "<workspace>",
     if space_body is None:
         raise DslError("%s: no space declaration" % source)
     space, default_plan = _parse_space(space_body, source)
-    ws = Workspace(space=space, source=source, text=text, overrides=overrides)
 
     # func and param names share one name space with the variables
     taken = {v: "independent" for v in space.independents}
@@ -414,133 +491,181 @@ def parse_workspace(text: str, source: str = "<workspace>",
             raise DslError("%s: %s %s shadows %s %s" % (source, kind, name, taken[name], name))
         taken[name] = kind
 
+    values: dict[str, Fraction] = {}
     literals = set()
     for decl in param_decls:
-        name, value, literal = _param(decl, ws.params, source)
+        name, value, literal = _param(decl, values, source)
         claim("param", name)
         if literal:
             literals.add(name)
             value = overrides.get(name, value)
-        ws.params[name] = value
+        values[name] = value
     for name in overrides:
         if name not in literals:
-            raise ModelError("%s has no parameter %r" % (ws.id, name))
+            raise ModelError("%s has no parameter %r"
+                             % (source.removeprefix("builtin:"), name))
 
-    where = source      # the declaration being read, for parse errors
-
-    def parse(expr_text: str) -> Expression:
+    def parse(expr_text: str, functions, where: str) -> Expression:
         try:
-            return parse_expression(expr_text, ws.functions, ws.params)
+            return parse_expression(expr_text, functions, values)
         except ExpressionError as err:  # a ParseError, or an exact zero divisor
             raise DslError("%s: %s" % (where, err)) from err
 
     p, q = len(space.independents), len(space.dependents)
-    declared = {"system": ws.systems, "field": ws.fields, "algebra": ws.algebras,
-                "candidate": ws.candidates}
-    for header, body in pending:
+    # (kind, name) -> (position, unread items, funcs declared before, where)
+    declared: dict[tuple[str, str], tuple] = {}
+
+    def before(kind: str, name: str, at: int) -> bool:
+        entry = declared.get((kind, name))
+        return entry is not None and entry[0] < at
+
+    def read_system(name):
+        _, eqs, functions, where = declared["system", name]
+        return tuple(normalize(add(parse(lhs, functions, where), neg(parse(rhs, functions, where))))
+                     for _, lhs, rhs in eqs)
+
+    def read_field(name):
+        _, body, functions, where = declared["field", name]
+        vectors = {}
+        for stmt in _statements(body):
+            lhs, eq, rhs = stmt.partition("=")
+            key = lhs.strip()
+            if key not in ("xi", "phi"):
+                raise DslError("%s: unknown item %r" % (where, key))
+            _once(vectors, key, where)
+            vectors[key] = _parse_vector(rhs, lambda e: parse(e, functions, where),
+                                         p if key == "xi" else q,
+                                         "%s of field %s" % (key, name))
+        if len(vectors) < 2:
+            raise DslError("%s needs xi and phi" % where)
+        return VectorField(space, vectors["xi"], vectors["phi"], name=name)
+
+    def read_algebra(name):
+        at, body, _, where = declared["algebra", name]
+        members = []
+        plan_items = []
+        for stmt in _statements(body):
+            words = stmt.split()
+            if words[0] == "fields":
+                for mname in words[1:]:
+                    _once(members, mname, where, "field " + mname)
+                    members.append(mname)
+            else:
+                plan_items.append(stmt)
+        plan = _plan(plan_items, space, where, default_plan)
+        missing = [mname for mname in members if not before("field", mname, at)]
+        if missing:
+            raise DslError("%s references undeclared fields %s"
+                           % (where, ", ".join(missing)))
+        return Algebra(space, tuple(fields[mn] for mn in members), name=name, plan=plan)
+
+    hints: dict[str, dict] = {}     # candidate -> {algebra: {label: coefficients}}
+
+    def read_candidate(name):
+        at, stmts, functions, where = declared["candidate", name]
+        assignments: dict[str, Expression] = {}
+        loci: list[Expression] = []
+        plan = {}
+        kernels: dict[str, dict] = {}
+        for stmt in stmts:
+            if _plan_item(stmt, plan, space, where):
+                continue
+            if stmt.startswith("exclude"):
+                loci.append(parse(stmt[len("exclude"):], functions, where))
+                continue
+            if stmt.split()[0] == "kernel":
+                alg, label, coeffs = _kernel_hint(
+                    stmt, lambda a: algebras[a] if before("algebra", a, at) else None,
+                    lambda e: parse(e, functions, where), where)
+                kernels.setdefault(alg, {})[label] = coeffs
+                continue
+            lhs, eq, rhs = stmt.partition("=")
+            target = lhs.strip()
+            if not eq or target not in space.dependents:
+                raise DslError("%s: %r is not a dependent variable assignment"
+                               % (where, stmt))
+            _once(assignments, target, where)
+            assignments[target] = parse(rhs, functions, where)
+        if kernels:
+            hints[name] = kernels
+        return CandidateSolution(space, assignments, tuple(loci), name=name,
+                                 plan=SamplePlan(**plan) if plan else default_plan)
+
+    def read_hints(name):
+        candidates[name]
+        return hints[name]
+
+    readers = {"system": read_system, "field": read_field, "algebra": read_algebra,
+               "candidate": read_candidate}
+    if lazy:
+        tables = {kind: _Blocks(read) for kind, read in readers.items()}
+        kernel_hints = _Blocks(read_hints)
+    else:       # filled in text order as each block is declared
+        tables = {kind: {} for kind in readers}
+        kernel_hints = hints
+    systems, fields, algebras, candidates = tables.values()
+    functions: dict[str, FunctionSymbol] = {}
+    eq_names: dict[str, tuple[str, ...]] = {}
+    solutions: set[str] = set()
+    candidate_params: dict[str, dict[str, Fraction]] = {}
+    for at, (header, body) in enumerate(pending):
         kind = header[0]
         if kind == "func":
             fs = _parse_func(header, source)
             claim("func", fs.name)
-            ws.functions[fs.name] = fs
+            functions = {**functions, fs.name: fs}      # earlier blocks keep theirs
             continue
         if len(header) != 2 or body is None:
             raise DslError("%s: `%s` wants `%s NAME { ... }`"
                            % (source, kind, kind))
         name = header[1]
-        if name in declared.get(kind, ()):
+        if kind not in tables:
+            raise DslError("%s: unknown declaration %r" % (source, kind))
+        if name in tables[kind]:
             raise DslError("%s: duplicate %s %s" % (source, kind, name))
         where = "%s: %s %s" % (source, kind, name)
+        items = body
         if kind == "system":
-            eqs, labels = [], []
-            for stmt in _statements(body):
-                if not stmt.startswith("eq"):
-                    raise DslError("%s: unknown item %r" % (where, stmt.split()[0]))
-                label, colon, rest = stmt[2:].partition(":")
-                if not colon:
-                    label, rest = "eq%d" % (len(eqs) + 1), stmt[2:]
-                label = label.strip()
-                lhs, eq, rhs = rest.partition("=")
-                if not eq or not label.isidentifier() or label in labels:
-                    raise DslError("%s: `eq` wants [NAME:] LHS = RHS with distinct"
-                                   " names" % where)
-                eqs.append(normalize(add(parse(lhs), neg(parse(rhs)))))
-                labels.append(label)
-            if not eqs:
-                raise DslError("%s declares no equations" % where)
-            ws.systems[name] = tuple(eqs)
-            ws.eq_names[name] = tuple(labels)
-        elif kind == "field":
-            vectors = {}
-            for stmt in _statements(body):
-                lhs, eq, rhs = stmt.partition("=")
-                key = lhs.strip()
-                if key not in ("xi", "phi"):
-                    raise DslError("%s: unknown item %r" % (where, key))
-                _once(vectors, key, where)
-                vectors[key] = _parse_vector(rhs, parse, p if key == "xi" else q,
-                                             "%s of field %s" % (key, name))
-            if len(vectors) < 2:
-                raise DslError("%s needs xi and phi" % where)
-            ws.fields[name] = VectorField(space, vectors["xi"], vectors["phi"], name=name)
-        elif kind == "algebra":
-            members = []
-            plan_items = []
-            for stmt in _statements(body):
-                words = stmt.split()
-                if words[0] == "fields":
-                    for mname in words[1:]:
-                        _once(members, mname, where, "field " + mname)
-                        members.append(mname)
-                else:
-                    plan_items.append(stmt)
-            plan = _plan(plan_items, space, where, default_plan)
-            missing = [mname for mname in members if mname not in ws.fields]
-            if missing:
-                raise DslError("%s references undeclared fields %s"
-                               % (where, ", ".join(missing)))
-            ws.algebras[name] = Algebra(space, tuple(ws.fields[mn] for mn in members),
-                                        name=name, plan=plan)
+            items = _equations(body, where)
+            eq_names[name] = tuple(label for label, _, _ in items)
         elif kind == "candidate":
-            assignments: dict[str, Expression] = {}
-            loci: list[Expression] = []
-            plan = {}
+            items = []
             for stmt in _statements(body):
                 words = stmt.split()
-                if _plan_item(stmt, plan, space, where):
-                    continue
                 if stmt == "solution":
-                    ws.solutions.add(name)
-                    continue
-                if stmt.startswith("exclude"):
-                    loci.append(parse(stmt[len("exclude"):]))
-                    continue
-                if words[0] == "param":
-                    pin, value, _ = _param(stmt[len("param"):], ws.params, where)
+                    solutions.add(name)
+                elif words[0] == "param":
+                    pin, value, _ = _param(stmt[len("param"):], values, where)
                     if pin not in literals:
                         raise DslError("%s pins %s, which is not a literal param"
                                        % (where, pin))
-                    pins = ws.candidate_params.setdefault(name, {})
+                    pins = candidate_params.setdefault(name, {})
                     _once(pins, pin, where, "param " + pin)
                     pins[pin] = value
-                    continue
-                if words[0] == "kernel":
-                    alg, label, coeffs = _kernel_hint(stmt, ws, parse, where)
-                    ws.kernel_hints.setdefault(name, {}).setdefault(alg, {})[label] = coeffs
-                    continue
-                lhs, eq, rhs = stmt.partition("=")
-                target = lhs.strip()
-                if not eq or target not in space.dependents:
-                    raise DslError("%s: %r is not a dependent variable assignment"
-                                   % (where, stmt))
-                _once(assignments, target, where)
-                assignments[target] = parse(rhs)
-            ws.candidates[name] = CandidateSolution(
-                space, assignments, tuple(loci), name=name,
-                plan=SamplePlan(**plan) if plan else default_plan)
+                else:
+                    items.append(stmt)
+                    if lazy and words[0] == "kernel" and name not in kernel_hints:
+                        kernel_hints.declare(name)
+        declared[kind, name] = (at, items, functions, where)
+        if lazy:
+            tables[kind].declare(name)
         else:
-            raise DslError("%s: unknown declaration %r" % (source, kind))
-    return ws
+            tables[kind][name] = readers[kind](name)
+    return Workspace(space=space, params=values, functions=functions, systems=systems,
+                     eq_names=eq_names, fields=fields, algebras=algebras,
+                     candidates=candidates, solutions=solutions,
+                     candidate_params=candidate_params, kernel_hints=kernel_hints,
+                     source=source, text=text, overrides=overrides)
+
+
+def parse_workspace(text: str, source: str = "<workspace>",
+                    params: Mapping | None = None) -> Workspace:
+    """Parse .sr text into a resolved Workspace, every block read.
+
+    params overrides literal `param` values by name; naming anything
+    else raises ModelError.
+    """
+    return _read_workspace(text, source, params, lazy=False)
 
 
 def load_workspace(path) -> Workspace:

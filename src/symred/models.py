@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .dsl import ModelError, Workspace, parse_workspace
+from .dsl import ModelError, Workspace, _read_workspace, parse_workspace
 from .expr import Expression, Sum, to_text
 from .jets import (
     CandidateSolution,
@@ -55,16 +55,30 @@ def _shipped_text(name: str) -> str:
     return (files(__package__) / "library" / (name + ".sr")).read_text(encoding="utf-8")
 
 
-def builtin(model_id: str, params: Mapping | None = None) -> Workspace:
-    """Parse a shipped model, optionally overriding its literal params."""
+def _model_text(model_id: str, params: Mapping) -> str:
     if model_id not in MODEL_IDS:
         raise ModelError("unknown model id %r; available: %s"
                          % (model_id, ", ".join(MODEL_IDS)))
-    params = params or {}
     if model_id == "vnls3" and "t0" in params and Fraction(params["t0"]) == 0:
         raise ModelError("t0 = 0 collapses the printed vnls3 candidate;"
                          " the t0_zero candidate covers that limit")
-    return parse_workspace(_shipped_text(model_id), "builtin:" + model_id, params)
+    return _shipped_text(model_id)
+
+
+def builtin(model_id: str, params: Mapping | None = None) -> Workspace:
+    """Parse a shipped model whole, optionally overriding its literal
+    params."""
+    params = params or {}
+    return parse_workspace(_model_text(model_id, params), "builtin:" + model_id, params)
+
+
+def _lazy_builtin(model_id: str) -> Workspace:
+    """A shipped model at its default params whose system, field, algebra
+    and candidate blocks are each parsed the first time they are looked
+    up: what a command line's `builtin:<id>` reads.  The shipped texts
+    are parsed whole by the test suite."""
+    return _read_workspace(_model_text(model_id, {}), "builtin:" + model_id, None,
+                           lazy=True)
 
 
 # ---------------------------------------------------------------------------

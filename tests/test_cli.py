@@ -1,6 +1,7 @@
 """Command line driver: output text, exit codes, JSON envelopes, and the
 file-workspace path."""
 
+import argparse
 import gc
 import json
 import os
@@ -13,8 +14,9 @@ import pytest
 import symred.numeric
 from helpers import perfbench_jobs
 from symred.analysis import classify_transversality, constant_kernel_generators, defect
-from symred.cli import main
-from symred.models import builtin, resolve_candidate
+from symred.cli import _build_parser, _load, main
+from symred.dsl import workspace_to_text
+from symred.models import MODEL_IDS, builtin, draw_params, resolve_candidate
 
 
 def run(capsys, *argv):
@@ -236,6 +238,52 @@ def test_the_first_command_freezes_the_heap_once():
     assert "exit 1" in out and "PASS" in out
 
 
+# Records each block symred.dsl builds: fields, algebras and candidates by
+# name, and one ("system", None) per normalized equation (dsl normalizes
+# nothing else outside candidates' kernel hints).
+SPY_ON_BLOCKS = """
+import symred.dsl as dsl
+read = []
+def spy(kind, make):
+    def made(*args, **kwargs):
+        read.append((kind, kwargs.get("name")))
+        return make(*args, **kwargs)
+    return made
+dsl.VectorField = spy("field", dsl.VectorField)
+dsl.Algebra = spy("algebra", dsl.Algebra)
+dsl.CandidateSolution = spy("candidate", dsl.CandidateSolution)
+dsl.normalize = spy("system", dsl.normalize)
+"""
+
+
+@pytest.mark.parametrize("argv, blocks", [
+    (["classify", "builtin:euler", "--algebra", "gal3"],
+     [("algebra", "gal3"), ("field", "K1"), ("field", "K2"), ("field", "K3")]),
+    (["models"], []),
+])
+def test_a_builtin_command_parses_only_the_blocks_it_reads(argv, blocks):
+    # a command line's builtin:<id> parses a block when the command looks
+    # it up, and the models listing reads names only
+    out = _fresh_process(after=SPY_ON_BLOCKS + "print('exit', main(%r))\n" % argv
+                         + "print(sorted(set(read)))\n")
+    assert out.splitlines()[-2:] == ["exit 0", repr(sorted(blocks))]
+
+
+@pytest.mark.parametrize("model_id", MODEL_IDS)
+def test_the_lazy_builtin_reads_as_the_whole_one(model_id):
+    for draw in (None, 1, 2):
+        params = {} if draw is None else draw_params(model_id, draw)
+        lazy = _load(argparse.Namespace(workspace="builtin:" + model_id))
+        if params:
+            lazy = lazy.with_params(params)
+        assert not isinstance(lazy.candidates, dict)      # with_params stays lazy
+        whole = builtin(model_id, params)
+        assert workspace_to_text(lazy) == workspace_to_text(whole)   # reads every block
+        for part in ("params", "eq_names", "solutions", "candidate_params"):
+            assert getattr(lazy, part) == getattr(whole, part), part
+        assert list(lazy.kernel_hints.items()) == list(whole.kernel_hints.items())
+
+
 @pytest.mark.parametrize("frozen", (0, 1))
 def test_main_freezes_only_when_nothing_is_frozen(monkeypatch, capsys, frozen):
     calls = []
@@ -372,20 +420,53 @@ def test_json_seed_keys_sort_as_text(capsys, tmp_path):
     assert list(payload["report"]["rank_report"]["ranks"]) == ["10", "8", "9"]
 
 
+COMMANDS = ("classify", "defect", "verify", "minors", "kernel", "symcheck", "models")
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["classify", "builtin:navier_stokes"]) == 1          # no algebra
-    capsys.readouterr()
+    assert capsys.readouterr().err == \
+        "symred: the following arguments are required: --algebra\n"
     assert main(["classify", "builtin:nope", "--algebra", "x"]) == 1
     capsys.readouterr()
     assert main(["classify", "builtin:navier_stokes",
                  "--algebra", "ghost"]) == 1
     capsys.readouterr()
     assert main(["frobnicate"]) == 1
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.startswith("symred: argument command: invalid choice: 'frobnicate'")
+    assert len(err.splitlines()) == 1 and all(c in err for c in COMMANDS), err
     assert main([]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err == \
+        "symred: the following arguments are required: command\n"
     assert main(["verify", "/no/such/file.sr", "--candidate", "c"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv0, built", [
+    ("verify", ("verify",)), ("models", ("models",)),
+    ("--help", COMMANDS), ("frobnicate", COMMANDS), (None, COMMANDS),
+])
+def test_a_command_line_builds_only_its_own_subparser(argv0, built):
+    subparsers, = [action for action in _build_parser(argv0)._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert tuple(subparsers.choices) == built
+
+
+def test_help_exits_zero_with_its_text(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exit_.value.code == 0
+    assert out.startswith("usage: symred [-h] {%s} ..." % ",".join(COMMANDS))
+    assert "Symmetry reduction analyses over workspaces" in out
+    assert "constant kernel of Q on a candidate" in out
+    with pytest.raises(SystemExit) as exit_:
+        main(["classify", "--help"])
+    out = capsys.readouterr().out
+    assert exit_.value.code == 0
+    assert out.startswith("usage: symred classify [-h] --algebra ALGEBRA")
+    assert "base seed; three consecutive seeds are used" in out
 
 
 LINE_SPACE = "space line { independent x; dependent u; order 1; }"

@@ -9,6 +9,7 @@ import pytest
 from symred.dsl import (
     DslError,
     ModelError,
+    _read_workspace,
     load_workspace,
     parse_workspace,
     workspace_from_entry,
@@ -203,6 +204,31 @@ space s { independent x; dependent u; order 1; }
 algebra a { fields ghost; }
 """, source="t")
     assert "ghost" in str(err.value)
+
+
+ORDER_SPACE = "space s { independent x t; dependent u; order 1; }\n"
+
+
+@pytest.mark.parametrize("text, kind, name", [
+    ("candidate c { u = a(t); }\nfunc a(t);\n", "candidates", "c"),
+    ("algebra g { fields v; }\nfield v { xi = [1, 0]; phi = [0]; }\n", "algebras", "g"),
+    ("field v { xi = [1, 0]; phi = [0]; }\ncandidate c { u = x; kernel g v; }\n"
+     "algebra g { fields v; }\n", "candidates", "c"),
+])
+def test_a_block_sees_only_earlier_declarations_when_read_lazily(text, kind, name):
+    # a lazily read block raises the error the whole parse gives it
+    with pytest.raises(DslError) as whole:
+        parse_workspace(ORDER_SPACE + text, source="t")
+    lazy = _read_workspace(ORDER_SPACE + text, "t", None, lazy=True)
+    with pytest.raises(DslError) as read:
+        getattr(lazy, kind)[name]
+    assert str(read.value) == str(whole.value)
+
+
+def test_the_whole_parse_raises_the_first_bad_block_in_text_order():
+    with pytest.raises(DslError, match="candidate c: call of undeclared function 'g'"):
+        parse_workspace(ORDER_SPACE + "candidate c { u = g(t); }\n"
+                        "system s { eq d(u,x) = h(x); }\n", source="t")
 
 
 def test_field_vector_lengths_checked():
