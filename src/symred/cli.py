@@ -5,6 +5,11 @@ a human-readable report and, with --json PATH, a versioned machine
 report; identical invocations with the same --seed produce byte
 identical JSON.
 
+A well-formed command line is read directly from the declaration of
+each command's arguments (`_COMMANDS`); argparse, built from the same
+declaration, reads every other one and is the only source of help text
+and usage errors, so a valid command never imports it.
+
 Exit codes: 0 clean; 1 usage or resolution errors (any SymredError or
 OSError, printed as one `symred:` line); 2 when an analysis raised a
 flag: non-generic rank behaviour (classify, defect, kernel), residual at
@@ -14,14 +19,13 @@ symmetry (symcheck).
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import gc
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .analysis import (
     AnalysisError,
@@ -43,65 +47,72 @@ class _UsageError(SymredError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; our contract wants 1
-    def error(self, message):
-        raise _UsageError(message)
+def _build_parser():
+    """The argparse parser of all seven commands, built from `_COMMANDS`.
+    It reads only the command lines `_read_argv` leaves to it, so it is
+    the one source of help text and usage errors."""
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad usage; our contract wants 1
+        def error(self, message):
+            raise _UsageError(message)
 
-def _common(p, candidate_required=False, algebra=True):
-    p.add_argument("workspace",
-                   help=".sr file or builtin:<id> (%s)" % ", ".join(MODEL_IDS))
-    if algebra:
-        p.add_argument("--algebra", required=True, help="algebra name")
-    p.add_argument("--candidate", required=candidate_required,
-                   help="candidate name")
-    p.add_argument("--seed", type=int, default=None,
-                   help="base seed; three consecutive seeds are used")
-    p.add_argument("--samples", type=int, default=None,
-                   help="points per seed")
-    p.add_argument("--json", dest="json_path", default=None,
-                   help="also write the report as JSON to this path")
-
-
-def _verify_args(p):
-    _common(p, candidate_required=True, algebra=False)
-    p.add_argument("--system", default=None,
-                   help="system name, for workspaces with several")
-    p.add_argument("--tol", type=float, default=None,
-                   help="residual tolerance where the command verifies"
-                        " values (rank pivots use scale-aware internal"
-                        " tolerances)")
-
-
-def _symcheck_args(p):
-    _common(p, candidate_required=True, algebra=False)
-    p.add_argument("--field", required=True, help="vector field name")
-    p.add_argument("--system", default=None, help="system name")
-
-
-def _models_args(p):
-    p.add_argument("--export", default=None, metavar="ID",
-                   help="print the DSL text of one built-in entry")
-    p.add_argument("--json", dest="json_path", default=None)
-    p.set_defaults(seed=None, samples=None)
-
-
-def _build_parser(command: str | None = None) -> _Parser:
-    """The argument parser.  When command names one of the seven
-    commands, only its subparser is built: a command line uses one, and
-    the other six were most of the parser's cost.  `--help`, an unknown
-    command and an empty command line get all seven."""
     parser = _Parser(prog="symred",
                      description="Symmetry reduction analyses over workspaces")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, arguments, handler) in _COMMANDS.items():
-        if command in _COMMANDS and name != command:
-            continue
+    for name, (help_text, arguments, handler, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        arguments(p)
-        p.set_defaults(handler=handler)
+        for flag, spec in arguments:
+            p.add_argument(flag, **spec)
+        p.set_defaults(handler=handler, **defaults)
     return parser
+
+
+def _read_argv(argv: list[str]):
+    """The namespace `parse_args` gives a well-formed command line, read
+    without argparse, or None.
+
+    Well formed means: argv[0] is a command; each option is its exact
+    long flag followed by a value that does not start with '-'; there
+    are as many positionals as the command declares; every required
+    option is given; every int and float converts.  Anything else
+    (`--help`, `--opt=value`, abbreviations, `--`, a missing or
+    dash-leading value, unknown flags, extra positionals, bad numbers)
+    gives None, and argparse reads the line and prints its help or its
+    error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, arguments, handler, defaults = _COMMANDS[argv[0]]
+    args = {"command": argv[0], "handler": handler, **defaults}
+    options, positionals = {}, []
+    for flag, spec in arguments:
+        dest = spec.get("dest", flag.lstrip("-"))
+        args[dest] = spec.get("default")
+        if flag.startswith("-"):
+            options[flag] = dest, spec
+        else:
+            positionals.append(dest)
+    words, given = [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        value = next(tokens, "-")
+        if token not in options or value.startswith("-"):
+            return None
+        dest, spec = options[token]
+        try:
+            args[dest] = spec.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        given.add(token)
+    if len(words) != len(positionals) or any(
+            spec.get("required") and flag not in given for flag, (_, spec) in options.items()):
+        return None
+    args.update(zip(positionals, words))
+    return SimpleNamespace(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +143,20 @@ def _tuned(obj, args):
     return dataclasses.replace(obj, plan=obj.plan.with_(**changes)) if changes else obj
 
 
-def _algebra(ws: Workspace, name: str):
-    try:
-        return ws.algebras[name]
-    except KeyError:
-        raise _UsageError("no algebra %r; available: %s"
-                          % (name, ", ".join(sorted(ws.algebras)) or "none"))
-
-
 def _with_algebra(args):
     """(workspace, algebra, candidate or None), both tuned, for --algebra
-    commands; a pinned candidate meets the algebra at its own params."""
+    commands; a pinned candidate meets the algebra at its own params.
+    The algebra's name is checked first and its block read last, so a
+    pinned candidate's workspace is the only one that reads it."""
     ws = _load(args)
-    alg = _algebra(ws, args.algebra)
+    if args.algebra not in ws.algebras:
+        raise _UsageError("no algebra %r; available: %s"
+                          % (args.algebra, ", ".join(sorted(ws.algebras)) or "none"))
     cand = None
     if args.candidate is not None:
         ws, cand = resolve_candidate(ws, args.candidate)
-        alg, cand = ws.algebras[args.algebra], _tuned(cand, args)
-    return ws, _tuned(alg, args), cand
+        cand = _tuned(cand, args)
+    return ws, _tuned(ws.algebras[args.algebra], args), cand
 
 
 def _emit(args, report: dict, flagged: bool) -> int:
@@ -295,23 +302,56 @@ def _cmd_models(args) -> int:
     return 0
 
 
-# command -> (help line, what adds its arguments, handler), in `--help` order
+# A command's arguments, each a flag (or a positional's name) and the
+# keywords argparse's add_argument takes for it.  Both argparse and
+# _read_argv read them from here.
+_WORKSPACE = ("workspace", {"help": ".sr file or builtin:<id> (%s)" % ", ".join(MODEL_IDS)})
+_ALGEBRA = ("--algebra", {"required": True, "help": "algebra name"})
+_CANDIDATE = ("--candidate", {"help": "candidate name"})
+_REQUIRED_CANDIDATE = ("--candidate", {"required": True, "help": "candidate name"})
+_PLAN = (
+    ("--seed", {"type": int, "help": "base seed; three consecutive seeds are used"}),
+    ("--samples", {"type": int, "help": "points per seed"}),
+    ("--json", {"dest": "json_path", "help": "also write the report as JSON to this path"}),
+)
+
+# command -> (help line, arguments, handler, further defaults), in `--help` order
 _COMMANDS = {
-    "classify": ("strong/weak transversality ranks", _common, _cmd_classify),
+    "classify": ("strong/weak transversality ranks",
+                 (_WORKSPACE, _ALGEBRA, _CANDIDATE, *_PLAN), _cmd_classify, {}),
     "defect": ("defect delta of a candidate",
-               functools.partial(_common, candidate_required=True), _cmd_defect),
-    "verify": ("per-equation residuals of a candidate", _verify_args, _cmd_verify),
-    "minors": ("weak transversality minors of Xi2", _common, _cmd_minors),
+               (_WORKSPACE, _ALGEBRA, _REQUIRED_CANDIDATE, *_PLAN), _cmd_defect, {}),
+    "verify": ("per-equation residuals of a candidate",
+               (_WORKSPACE, _REQUIRED_CANDIDATE, *_PLAN,
+                ("--system", {"help": "system name, for workspaces with several"}),
+                ("--tol", {"type": float,
+                           "help": "residual tolerance where the command verifies"
+                                   " values (rank pivots use scale-aware internal"
+                                   " tolerances)"})),
+               _cmd_verify, {}),
+    "minors": ("weak transversality minors of Xi2",
+               (_WORKSPACE, _ALGEBRA, _CANDIDATE, *_PLAN), _cmd_minors, {}),
     "kernel": ("constant kernel of Q on a candidate",
-               functools.partial(_common, candidate_required=True), _cmd_kernel),
+               (_WORKSPACE, _ALGEBRA, _REQUIRED_CANDIDATE, *_PLAN), _cmd_kernel, {}),
     "symcheck": ("prolonged field annihilates the system on a donor solution",
-                 _symcheck_args, _cmd_symcheck),
-    "models": ("list built-in models", _models_args, _cmd_models),
+                 (_WORKSPACE, _REQUIRED_CANDIDATE, *_PLAN,
+                  ("--field", {"required": True, "help": "vector field name"}),
+                  ("--system", {"help": "system name"})),
+                 _cmd_symcheck, {}),
+    "models": ("list built-in models",
+               (("--export", {"metavar": "ID",
+                              "help": "print the DSL text of one built-in entry"}),
+                ("--json", {"dest": "json_path"})),
+               _cmd_models, {"seed": None, "samples": None}),
 }
 
 
 def main(argv=None) -> int:
     """Run one command; return its exit code.
+
+    `_read_argv` reads a well-formed command line.  Any other goes to
+    argparse, which prints help and exits 0, or raises the usage error
+    printed here as one `symred:` line with exit code 1.
 
     The first call in a process moves every object alive at that moment
     (interpreter, stdlib, symred's modules) into the collector's
@@ -333,9 +373,8 @@ def main(argv=None) -> int:
     if gc.get_freeze_count() == 0:
         gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _read_argv(argv) or _build_parser().parse_args(argv)
         return args.handler(args)
     except (SymredError, OSError) as err:
         print("symred: %s" % err, file=sys.stderr)

@@ -112,7 +112,8 @@ class Workspace:
     `parse_workspace` fills every mapping.  A lazy workspace (what a
     command line's `builtin:<id>` reads) holds systems, fields, algebras,
     candidates and kernel_hints as mappings that parse a block the first
-    time it is looked up; their names, eq_names, params, solutions and
+    time it is looked up (a candidate's kernel hints apart from its
+    body); their names, eq_names, params, solutions and
     candidate_params are read at once.  `with_params` keeps the
     laziness.
     """
@@ -452,9 +453,12 @@ def _read_workspace(text: str, source: str, params: Mapping | None,
     block's name, a system's equation names, and a candidate's pins and
     `solution;` mark.  The body of each system, field, algebra and
     candidate block is read right after its declaration, or with `lazy`
-    the first time it is looked up.  A body sees only the funcs, fields
-    and algebras declared before it, so reading every block in text
-    order gives the same workspace and the same first error either way.
+    the first time it is looked up; a lazy candidate's `kernel`
+    statements are read when its kernel_hints are looked up, so reading
+    the candidate parses no algebra its hints name.  A body sees only
+    the funcs, fields and algebras declared before it, so reading every
+    block in text order gives the same workspace and the same first
+    error either way.
     """
     overrides = {name: Fraction(value) for name, value in (params or {}).items()}
     space_body = None
@@ -561,6 +565,12 @@ def _read_workspace(text: str, source: str, params: Mapping | None,
 
     hints: dict[str, dict] = {}     # candidate -> {algebra: {label: coefficients}}
 
+    def read_hint(stmt, at, functions, where, kernels):
+        alg, label, coeffs = _kernel_hint(
+            stmt, lambda a: algebras[a] if before("algebra", a, at) else None,
+            lambda e: parse(e, functions, where), where)
+        kernels.setdefault(alg, {})[label] = coeffs
+
     def read_candidate(name):
         at, stmts, functions, where = declared["candidate", name]
         assignments: dict[str, Expression] = {}
@@ -574,10 +584,8 @@ def _read_workspace(text: str, source: str, params: Mapping | None,
                 loci.append(parse(stmt[len("exclude"):], functions, where))
                 continue
             if stmt.split()[0] == "kernel":
-                alg, label, coeffs = _kernel_hint(
-                    stmt, lambda a: algebras[a] if before("algebra", a, at) else None,
-                    lambda e: parse(e, functions, where), where)
-                kernels.setdefault(alg, {})[label] = coeffs
+                if not lazy:        # else read_hints reads it when it is looked up
+                    read_hint(stmt, at, functions, where, kernels)
                 continue
             lhs, eq, rhs = stmt.partition("=")
             target = lhs.strip()
@@ -592,8 +600,12 @@ def _read_workspace(text: str, source: str, params: Mapping | None,
                                  plan=SamplePlan(**plan) if plan else default_plan)
 
     def read_hints(name):
-        candidates[name]
-        return hints[name]
+        at, stmts, functions, where = declared["candidate", name]
+        kernels: dict[str, dict] = {}
+        for stmt in stmts:
+            if stmt.split()[0] == "kernel":
+                read_hint(stmt, at, functions, where, kernels)
+        return kernels
 
     readers = {"system": read_system, "field": read_field, "algebra": read_algebra,
                "candidate": read_candidate}

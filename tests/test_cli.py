@@ -14,7 +14,7 @@ import pytest
 import symred.numeric
 from helpers import perfbench_jobs
 from symred.analysis import classify_transversality, constant_kernel_generators, defect
-from symred.cli import _build_parser, _load, main
+from symred.cli import _build_parser, _load, _read_argv, main
 from symred.dsl import workspace_to_text
 from symred.models import MODEL_IDS, builtin, draw_params, resolve_candidate
 
@@ -256,16 +256,27 @@ dsl.normalize = spy("system", dsl.normalize)
 """
 
 
+GAL_P3 = [("algebra", "gal_p3"), ("field", "K1"), ("field", "K2"), ("field", "K3"),
+          ("field", "P3")]
+
+
 @pytest.mark.parametrize("argv, blocks", [
     (["classify", "builtin:euler", "--algebra", "gal3"],
      [("algebra", "gal3"), ("field", "K1"), ("field", "K2"), ("field", "K3")]),
     (["models"], []),
+    # IF11's `kernel full12 ...` hint is read only when a command looks it up
+    (["defect", "builtin:isentropic", "--algebra", "gal_p3", "--candidate", "IF11"],
+     GAL_P3 + [("candidate", "IF11")]),
+    # a pinned candidate's workspace is the only one that reads the algebra
+    (["classify", "builtin:isentropic", "--algebra", "gal_p3",
+      "--candidate", "example3_k_minus2"],
+     GAL_P3 + [("candidate", "example3_k_minus2")]),
 ])
 def test_a_builtin_command_parses_only_the_blocks_it_reads(argv, blocks):
-    # a command line's builtin:<id> parses a block when the command looks
-    # it up, and the models listing reads names only
+    # a command line's builtin:<id> parses a block, once, when the command
+    # looks it up, and the models listing reads names only
     out = _fresh_process(after=SPY_ON_BLOCKS + "print('exit', main(%r))\n" % argv
-                         + "print(sorted(set(read)))\n")
+                         + "print(sorted(read))\n")
     assert out.splitlines()[-2:] == ["exit 0", repr(sorted(blocks))]
 
 
@@ -443,17 +454,84 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv0, built", [
-    ("verify", ("verify",)), ("models", ("models",)),
-    ("--help", COMMANDS), ("frobnicate", COMMANDS), (None, COMMANDS),
+VERIFY_SOL = ("verify", "builtin:navier_stokes", "--candidate", "sol")
+
+
+def _every_benchmark_command_line(work):
+    jobs = perfbench_jobs()
+    lines = [job.command(7, work, None) for job in jobs.CLI_DEFAULT]
+    lines += [job.command(13, work, jobs.DENSE_SAMPLES) for job in jobs.CLI_DENSE]
+    return lines + [list(VERIFY_SOL) + ["--system", "navier_stokes", "--tol", "1e-6"],
+                    list(VERIFY_SOL) + ["--seed", "+7", "--seed", " 8 ", "--tol", "inf"],
+                    ["verify", "", "--candidate", ""], ["models", "--export", "euler"]]
+
+
+@pytest.mark.parametrize("json_path", (None, "out.json"))
+def test_a_well_formed_command_line_reads_as_argparse_reads_it(tmp_path, json_path):
+    parser = _build_parser()
+    for argv in _every_benchmark_command_line(str(tmp_path)):
+        if json_path:
+            argv += ["--json", str(tmp_path / json_path)]
+        assert vars(_read_argv(argv)) == vars(parser.parse_args(argv)), argv
+
+
+# command lines argparse reads instead of _read_argv, with today's message
+@pytest.mark.parametrize("argv, err", [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from %s)"
+     % ", ".join("'%s'" % c for c in COMMANDS)),
+    (["classify", "builtin:navier_stokes"], "the following arguments are required: --algebra"),
+    (["classify"], "the following arguments are required: workspace, --algebra"),
+    (["verify", "--candidate", "sol"], "the following arguments are required: workspace"),
+    (["classify", "--", "builtin:navier_stokes", "--algebra", "rot3"],
+     "the following arguments are required: --algebra"),
+    (["classify", "builtin:navier_stokes", "--algebra", "rot3", "--"],
+     "unrecognized arguments: --"),
+    (VERIFY_SOL + ("--seed", "-1"), "--seed must be non-negative, got -1"),
+    (VERIFY_SOL[:3], "argument --candidate: expected one argument"),
+    (VERIFY_SOL[:3] + ("--seed", "3"), "argument --candidate: expected one argument"),
+    (VERIFY_SOL[:3] + ("-sol",), "argument --candidate: expected one argument"),
+    (VERIFY_SOL + ("--bogus", "1"), "unrecognized arguments: --bogus 1"),
+    (VERIFY_SOL + ("-x",), "unrecognized arguments: -x"),
+    (VERIFY_SOL + ("extra",), "unrecognized arguments: extra"),
+    (["models", "extra"], "unrecognized arguments: extra"),
+    (["models", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (VERIFY_SOL + ("--seed", "x"), "argument --seed: invalid int value: 'x'"),
+    (VERIFY_SOL + ("--samples", "1.5"), "argument --samples: invalid int value: '1.5'"),
+    (VERIFY_SOL + ("--tol", "abc"), "argument --tol: invalid float value: 'abc'"),
+    (["classify", "-", "--algebra", "x"], "[Errno 2] No such file or directory: '-'"),
 ])
-def test_a_command_line_builds_only_its_own_subparser(argv0, built):
-    subparsers, = [action for action in _build_parser(argv0)._actions
-                   if isinstance(action, argparse._SubParsersAction)]
-    assert tuple(subparsers.choices) == built
+def test_argparse_reads_every_other_command_line(capsys, argv, err):
+    assert _read_argv(list(argv)) is None
+    assert main(list(argv)) == 1
+    assert capsys.readouterr().err == "symred: %s\n" % err
+
+
+@pytest.mark.parametrize("spelling", [
+    ["--algebra=rot3"], ["--alg", "rot3"], ["--algebra", "rot3", "--candidate=Sl1"],
+])
+def test_argparse_reads_other_spellings_of_a_valid_line(capsys, spelling):
+    argv = ["classify", "builtin:navier_stokes"] + spelling
+    assert _read_argv(argv) is None
+    expected = run(capsys, "classify", "builtin:navier_stokes", "--algebra", "rot3",
+                   *(["--candidate", "Sl1"] if "--candidate=Sl1" in spelling else []))
+    assert run(capsys, *argv) == expected
+
+
+def test_a_valid_command_line_never_imports_argparse():
+    # argparse, and the locale module gettext loads on its first message,
+    # are imported only for help and usage errors
+    loaded = "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+    out = _fresh_process(after=loaded + "".join("main(%r)\n" % argv for argv in SEVEN_COMMANDS)
+                         + loaded + "main(['--help'])\n")
+    lines = out.splitlines()
+    usage = lines.index("usage: symred [-h] {%s} ..." % ",".join(COMMANDS))
+    assert lines[0] == lines[usage - 1] == "[]", (lines[0], lines[usage - 1])
+    assert "matches named combination: K3 + t0*P3" in out and "PASS" in out
 
 
 def test_help_exits_zero_with_its_text(capsys):
+    assert _read_argv(["--help"]) is None and _read_argv(["classify", "-h"]) is None
     with pytest.raises(SystemExit) as exit_:
         main(["--help"])
     out = capsys.readouterr().out

@@ -213,7 +213,7 @@ ORDER_SPACE = "space s { independent x t; dependent u; order 1; }\n"
     ("candidate c { u = a(t); }\nfunc a(t);\n", "candidates", "c"),
     ("algebra g { fields v; }\nfield v { xi = [1, 0]; phi = [0]; }\n", "algebras", "g"),
     ("field v { xi = [1, 0]; phi = [0]; }\ncandidate c { u = x; kernel g v; }\n"
-     "algebra g { fields v; }\n", "candidates", "c"),
+     "algebra g { fields v; }\n", "kernel_hints", "c"),
 ])
 def test_a_block_sees_only_earlier_declarations_when_read_lazily(text, kind, name):
     # a lazily read block raises the error the whole parse gives it
