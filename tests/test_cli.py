@@ -457,7 +457,7 @@ def test_usage_errors_exit_one(capsys):
 VERIFY_SOL = ("verify", "builtin:navier_stokes", "--candidate", "sol")
 
 
-def _every_benchmark_command_line(work):
+def _well_formed_command_lines(work):
     jobs = perfbench_jobs()
     lines = [job.command(7, work, None) for job in jobs.CLI_DEFAULT]
     lines += [job.command(13, work, jobs.DENSE_SAMPLES) for job in jobs.CLI_DENSE]
@@ -469,7 +469,7 @@ def _every_benchmark_command_line(work):
 @pytest.mark.parametrize("json_path", (None, "out.json"))
 def test_a_well_formed_command_line_reads_as_argparse_reads_it(tmp_path, json_path):
     parser = _build_parser()
-    for argv in _every_benchmark_command_line(str(tmp_path)):
+    for argv in _well_formed_command_lines(str(tmp_path)):
         if json_path:
             argv += ["--json", str(tmp_path / json_path)]
         assert vars(_read_argv(argv)) == vars(parser.parse_args(argv)), argv
@@ -507,15 +507,15 @@ def test_argparse_reads_every_other_command_line(capsys, argv, err):
     assert capsys.readouterr().err == "symred: %s\n" % err
 
 
-@pytest.mark.parametrize("spelling", [
-    ["--algebra=rot3"], ["--alg", "rot3"], ["--algebra", "rot3", "--candidate=Sl1"],
+@pytest.mark.parametrize("spelling, spelled_out", [
+    (["--algebra=rot3"], ["--algebra", "rot3"]),
+    (["--alg", "rot3"], ["--algebra", "rot3"]),
+    (["--algebra", "rot3", "--candidate=Sl1"], ["--algebra", "rot3", "--candidate", "Sl1"]),
 ])
-def test_argparse_reads_other_spellings_of_a_valid_line(capsys, spelling):
-    argv = ["classify", "builtin:navier_stokes"] + spelling
-    assert _read_argv(argv) is None
-    expected = run(capsys, "classify", "builtin:navier_stokes", "--algebra", "rot3",
-                   *(["--candidate", "Sl1"] if "--candidate=Sl1" in spelling else []))
-    assert run(capsys, *argv) == expected
+def test_argparse_reads_other_spellings_of_a_valid_line(capsys, spelling, spelled_out):
+    argv = ["classify", "builtin:navier_stokes"]
+    assert _read_argv(argv + spelling) is None
+    assert run(capsys, *argv, *spelling) == run(capsys, *argv, *spelled_out)
 
 
 def test_a_valid_command_line_never_imports_argparse():
