@@ -5,11 +5,13 @@ systems, vector fields, algebras and candidates living on it.  The
 built-in models ship as .sr files in `symred/library/` and are read by
 this same parser.  `symred models --export` prints a built-in as plain
 workspace text, parameters inlined, so hand-written files can be
-diffed against the library.  `parse_workspace`, `load_workspace` and
-`models.builtin` read every block before they return, so a bad block
-anywhere is an error at load; a command line's `builtin:<id>` reads its
-declarations at once and each system, field, algebra or candidate body
-the first time the command looks it up.
+diffed against the library.  One reader serves every caller: it reads
+the declarations at once and each system, field, algebra or candidate
+body, and a candidate's kernel hints, the first time it is looked up.
+`parse_workspace`, `load_workspace` and `models.builtin` look every
+block up as it is declared, so a bad block anywhere is an error at
+load; a command line's `builtin:<id>` and a pinned candidate's re-read
+parse only the blocks their caller looks up.
 
     # comments run to end of line
     space {
@@ -109,13 +111,12 @@ class Workspace:
     sampling plan.  `equations` and `equation_names` read the
     workspace's only system.
 
-    `parse_workspace` fills every mapping.  A lazy workspace (what a
-    command line's `builtin:<id>` reads) holds systems, fields, algebras,
-    candidates and kernel_hints as mappings that parse a block the first
-    time it is looked up (a candidate's kernel hints apart from its
-    body); their names, eq_names, params, solutions and
-    candidate_params are read at once.  `with_params` keeps the
-    laziness.
+    systems, fields, algebras, candidates and kernel_hints are read-only
+    mappings that parse a block the first time it is looked up (a
+    candidate's kernel hints apart from its body); their names,
+    eq_names, params, solutions and candidate_params are read at once.
+    `parse_workspace` has looked every block up before it returns;
+    `with_params` looks up none, since the load checked each block.
     """
 
     space: VariableSpace
@@ -173,10 +174,7 @@ class Workspace:
         return all(self.params[name] == value for name, value in pins.items())
 
     def with_params(self, params: Mapping) -> "Workspace":
-        params = {**self.overrides, **params}
-        if isinstance(self.candidates, _Blocks):        # a lazy workspace stays lazy
-            return _read_workspace(self.text, self.source, params, lazy=True)
-        return parse_workspace(self.text, self.source, params)
+        return _read_workspace(self.text, self.source, {**self.overrides, **params})
 
 
 def _strip_comments(text: str) -> str:
@@ -318,7 +316,7 @@ def _parse_domain(stmt: str) -> tuple[str, tuple[tuple[float, float], ...]]:
             raise DslError("domain %r wants (lo, hi) intervals" % stmt)
         try:
             lo, hi = (float(Fraction(p.strip())) for p in piece[1:].split(","))
-        except ValueError:
+        except (ValueError, ZeroDivisionError, OverflowError):     # not finite numbers
             raise DslError("domain %r wants (lo, hi) number pairs" % stmt) from None
         if not hi > lo:
             raise DslError("domain %r has the empty interval (%g, %g)" % (stmt, lo, hi))
@@ -390,7 +388,11 @@ def _kernel_hint(stmt: str, algebra, parse, where: str):
     if not all(isinstance(c, Constant) for c in coeffs) or offset != ZERO:
         raise DslError("%s: kernel %s is not a constant combination of %s's generators"
                        % (where, label, words[1]))
-    return words[1], label, tuple(float(c.value) for c in coeffs)
+    try:
+        return words[1], label, tuple(float(c.value) for c in coeffs)
+    except OverflowError:
+        raise DslError("%s: kernel %s has a coefficient beyond float range"
+                       % (where, label)) from None
 
 
 def _equations(body: str, where: str) -> list[tuple[str, str, str]]:
@@ -445,20 +447,21 @@ class _Blocks(Mapping):
         return len(self._values)
 
 
-def _read_workspace(text: str, source: str, params: Mapping | None,
-                    lazy: bool) -> Workspace:
+def _read_workspace(text: str, source: str, params: Mapping | None = None,
+                    lazy: bool = True) -> Workspace:
     """Read .sr text into a Workspace.
 
     Declarations are read at once: the space, every param and func, each
     block's name, a system's equation names, and a candidate's pins and
     `solution;` mark.  The body of each system, field, algebra and
-    candidate block is read right after its declaration, or with `lazy`
-    the first time it is looked up; a lazy candidate's `kernel`
-    statements are read when its kernel_hints are looked up, so reading
-    the candidate parses no algebra its hints name.  A body sees only
-    the funcs, fields and algebras declared before it, so reading every
-    block in text order gives the same workspace and the same first
-    error either way.
+    candidate block is read the first time it is looked up, and a
+    candidate's `kernel` statements when its kernel_hints are, so
+    reading the candidate parses no algebra its hints name.  Without
+    `lazy` each block is looked up, then its candidate's hints, right
+    after its declaration.  A body sees only the funcs, fields and
+    algebras declared before it, so any order of lookups gives the same
+    blocks, and a read without `lazy` raises the first bad block in text
+    order.
     """
     overrides = {name: Fraction(value) for name, value in (params or {}).items()}
     space_body = None
@@ -563,29 +566,17 @@ def _read_workspace(text: str, source: str, params: Mapping | None,
                            % (where, ", ".join(missing)))
         return Algebra(space, tuple(fields[mn] for mn in members), name=name, plan=plan)
 
-    hints: dict[str, dict] = {}     # candidate -> {algebra: {label: coefficients}}
-
-    def read_hint(stmt, at, functions, where, kernels):
-        alg, label, coeffs = _kernel_hint(
-            stmt, lambda a: algebras[a] if before("algebra", a, at) else None,
-            lambda e: parse(e, functions, where), where)
-        kernels.setdefault(alg, {})[label] = coeffs
-
     def read_candidate(name):
-        at, stmts, functions, where = declared["candidate", name]
+        _, stmts, functions, where = declared["candidate", name]
         assignments: dict[str, Expression] = {}
         loci: list[Expression] = []
         plan = {}
-        kernels: dict[str, dict] = {}
         for stmt in stmts:
-            if _plan_item(stmt, plan, space, where):
+            # a candidate's `kernel` statements are read by read_hints alone
+            if _plan_item(stmt, plan, space, where) or stmt.split()[0] == "kernel":
                 continue
             if stmt.startswith("exclude"):
                 loci.append(parse(stmt[len("exclude"):], functions, where))
-                continue
-            if stmt.split()[0] == "kernel":
-                if not lazy:        # else read_hints reads it when it is looked up
-                    read_hint(stmt, at, functions, where, kernels)
                 continue
             lhs, eq, rhs = stmt.partition("=")
             target = lhs.strip()
@@ -594,8 +585,6 @@ def _read_workspace(text: str, source: str, params: Mapping | None,
                                % (where, stmt))
             _once(assignments, target, where)
             assignments[target] = parse(rhs, functions, where)
-        if kernels:
-            hints[name] = kernels
         return CandidateSolution(space, assignments, tuple(loci), name=name,
                                  plan=SamplePlan(**plan) if plan else default_plan)
 
@@ -604,18 +593,16 @@ def _read_workspace(text: str, source: str, params: Mapping | None,
         kernels: dict[str, dict] = {}
         for stmt in stmts:
             if stmt.split()[0] == "kernel":
-                read_hint(stmt, at, functions, where, kernels)
+                alg, label, coeffs = _kernel_hint(
+                    stmt, lambda a: algebras[a] if before("algebra", a, at) else None,
+                    lambda e: parse(e, functions, where), where)
+                kernels.setdefault(alg, {})[label] = coeffs
         return kernels
 
-    readers = {"system": read_system, "field": read_field, "algebra": read_algebra,
-               "candidate": read_candidate}
-    if lazy:
-        tables = {kind: _Blocks(read) for kind, read in readers.items()}
-        kernel_hints = _Blocks(read_hints)
-    else:       # filled in text order as each block is declared
-        tables = {kind: {} for kind in readers}
-        kernel_hints = hints
+    tables = {"system": _Blocks(read_system), "field": _Blocks(read_field),
+              "algebra": _Blocks(read_algebra), "candidate": _Blocks(read_candidate)}
     systems, fields, algebras, candidates = tables.values()
+    kernel_hints = _Blocks(read_hints)      # candidate -> {algebra: {label: coefficients}}
     functions: dict[str, FunctionSymbol] = {}
     eq_names: dict[str, tuple[str, ...]] = {}
     solutions: set[str] = set()
@@ -656,13 +643,14 @@ def _read_workspace(text: str, source: str, params: Mapping | None,
                     pins[pin] = value
                 else:
                     items.append(stmt)
-                    if lazy and words[0] == "kernel" and name not in kernel_hints:
+                    if words[0] == "kernel":
                         kernel_hints.declare(name)
         declared[kind, name] = (at, items, functions, where)
-        if lazy:
-            tables[kind].declare(name)
-        else:
-            tables[kind][name] = readers[kind](name)
+        tables[kind].declare(name)
+        if not lazy:    # look each block up as it is declared: the first bad one raises
+            tables[kind][name]
+            if name in kernel_hints:
+                kernel_hints[name]
     return Workspace(space=space, params=values, functions=functions, systems=systems,
                      eq_names=eq_names, fields=fields, algebras=algebras,
                      candidates=candidates, solutions=solutions,

@@ -77,8 +77,7 @@ def _lazy_builtin(model_id: str) -> Workspace:
     and candidate blocks are each parsed the first time they are looked
     up: what a command line's `builtin:<id>` reads.  The shipped texts
     are parsed whole by the test suite."""
-    return _read_workspace(_model_text(model_id, {}), "builtin:" + model_id, None,
-                           lazy=True)
+    return _read_workspace(_model_text(model_id, {}), "builtin:" + model_id)
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,10 @@ class _Walk:
     def walk(self, e, values):
         n = self.n
         if isinstance(e, Constant):
-            return [complex(e.value)] * n
+            try:
+                return [complex(e.value)] * n
+            except OverflowError:
+                raise EvaluationError("a constant is beyond float range") from None
         if isinstance(e, ImaginaryUnit):
             return [1j] * n
         if isinstance(e, Variable):

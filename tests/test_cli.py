@@ -281,13 +281,27 @@ def test_a_builtin_command_parses_only_the_blocks_it_reads(argv, blocks):
 
 
 @pytest.mark.parametrize("model_id", MODEL_IDS)
-def test_the_lazy_builtin_reads_as_the_whole_one(model_id):
+def test_the_lazy_builtin_reads_as_the_whole_one(monkeypatch, model_id):
+    # the constructors SPY_ON_BLOCKS watches, spied on in this process
+    import symred.dsl as dsl
+    built = []
+    for kind, name in (("field", "VectorField"), ("algebra", "Algebra"),
+                       ("candidate", "CandidateSolution"), ("system", "normalize")):
+        def made(*args, kind=kind, make=getattr(dsl, name), **kwargs):
+            built.append((kind, kwargs.get("name")))
+            return make(*args, **kwargs)
+        monkeypatch.setattr(dsl, name, made)
     for draw in (None, 1, 2):
         params = {} if draw is None else draw_params(model_id, draw)
+        built.clear()
         lazy = _load(argparse.Namespace(workspace="builtin:" + model_id))
         if params:
             lazy = lazy.with_params(params)
-        assert not isinstance(lazy.candidates, dict)      # with_params stays lazy
+        # neither the load nor with_params builds a block until one is looked up
+        assert built == []
+        first = next(iter(lazy.candidates))
+        lazy.candidates[first]
+        assert built == [("candidate", first)]
         whole = builtin(model_id, params)
         assert workspace_to_text(lazy) == workspace_to_text(whole)   # reads every block
         for part in ("params", "eq_names", "solutions", "candidate_params"):
@@ -596,6 +610,34 @@ def test_errors_exit_one_with_one_line(capsys, tmp_path, space, xi, domain, argv
     assert err.startswith("symred: ") and err.count("\n") == 1
 
 
+FLOAT_RANGE_SR = LINE_SPACE + """
+system flat { eq d(u,x) = 0; }
+field v { xi = [1]; phi = [0]; }
+algebra a { fields v; }
+candidate c { %s }
+"""
+
+
+@pytest.mark.parametrize("candidate, argv", [
+    ("u = 1; domain x (1/0, 2);", VERIFY_C),
+    ("u = 1; domain x (1, 1e400);", VERIFY_C),
+    ("u = 1; kernel a 10^400*v;", VERIFY_C),
+    ("u = 10^400*x;", VERIFY_C),
+    ("u = 10^400*x;", ("defect", "{sr}", "--algebra", "a", "--candidate", "c")),
+    ("u = 1; exclude 10^400;", VERIFY_C),
+], ids=["domain-zero-denominator", "domain-beyond-float", "kernel-beyond-float",
+        "verify-constant-beyond-float", "defect-constant-beyond-float",
+        "exclude-beyond-float"])
+def test_numbers_beyond_float_range_exit_one_with_one_line(capsys, tmp_path, candidate, argv):
+    # each of these raised ZeroDivisionError or OverflowError past main
+    path = tmp_path / "range.sr"
+    path.write_text(FLOAT_RANGE_SR % candidate)
+    assert main([a.format(sr=path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("symred: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_samples_and_tol_flags(capsys):
     code, out = run(capsys, "verify", "builtin:navier_stokes",
                     "--candidate", "sol", "--samples", "20",
@@ -694,6 +736,21 @@ candidate c { u = 1; param k = 0; solution; }
     assert code == 0
     assert "rank Xi1=0, rank Xi2=0" in out
     assert "candidate c: weak transversality HOLDS" in out
+
+
+def test_pins_that_break_only_an_unread_block_are_answered(capsys, tmp_path):
+    # a pinned candidate's re-read parses only the blocks verify looks up,
+    # so v's 1/(k-1), an exact zero divisor at the pin k = 1, is never read
+    path = tmp_path / "pin.sr"
+    path.write_text("""
+space s { independent x; dependent u; order 1; }
+param k = 2;
+system s { eq d(u,x) = 0; }
+field v { xi = [1/(k-1)]; phi = [0]; }
+candidate c { u = 3; param k = 1; }
+""")
+    code, out = run(capsys, "verify", str(path), "--candidate", "c")
+    assert code == 0 and "PASS" in out
 
 
 G2_DEFECTS = {"sol": 3, "Sl1": 4, "fp": 3, "example8_ns": 2}

@@ -426,6 +426,11 @@ system b { eq d(u,x) = 1; }
      "t: param b: division by exact zero"),
     ("system s { eq e1: u/0 = 0; }", "t: system s: division by exact zero"),
     ("system s { }", "t: system s declares no equations"),
+    # a whole read looks a candidate's kernel hints up after its body, so
+    # the bad assignment is reported before the bad hint written above it
+    ("field v { xi = [1]; phi = [0]; } algebra g { fields v; }"
+     " candidate c { kernel g w; u = h(x); }",
+     "t: candidate c: call of undeclared function 'h' (line 1, column 2)"),
 ])
 def test_zero_divisors_and_empty_systems_name_their_declaration(decl, message):
     text = "space s { independent x; dependent u; order 1; }\n%s\n" % decl

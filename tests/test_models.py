@@ -178,17 +178,16 @@ def test_reduced_ode_check_parses_once_per_param_set(monkeypatch, kind, main, re
     ws = _check_workspace("isentropic")
     want = residual(ws, read, "IF7")
     want["system"] = _worst(residual(ws, main, "isentropic"))
+    # every read of workspace text, whole or lazy, goes through _read_workspace
     import symred.dsl
-    import symred.models
     calls = []
-    parse = symred.dsl.parse_workspace
+    original = symred.dsl._read_workspace
 
     def counted(*args, **kwargs):
         calls.append(args[1])
-        return parse(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(symred.dsl, "parse_workspace", counted)
-    monkeypatch.setattr(symred.models, "parse_workspace", counted)
+    monkeypatch.setattr(symred.dsl, "_read_workspace", counted)
     assert reduced_ode_check(kind) == want
     assert calls == ["builtin:isentropic"] * 2
 
