@@ -28,6 +28,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .analysis import (
+    RESIDUAL_TOL,
     AnalysisError,
     classify_transversality,
     constant_kernel_generators,
@@ -205,7 +206,7 @@ def _cmd_verify(args) -> int:
     cand = _tuned(cand, args)
     if args.tol is not None and not 0 < args.tol < math.inf:
         raise _UsageError("--tol must be positive and finite, got %g" % args.tol)
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol if args.tol is not None else RESIDUAL_TOL
     system = ws.system(args.system)
     values = residual(ws, cand, system.name)
     worst = max(values.values())

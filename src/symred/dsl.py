@@ -301,7 +301,7 @@ def _parse_vector(text: str, parse, want: int, what: str) -> tuple[Expression, .
     return entries
 
 
-def _parse_domain(stmt: str) -> tuple[str, tuple[tuple[float, float], ...]]:
+def _parse_domain(stmt: str, where: str) -> tuple[str, tuple[tuple[float, float], ...]]:
     rest = stmt[len("domain"):].strip()
     cut = 0
     while cut < len(rest) and (rest[cut].isalnum() or rest[cut] == "_"):
@@ -313,16 +313,17 @@ def _parse_domain(stmt: str) -> tuple[str, tuple[tuple[float, float], ...]]:
         if not piece:
             continue
         if not piece.startswith("("):
-            raise DslError("domain %r wants (lo, hi) intervals" % stmt)
+            raise DslError("%s: domain %r wants (lo, hi) intervals" % (where, stmt))
         try:
             lo, hi = (float(Fraction(p.strip())) for p in piece[1:].split(","))
         except (ValueError, ZeroDivisionError, OverflowError):     # not finite numbers
-            raise DslError("domain %r wants (lo, hi) number pairs" % stmt) from None
+            raise DslError("%s: domain %r wants (lo, hi) number pairs" % (where, stmt)) from None
         if not hi > lo:
-            raise DslError("domain %r has the empty interval (%g, %g)" % (stmt, lo, hi))
+            raise DslError("%s: domain %r has the empty interval (%g, %g)"
+                           % (where, stmt, lo, hi))
         spans.append((lo, hi))
     if not name or not spans:
-        raise DslError("domain %r wants a variable and intervals" % stmt)
+        raise DslError("%s: domain %r wants a variable and intervals" % (where, stmt))
     return name, tuple(spans)
 
 
@@ -331,7 +332,7 @@ def _plan_item(stmt: str, plan: dict, space: VariableSpace, where: str) -> bool:
     if stmt == "complex":
         plan["allow_complex"] = True
     elif stmt.startswith("domain"):
-        var_name, spans = _parse_domain(stmt)
+        var_name, spans = _parse_domain(stmt, where)
         if var_name not in space.independents + space.dependents:
             raise DslError("%s: domain names %s, which is not a variable of the space"
                            % (where, var_name))

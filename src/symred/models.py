@@ -156,8 +156,10 @@ def residual(ws: Workspace, candidate=None, system: str | None = None) -> dict:
     ws, cand = resolve_candidate(ws, candidate)
     system = ws.system(system)
     points = sample_points(cand, cand.plan, system.equations)
+    labels = ["equation %s" % name for name in system.equation_names]
     return {name: peak.value for name, peak in
-            zip(system.equation_names, peaks(system.equations, cand.plan, points=points))}
+            zip(system.equation_names, peaks(system.equations, cand.plan, points=points,
+                                             labels=labels))}
 
 
 def vnls_residual(candidate=None) -> dict:

@@ -1,18 +1,16 @@
 """Complex-capable numeric evaluation and opaque-function instantiation.
 
-Evaluation is double precision throughout.  One walk covers a batch of
-points.  A column is a list of Python complex values, one per point,
-and a live mask a list of bools; every node's column is computed with
-CPython's own complex arithmetic, so each value is bit for bit what the
-same point evaluated alone gives.  Singular or out-of-domain points
-raise PointRejected, which names them, and the sampling layer discards
-them; genuine usage errors raise EvaluationError.
+Evaluation is double precision throughout.  One walk covers every point
+of a batch.  A column is a list of Python complex values, one per
+point; every node's column is computed with CPython's own complex
+arithmetic, so each value is bit for bit what the same point evaluated
+alone gives.  Singular or out-of-domain points raise PointRejected,
+which names them, and the sampling layer discards them; genuine usage
+errors raise EvaluationError.
 
 Each Binding keeps one memo of subtree results: every distinct subtree
 is walked once on the binding's points, and later evaluations through
-the same binding reuse its columns and replay its rejections.  A memo
-entry serves only where the points live are among those live when it
-was made, so it stays exact whatever mask each evaluation is given.
+the same binding reuse its column and the points it rejected.
 
 Opaque symbols are evaluated from the stand-ins in Binding.functions
 (seeded cubics from random_polynomial): no tree is rewritten to
@@ -83,11 +81,10 @@ class Binding:
     """Variable values plus concrete stand-ins for opaque symbols.
 
     values maps names to numbers or to columns, sequences with one
-    entry per point; a number holds at every point.  Each value is read
-    once, as Python complex values, so a numpy array given here is
-    evaluated with CPython's arithmetic like any other column.  live, if
-    given, is a list of bools marking the points to evaluate; callers
-    may change it in place between evaluations, to any mask.
+    entry per point; a number holds at every point.  The points are the
+    columns' entries, or one point if no value is a column.  Each value
+    is read once, as Python complex values, so a numpy array given here
+    is evaluated with CPython's arithmetic like any other column.
     functions maps each FunctionSymbol to an Expression in the symbol's
     formal argument names only.  values and functions must not change
     once evaluate has seen the binding: it keeps their columns and a
@@ -96,48 +93,42 @@ class Binding:
 
     values: Mapping[str, complex] = field(default_factory=dict)
     functions: Mapping[FunctionSymbol, Expression] = field(default_factory=dict)
-    live: list[bool] | None = None
 
     @functools.cached_property
     def _shared(self):
         # the point count, whether any value is a column, each value as
-        # a column, each point's bit, and one subtree memo per real_domain
+        # a column, and one subtree memo per real_domain
         values = {name: v if isinstance(v, numbers.Number) else list(map(complex, v))
                   for name, v in self.values.items()}
         columns = [len(v) for v in values.values() if isinstance(v, list)]
-        n = len(self.live) if self.live is not None else columns[0] if columns else 1
+        n = columns[0] if columns else 1
         return n, bool(columns), {name: v if isinstance(v, list) else [complex(v)] * n
-                                  for name, v in values.items()}, [1 << i for i in range(n)], {}
+                                  for name, v in values.items()}, {}
 
 
 def evaluate(e: Expression, b: Binding, *, real_domain: bool = False) -> complex | list[complex]:
     """Evaluate at every point of b: a column, one Python complex per
-    point, or a single complex when b binds numbers only and no live
-    mask.
+    point, or a single complex when b binds numbers only.
 
     Any value raised to a negative power (or fed to ln) with modulus
     <= EPS_SING rejects the point as a pole.  real_domain additionally
     rejects negative radicands, non-positive ln arguments and negative
     besseli arguments instead of taking principal branches.  If any
-    point evaluated is rejected, PointRejected is raised; its values are
-    meaningless at the rejected points and outside b.live.
+    point is rejected, PointRejected is raised; its values are
+    meaningless at the rejected points.
 
     Subtrees already walked through b for the same real_domain are not
-    walked again: their columns are reused and their rejections
-    replayed, so the result and the rejected mask are those of a fresh
-    walk, whatever b.live was at earlier calls: a subtree memoized on
-    points that do not cover this call's live ones is walked again.
+    walked again: their columns are reused and the points they rejected
+    rejected again, so the result and the rejected mask are those of a
+    fresh walk.
     """
-    n, columns, values, point_bits, memos = b._shared
-    todo = (1 << n) - 1 if b.live is None else sum(itertools.compress(point_bits, b.live))
-    memo = memos.setdefault(real_domain, {})
-    walk = _Walk(b.functions, n, todo, real_domain, values, memo)
+    n, columns, values, memos = b._shared
+    walk = _Walk(b.functions, n, real_domain, values, memos.setdefault(real_domain, {}))
     out = walk.node(e, values)
     # a copy: the column may be the memo's or the binding's own
-    out = list(out) if columns or b.live is not None else out[0]
-    if walk.reason is not None:
-        bad = todo & ~walk.bits
-        raise PointRejected(walk.reason, [bool(bad >> i & 1) for i in range(n)], out)
+    out = list(out) if columns else out[0]
+    if walk.bad:
+        raise PointRejected(walk.reason, [bool(walk.bad >> i & 1) for i in range(n)], out)
     return out
 
 
@@ -167,8 +158,9 @@ def _is_real(z):
 
 
 def _scalar_power(z: complex, q: Fraction, real_domain: bool) -> complex:
-    """z**q at one point, where CPython's c_powi does not apply:
-    fractional q, and integer q past CPython's |q| <= 100."""
+    """z**q at one point, where CPython's c_powi is not taken over a
+    whole column: fractional q, integer q past CPython's |q| <= 100, and
+    an integer q at which some point of the column raises."""
     if q.denominator == 1:
         return z ** q.numerator
     if not real_domain:
@@ -188,49 +180,41 @@ _CMATH = {"exp": cmath.exp, "ln": cmath.log, "sin": cmath.sin, "cos": cmath.cos}
 class _Walk:
     """One evaluation over n points; every node yields a column.
 
-    Sums and products run over all n entries: CPython's complex addition
-    and multiplication never raise.  The guards, and every operation
-    that can raise, see only the live points, which are exactly the
-    points that a walk taking one point at a time would still be
-    evaluating there.  The live points are the set bits of one int.
+    Every operation runs over all n points, rejected ones too, so a
+    subtree's column does not depend on what the walk rejected before
+    it.  An operation that can raise is taken one point at a time (an
+    integer power only once some point raises), and a point where it
+    raises is rejected.  The rejected points are the set bits of one
+    int, bad, and reason is the last rejection's.
 
-    Each rejection is logged as (points cleared, reason).  A subtree
-    walked on the top-level values is memoized with its column, the
-    live points it started from and its part of the log.  A later visit
-    whose live points are among those replays that log through reject
-    instead of walking: the guards would clear the same points for the
-    same reasons, and the other live points' values are the same.
-    Variables are not memoized, and neither is anything under a
-    FunctionApp's local values.
+    A subtree walked on the top-level values is memoized with its
+    column, the points it rejected itself and its last reason; a later
+    visit rejects those points again instead of walking.  Variables are
+    not memoized, and neither is anything under a FunctionApp's local
+    values.
     """
 
-    def __init__(self, functions, n, bits, real_domain, top, memo):
-        self.functions, self.n, self.bits = functions, n, bits
-        self.real_domain, self.reason = real_domain, None
-        self.top, self.memo, self.log = top, memo, []
+    def __init__(self, functions, n, real_domain, top, memo):
+        self.functions, self.n, self.real_domain = functions, n, real_domain
+        self.top, self.memo = top, memo
+        self.bad, self.reason = 0, None
 
     def reject(self, bad, reason):
-        bad &= self.bits
         if bad:
-            self.bits ^= bad
+            self.bad |= bad
             self.reason = reason
-            self.log.append((bad, reason))
-
-    def live(self):
-        bits = self.bits
-        return [i for i in range(self.n) if bits >> i & 1]
 
     def small(self, z):
         """The points where |z| <= EPS_SING, as bits."""
         return sum(1 << i for i, w in enumerate(z) if near_zero(w))
 
     def pointwise(self, z, fn):
-        """fn on each live point's value; a point where it raises
-        PointRejected, overflows or leaves its domain is cleared."""
+        """fn on each point's value; a point where it raises
+        PointRejected, overflows or leaves its domain is rejected."""
         out = [0j] * self.n
-        for i in self.live():
+        for i, w in enumerate(z):
             try:
-                out[i] = fn(z[i])
+                out[i] = fn(w)
             except EvaluationError:
                 raise
             except (PointRejected, ArithmeticError, ValueError) as exc:
@@ -241,14 +225,13 @@ class _Walk:
         if values is not self.top or isinstance(e, Variable):
             return self.walk(e, values)
         hit = self.memo.get(e)
-        if hit is not None and not self.bits & ~hit[1]:
-            for bad, reason in hit[2]:
-                self.reject(bad, reason)
-            return hit[0]
-        bits, start = self.bits, len(self.log)
-        out = self.walk(e, values)
-        self.memo[e] = out, bits, self.log[start:]
-        return out
+        if hit is None:
+            outer, self.bad = self.bad, 0
+            hit = self.memo[e] = self.walk(e, values), self.bad, self.reason
+            self.bad |= outer
+        else:
+            self.reject(hit[1], hit[2])
+        return hit[0]
 
     def walk(self, e, values):
         n = self.n
@@ -291,26 +274,14 @@ class _Walk:
     def power(self, z, q):
         if q < 0:
             self.reject(self.small(z), "pole")
-        if q.denominator != 1 or abs(q) > 100:
-            return self.pointwise(z, lambda w: _scalar_power(w, q, self.real_domain))
-        # CPython's c_powi, at every point at once; only if some point
-        # raises are the live ones taken one at a time
-        k = q.numerator
-        try:
-            return [w ** k for w in z]
-        except ArithmeticError:
-            pass
-        out, poles, overflows = list(z), 0, 0
-        for i in self.live():
+        if q.denominator == 1 and abs(q) <= 100:
+            # CPython's c_powi, at every point at once; only if some
+            # point raises are the points taken one at a time
             try:
-                out[i] = z[i] ** k
-            except ZeroDivisionError:   # 1/0: a power that is exactly 0
-                poles |= 1 << i
-            except OverflowError:
-                overflows |= 1 << i
-        self.reject(poles, "pole")
-        self.reject(overflows, "overflow in integer power")
-        return out
+                return [w ** q.numerator for w in z]
+            except ArithmeticError:
+                pass
+        return self.pointwise(z, lambda w: _scalar_power(w, q, self.real_domain))
 
     def builtin(self, e, z):
         if e.name == "ln":

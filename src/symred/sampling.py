@@ -8,8 +8,9 @@ points, beside stand-ins for the opaque symbols in one Binding, whose
 subtree memo serves every expression read at that seed.  Each is
 evaluated as it is, once over all of the points, with the plan's pole
 and real-domain guards.  `sampled` keeps one rejection mask per seed,
-`peaks` one per expression and seed; both raise SamplingError for a
-reading that keeps fewer than plan.min_accepted points at a seed.
+`peaks` one per expression and seed; the evaluator keeps none.  Both
+raise SamplingError for a reading that keeps fewer than
+plan.min_accepted points at a seed.
 
 Determinism contract: point `index` of seed `seed` reads the stream
 `SeedSequence([seed, index])` -> PCG64 of `symred.stream`, identical
@@ -28,7 +29,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .expr import Expression, SymredError, free_variables, function_symbols
-from .numeric import Binding, PointRejected, evaluate, random_polynomial
+from .numeric import Binding, EvaluationError, PointRejected, evaluate, random_polynomial
 from .stream import Stream
 
 # numeric_equiv tolerances
@@ -165,10 +166,11 @@ def seed_passes(exprs: Sequence[Expression], plan: SamplePlan, *,
     indices 0 .. plan.count - 1, or are `points`, jet points consumed in
     order one run of equal seeds at a time.  at(e) evaluates e, one of
     exprs or anything built from them (such as a derivative), at every
-    point live marks, opaque applications from the seed's stand-ins, and
-    returns one Python complex per point, meaningless at the others; it
-    clears the points e rejects from live, a list of bools, which its
-    owner may also clear or set anew in place."""
+    point, opaque applications from the seed's stand-ins, and returns one
+    Python complex per point, meaningless where e is rejected; it clears
+    the points e rejects from live, the seed's one mask, a list of bools
+    that its owner may also clear or set anew in place.  at reads every
+    point, whatever live holds."""
     if points is None:
         if names is None:
             names = sorted(set().union(*map(free_variables, exprs)))
@@ -188,16 +190,19 @@ def seed_passes(exprs: Sequence[Expression], plan: SamplePlan, *,
             columns = {name: [p.base[name] for p in run] for name in run[0].base}
             columns.update((name, [p.slots[name] for p in run]) for name in run[0].slots)
         live = [True] * len(run)
-        b = Binding(columns, inst, live=live)
+        b = Binding(columns, inst)
 
-        def at(e, b=b, live=live):
+        def at(e, b=b, live=live, one=not columns):
+            # with nothing drawn the binding has one point: its value and
+            # its rejection hold at every point of the seed
             try:
-                return evaluate(e, b, real_domain=real_domain)
+                out = evaluate(e, b, real_domain=real_domain)
             except PointRejected as r:
-                for i, bad in enumerate(r.rejected):
+                out = r.values
+                for i, bad in enumerate(r.rejected * len(live) if one else r.rejected):
                     if bad:
                         live[i] = False
-                return r.values
+            return [out] * len(live) if one else out
 
         yield seed, indices, where, at, live
 
@@ -216,11 +221,14 @@ def sampled(exprs: Sequence[Expression], plan: SamplePlan, *,
     readings per point and may clear more of live, the seed's one mask.
     The live points are yielded in index order with their rows; a seed
     that keeps fewer than plan.min_accepted raises SamplingError after
-    its last one.
+    its last one.  An EvaluationError is raised prefixed with label.
     """
     exprs = list(exprs)
     for seed, indices, where, at, live in seed_passes(exprs, plan, names=names, points=points):
-        rows = reader(exprs, at, live)
+        try:
+            rows = reader(exprs, at, live)
+        except EvaluationError as exc:
+            raise EvaluationError("%s: %s" % (label, exc)) from None
         accepted = [k for k, ok in enumerate(live) if ok]
         for k in accepted:
             yield Sample(seed, indices[k], where[k], rows[k])
@@ -233,16 +241,17 @@ def peaks(exprs: Sequence[Expression], plan: SamplePlan, *, points: Iterable | N
           labels: Sequence[str] | None = None) -> Iterator[Peak]:
     """Each expression's Peak, in order, every seed of seed_passes bound
     once for all of exprs.  Each is read under a mask of its own, so it
-    keeps its own rejections and starves (labelled labels[k], default
-    "expression") as a sampled((e,), ...) pass of its own would.  One
-    that starves or fails is read at no later seed and raises its error
-    in its turn, after the Peaks before it."""
+    keeps its own rejections and starves or fails to evaluate (labelled
+    labels[k], default "expression") as a sampled((e,), ...) pass of its
+    own would.  One that starves or fails is read at no later seed and
+    raises its error in its turn, after the Peaks before it."""
     exprs = list(exprs)
     found: list = [Peak(0.0, None, ())] * len(exprs)
     for seed, indices, where, at, live in seed_passes(exprs, plan, points=points):
         for k, e in enumerate(exprs):
             if isinstance(found[k], Exception):
                 continue
+            label = labels[k] if labels else "expression"
             live[:] = [True] * len(live)
             try:
                 values = at(e)
@@ -253,10 +262,12 @@ def peaks(exprs: Sequence[Expression], plan: SamplePlan, *, points: Iterable | N
                     elif abs(values[i]) > value:
                         value, place = abs(values[i]), where[i]
                 if sum(live) < plan.min_accepted:
-                    raise SamplingError(_STARVED % (seed, labels[k] if labels else "expression",
-                                                    sum(live), len(live), plan.min_accepted))
+                    raise SamplingError(_STARVED % (seed, label, sum(live), len(live),
+                                                    plan.min_accepted))
                 found[k] = Peak(value, place, rejected)
-            except (SymredError, ArithmeticError) as exc:  # raised in its turn, below
+            except EvaluationError as exc:  # raised in its turn, below
+                found[k] = EvaluationError("%s: %s" % (label, exc))
+            except (SymredError, ArithmeticError) as exc:
                 found[k] = exc
     for peak in found:
         if isinstance(peak, Exception):

@@ -638,6 +638,48 @@ def test_numbers_beyond_float_range_exit_one_with_one_line(capsys, tmp_path, can
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("block", ("candidate", "space"))
+@pytest.mark.parametrize("domain, problem", [
+    ("(2, 1)", "has the empty interval (2, 1)"),
+    ("(a, 1)", "wants (lo, hi) number pairs"),
+    ("(1/0, 2)", "wants (lo, hi) number pairs"),
+], ids=["empty", "not-a-number", "zero-denominator"])
+def test_a_domain_error_names_its_file_and_block(capsys, tmp_path, block, domain, problem):
+    path = tmp_path / "line.sr"
+    if block == "candidate":
+        text, where = LINE_SR % (LINE_SPACE, "1", domain), "candidate c"
+    else:
+        text = LINE_SR % (LINE_SPACE.replace("order 1;", "order 1; domain x %s;" % domain),
+                          "1", "(1, 2)")
+        where = "space"
+    path.write_text(text)
+    assert main([a.format(sr=path) for a in VERIFY_C]) == 1
+    assert capsys.readouterr().err == "symred: %s: %s: domain 'domain x %s' %s\n" % (
+        path, where, domain, problem)
+
+
+@pytest.mark.parametrize("equation, candidate, label", [
+    ("d(u,x) = 0", "u = 10^400*x;", "candidate c"),
+    ("d(u,x) = 10^400", "u = x;", "equation eq1"),
+], ids=["candidate", "equation"])
+def test_a_constant_beyond_float_range_names_its_block(capsys, tmp_path, equation,
+                                                       candidate, label):
+    path = tmp_path / "range.sr"
+    path.write_text((FLOAT_RANGE_SR % candidate).replace("d(u,x) = 0", equation))
+    assert main([a.format(sr=path) for a in VERIFY_C]) == 1
+    assert capsys.readouterr().err == "symred: %s: a constant is beyond float range\n" % label
+
+
+def test_a_matrix_of_constants_rejected_everywhere_exits_one(capsys, tmp_path):
+    # Xi1 holds only the constant (-2)^(1/2): nothing is drawn, and the
+    # one value read is rejected at every point of the seed
+    path = tmp_path / "line.sr"
+    path.write_text(LINE_SR % (LINE_SPACE, "(-2)^(1/2)", "(1, 2)"))
+    assert main(["classify", str(path), "--algebra", "a"]) == 1
+    assert capsys.readouterr().err == \
+        "symred: seed 101: matrix Xi1(a) kept 0 of 20 points (need 12)\n"
+
+
 def test_samples_and_tol_flags(capsys):
     code, out = run(capsys, "verify", "builtin:navier_stokes",
                     "--candidate", "sol", "--samples", "20",

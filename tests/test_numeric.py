@@ -300,7 +300,7 @@ def test_batch_equals_one_point_walks_and_python_arithmetic(real_domain):
 
 def _outcome(e, b, **guards):
     """(values, rejected mask, reason) of one evaluation through b."""
-    n = len(b.live)
+    n = len(next(iter(b.values.values())))
     try:
         return evaluate(e, b, **guards), [False] * n, None
     except PointRejected as r:
@@ -319,8 +319,8 @@ def _recurring(rng, pool, depth):
 
 @pytest.mark.parametrize("real_domain", (True, False), ids=("real", "complex"))
 def test_shared_binding_matches_fresh_evaluations(real_domain):
-    # read as sampled reads: one binding per batch of points, and each
-    # evaluation's rejections cleared from its live mask before the next
+    # read as sampled reads: one binding per batch of points, through
+    # which expressions sharing subtrees are evaluated one after another
     rng = np.random.default_rng(29 + real_domain)
     guards = dict(real_domain=real_domain)
     rejections = 0
@@ -329,47 +329,15 @@ def test_shared_binding_matches_fresh_evaluations(real_domain):
         points = _points(rng, 24)
         columns = {name: np.array([p[name] for p in points], dtype=complex)
                    for name in points[0]}
-        live = [True] * len(points)
-        shared = Binding(columns, live=live)
+        shared = Binding(columns)
         for _ in range(8):
             e = _recurring(rng, pool, 3)
-            fresh = _outcome(e, Binding(columns, live=list(live)), **guards)
+            fresh = _outcome(e, Binding(columns), **guards)
             got = _outcome(e, shared, **guards)
             assert got[1] == fresh[1], e
             assert got[2] == fresh[2], e
-            kept = [ok and not bad for ok, bad in zip(live, fresh[1])]
-            assert [_bits(v) for v, ok in zip(got[0], kept) if ok] == \
-                [_bits(v) for v, ok in zip(fresh[0], kept) if ok], e
-            rejections += sum(fresh[1])
-            live[:] = kept
-    assert rejections > 0
-
-
-@pytest.mark.parametrize("real_domain", (True, False), ids=("real", "complex"))
-def test_shared_binding_under_masks_of_their_own(real_domain):
-    # read as the many-expression readers read: one binding, and each
-    # evaluation under a mask of its own, fuller than the last one's
-    # rejections left it, or emptier
-    rng = np.random.default_rng(31 + real_domain)
-    guards = dict(real_domain=real_domain)
-    rejections = 0
-    for _ in range(40):
-        pool = [random_expression(rng, depth=3) for _ in range(5)]
-        points = _points(rng, 24)
-        columns = {name: [p[name] for p in points] for name in points[0]}
-        live = [True] * len(points)
-        shared = Binding(columns, live=live)
-        for _ in range(8):
-            e = _recurring(rng, pool, 3)
-            live[:] = (rng.uniform(size=len(points)) < 0.9).tolist()
-            mask = list(live)
-            fresh = _outcome(e, Binding(columns, live=list(mask)), **guards)
-            got = _outcome(e, shared, **guards)
-            assert got[1] == fresh[1], e
-            assert got[2] == fresh[2], e
-            kept = [ok and not bad for ok, bad in zip(mask, fresh[1])]
-            assert [_bits(v) for v, ok in zip(got[0], kept) if ok] == \
-                [_bits(v) for v, ok in zip(fresh[0], kept) if ok], e
+            # every point is walked, so even a rejected one's value agrees
+            assert list(map(_bits, got[0])) == list(map(_bits, fresh[0])), e
             rejections += sum(fresh[1])
     assert rejections > 0
 
@@ -379,19 +347,20 @@ def test_memo_hit_replays_its_rejection():
     pole = div(con(1), x)
     columns = {"x": np.array([1.0, 0.0, 2.0, 0.0], dtype=complex),
                "y": np.array([0.0, 1.0, 1.0, 3.0], dtype=complex)}
-    b = Binding(columns, live=[True] * 4)
+    b = Binding(columns)
     want = [False, True, False, True]
-    # the caller never clears live: every hit must reject again
+    # every hit must reject again
     for e in (pole, pole, Sum((pole, y)), Product((y, pole))):
         with pytest.raises(PointRejected) as caught:
             evaluate(e, b)
         assert caught.value.rejected == want
-    # a subtree first walked after y's pole cleared point 0 is walked
-    # again where that point is still live: exp was not computed there
-    shared = Binding(columns, live=[True] * 4)
+    # a subtree first walked where y's pole rejects point 0 keeps only
+    # its own rejections, and its value there
+    shared = Binding(columns)
     inner = Sum((pole, exp(x)))
-    with pytest.raises(PointRejected):
+    with pytest.raises(PointRejected) as caught:
         evaluate(Product((div(con(1), y), inner)), shared)
+    assert caught.value.rejected == [True, True, False, True]
     with pytest.raises(PointRejected) as caught:
         evaluate(inner, shared)
     assert caught.value.rejected == want
@@ -462,7 +431,7 @@ def test_exp_overflow_rejects_only_its_point():
         [_bits(cmath.exp(1.0)), None, _bits(cmath.exp(-800.0)), _bits(cmath.exp(709.0))]
 
 
-def test_bessel_node_is_called_only_at_live_points(monkeypatch):
+def test_bessel_node_is_called_once_per_point(monkeypatch):
     calls = []
     real_bessel = symred.numeric.bessel_i
 
@@ -475,20 +444,10 @@ def test_bessel_node_is_called_only_at_live_points(monkeypatch):
     e = mul(div(con(1), x), besseli(nu, x))
     values = [1.0, 0.0, 40.0, -2.0, 0.5]
     got = _batch(e, [{"x": v} for v in values], real_domain=True)
-    # 0 is a pole of 1/x, so its Bessel factor is never computed; 40 is
-    # past the series bound and -2 outside the real domain
-    assert calls == [1.0, 40.0, -2.0, 0.5]
+    # every point is computed, the pole of 1/x at 0 too; 40 is past the
+    # series bound and -2 outside the real domain
+    assert calls == values
     want = [_bits((1 + 0j) * (1 / complex(v))
                   * real_bessel(nu, complex(v), real_domain=True))
             if v in (1.0, 0.5) else None for v in values]
     assert got == want
-
-    # a live mask skips points: they are neither computed nor reported
-    calls.clear()
-    live = [True, True, False, True, True]
-    with pytest.raises(PointRejected) as caught:
-        evaluate(e, Binding({"x": np.array(values, dtype=complex)}, live=live),
-                 real_domain=True)
-    assert calls == [1.0, -2.0, 0.5]
-    assert caught.value.rejected == [False, True, False, True, False]
-    assert live == [True, True, False, True, True]

@@ -2,14 +2,15 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import symred
-from symred.expr import var
+from symred.expr import Constant, Power, var
 from symred.parser import parse_expression
-from symred.sampling import SamplePlan, SamplingError, draw_values, numeric_equiv
+from symred.sampling import SamplePlan, SamplingError, draw_values, numeric_equiv, sampled
 from symred.stream import Stream
 
 x, y = var("x"), var("y")
@@ -142,6 +143,17 @@ def test_starvation_raises():
     plan = SamplePlan(count=6, min_accepted=6)
     with pytest.raises(SamplingError):
         numeric_equiv(e, e, plan)
+
+
+def test_a_reading_with_nothing_drawn_holds_at_every_point():
+    plan = SamplePlan(count=6, min_accepted=4, seeds=(3, 5))
+    rows = list(sampled([parse_expression("2*3")], plan))
+    assert [(s.seed, s.index, s.values) for s in rows] == \
+        [(seed, k, (6,)) for seed in (3, 5) for k in range(6)]
+    # a constant rejected in the real domain is rejected at every point
+    root = Power(Constant(Fraction(-2)), Fraction(1, 2))
+    with pytest.raises(SamplingError, match=r"^seed 3: matrix kept 0 of 6 points \(need 4\)$"):
+        list(sampled([root, parse_expression("1")], plan, label="matrix"))
 
 
 def _entropies():

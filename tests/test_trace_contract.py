@@ -34,3 +34,14 @@ def test_hooked_functions_take_plan_second(qualname):
     layer, name = qualname.split(".")
     function = getattr(importlib.import_module("symred." + layer), name)
     assert list(inspect.signature(function).parameters)[1] == "plan"
+
+
+def test_a_rejected_point_raises_point_rejected():
+    # the tracer marks a span REJECTED only when numeric.evaluate raises
+    # PointRejected, so a batch with one rejected point must still raise it
+    from symred.expr import con, div, var
+    from symred.numeric import Binding, PointRejected, evaluate
+    with pytest.raises(PointRejected) as caught:
+        evaluate(div(con(1), var("x")), Binding({"x": [1.0, 0.0, 2.0, -1.0]}))
+    assert caught.value.rejected == [False, True, False, False]
+    assert len(caught.value.values) == 4
